@@ -18,7 +18,6 @@ from .contrast import (
     BlochPair,
     ContrastResult,
     DegenerateDenominatorError,
-    NewtonState,
     NewtonStatus,
     bloch_spinors,
     canonicalize,
@@ -62,7 +61,6 @@ __all__ = [
     "GridSpec",
     "KinematicSet",
     "LocusPoint",
-    "NewtonState",
     "NewtonStatus",
     "PolarizationPair",
     "ProbabilityPoint",

@@ -3,8 +3,7 @@
 Outputs are plain CSV tables (locale-independent, full round-trip float
 precision) and binary portable graymap (P5) heatmaps with a key=value
 sidecar recording the value mapping.  Exit codes: 0 success, 2 invalid
-parameters, 3 optimizer non-convergence or locus bracketing failure,
-4 unwritable output.
+parameters, 3 locus bracketing failure, 4 unwritable output.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .compton import PolarizationPair, elliptic_polarization, spin_matrix
-from .contrast import NewtonStatus, minimize_contrast
+from .contrast import minimize_contrast
 from .kinematics import ScatterConfig
 from .sweep import (
     FixedParams,
@@ -57,7 +56,10 @@ def parse_angle(text: str) -> float:
         coef = float(coef_text)
     value = coef * math.pi
     if denom_text is not None:
-        value /= float(denom_text)
+        denom = float(denom_text)
+        if denom == 0.0:
+            raise ValueError(f"cannot parse angle {text!r}: zero denominator")
+        value /= denom
     return value
 
 
@@ -68,6 +70,14 @@ def parse_polarization(text: str) -> np.ndarray:
         raise ValueError(f"polarization needs 6 numbers (re,im pairs), got {len(parts)}")
     values = [float(p) for p in parts]
     return np.array([complex(values[2 * i], values[2 * i + 1]) for i in range(3)])
+
+
+def parse_workers(text: str) -> int:
+    """Process count for --workers; at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _format(value) -> str:
@@ -171,7 +181,7 @@ def cmd_point(args) -> int:
     print(f"prob_B={_format(result.prob_b)}")
     print(f"iterations={result.iterations}")
     print(f"status={result.status.value}")
-    return 0 if result.status is NewtonStatus.CONVERGED_GRADIENT else 3
+    return 0
 
 
 def cmd_sweep(args) -> int:
@@ -349,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--nx", type=int, default=201)
     p_sweep.add_argument("--ny", type=int, default=201)
     p_sweep.add_argument("--out", required=True, help="output CSV path")
-    p_sweep.add_argument("--workers", type=int, default=os.cpu_count() or 1)
+    p_sweep.add_argument("--workers", type=parse_workers, default=os.cpu_count() or 1)
     p_sweep.add_argument("--heatmap-column", choices=HEATMAP_COLUMNS, default=None)
     p_sweep.add_argument("--heatmap-out", default=None, help="heatmap path (default: out with .pgm)")
     p_sweep.add_argument("--log-scale", action="store_true", help="log10 heatmap mapping")
@@ -365,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_locus.add_argument("--inv-theta-max", type=float, default=100.0)
     p_locus.add_argument("--inv-theta-points", type=int, default=400)
     p_locus.add_argument("--out", required=True, help="output path prefix")
-    p_locus.add_argument("--workers", type=int, default=os.cpu_count() or 1)
+    p_locus.add_argument("--workers", type=parse_workers, default=os.cpu_count() or 1)
     p_locus.set_defaults(func=cmd_locus_fit)
 
     p_taylor = sub.add_parser("taylor-check", help="convergence order of the expansion")

@@ -1,4 +1,4 @@
-"""Contrast functional over Bloch spinor pairs and its Newton minimization.
+"""Contrast functional over Bloch spinor pairs and its closed-form minimum.
 
 For a complex 2x2 spin-propagation matrix M the contrast functional is
 
@@ -19,8 +19,10 @@ with t = p00 + p11, v = (p00 - p11)/2, a = Re p01, b = Im p01.  All first
 and second partial derivatives of C' follow in closed form from this
 reduction; they are validated against central finite differences in the
 test suite.  The contrast of M is the minimum of C' over the fundamental
-domain alpha in [0, 2pi], phi in [0, pi], found by a dense seed grid scan
-followed by raw (undamped) Newton iteration.
+domain alpha in [0, 2pi], phi in [0, pi].  The numerator is t/2 plus
+(v, a, -b) dotted into the Bloch vector of (alpha, phi), so C' is smallest
+with that vector along -(v, a, -b), where it equals lambda_min/lambda_max of
+P: the exact minimum that a Newton iteration on C' reaches when it converges.
 """
 
 from __future__ import annotations
@@ -31,26 +33,10 @@ from enum import Enum
 
 import numpy as np
 
-#: seed grid resolution of the global scan (equal spacing pi/63 on both axes)
-ALPHA_SEED_COUNT = 126
-PHI_SEED_COUNT = 63
-
-#: Newton stopping rules
-GRADIENT_TOLERANCE = 1e-15
-HESSIAN_DET_TOLERANCE = 1e-20
-MAX_NEWTON_STEPS = 80
-
 #: below this the denominator |M psi_B|^2 counts as degenerate
 DEGENERATE_FLOOR = 1e-300
 
 TWO_PI = 2.0 * math.pi
-
-_ALPHA_SEEDS = np.arange(ALPHA_SEED_COUNT) * (TWO_PI / ALPHA_SEED_COUNT)
-_PHI_SEEDS = np.arange(PHI_SEED_COUNT) * (math.pi / PHI_SEED_COUNT)
-_COS_ALPHA = np.cos(_ALPHA_SEEDS)
-_SIN_ALPHA = np.sin(_ALPHA_SEEDS)
-_COS_PHI = np.cos(_PHI_SEEDS)
-_SIN_PHI = np.sin(_PHI_SEEDS)
 
 
 class DegenerateDenominatorError(ValueError):
@@ -59,8 +45,6 @@ class DegenerateDenominatorError(ValueError):
 
 class NewtonStatus(str, Enum):
     CONVERGED_GRADIENT = "converged_gradient"
-    STOPPED_SINGULAR_HESSIAN = "stopped_singular_hessian"
-    STOPPED_MAX_ITERATIONS = "stopped_max_iterations"
 
 
 @dataclass(frozen=True)
@@ -69,16 +53,6 @@ class BlochPair:
 
     alpha: float
     phi: float
-
-
-@dataclass(frozen=True)
-class NewtonState:
-    """One accepted Newton iterate with its local gradient and Hessian."""
-
-    alpha: float
-    phi: float
-    gradient: np.ndarray
-    hessian: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -181,35 +155,13 @@ def contrast_derivatives(m: np.ndarray, pair: BlochPair) -> tuple[np.ndarray, np
     return grad, hess
 
 
-def _seed_grid_argmin(form: tuple[float, float, float, float]) -> tuple[float, float, float]:
-    """Best (value, alpha, phi) on the half-open seed grid.
-
-    Tiny negative numerators and denominators from cancellation are clamped;
-    argmin on the C-ordered array breaks exact ties toward the lowest alpha,
-    then the lowest phi.
-    """
-    t, v, a, b = form
-    w = a * _COS_PHI - b * _SIN_PHI
-    num = 0.5 * t + v * _COS_ALPHA[:, None] + _SIN_ALPHA[:, None] * w[None, :]
-    np.maximum(num, 0.0, out=num)
-    den = np.maximum(t - num, 0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        values = num / den
-    values[~np.isfinite(values)] = np.inf
-    flat = int(np.argmin(values))
-    ia, ip = divmod(flat, PHI_SEED_COUNT)
-    return float(values[ia, ip]), float(_ALPHA_SEEDS[ia]), float(_PHI_SEEDS[ip])
-
-
 def minimize_contrast(m: np.ndarray) -> ContrastResult:
-    """Global contrast of a nonzero 2x2 matrix via seed grid plus Newton.
+    """Global contrast of a nonzero 2x2 matrix: lambda_min/lambda_max of M^dag M.
 
-    The functional is evaluated on the full 126 x 63 seed grid; from the
-    grid argmin, raw Newton steps (alpha, phi) -= H^{-1} g are iterated with
-    canonicalization after each step.  Iteration stops when |g| drops below
-    1e-15, when |det H| falls below 1e-20, or after 80 steps; the best
-    iterate ever seen (seed included) is returned, so the result is never
-    worse than the grid scan.
+    The angles put the Bloch vector along -(v, a, -b)/r, read off the matrix
+    scaled to unit largest entry; when r = 0 every pair is optimal and (0, 0)
+    is returned.  The minimum is exact: ``iterations`` is 0 and the status
+    ``CONVERGED_GRADIENT``.
     """
     m = np.asarray(m, dtype=complex)
     if m.shape != (2, 2):
@@ -218,47 +170,19 @@ def minimize_contrast(m: np.ndarray) -> ContrastResult:
     if not scale > DEGENERATE_FLOOR:
         raise ValueError("spin-propagation matrix is numerically zero")
 
-    # the functional is scale-free, so optimize the normalized matrix: the
-    # absolute stopping thresholds then resolve every input equally well
-    form = _quadratic_form(m / scale)
-    best_value, best_alpha, best_phi = _seed_grid_argmin(form)
-    alpha, phi = best_alpha, best_phi
-
-    status = NewtonStatus.STOPPED_MAX_ITERATIONS
-    steps = 0
-    for n in range(MAX_NEWTON_STEPS + 1):
-        steps = n
-        value, grad, hess = _value_grad_hess(form, alpha, phi)
-        if value < best_value:
-            best_value, best_alpha, best_phi = value, alpha, phi
-        if math.hypot(grad[0], grad[1]) < GRADIENT_TOLERANCE:
-            status = NewtonStatus.CONVERGED_GRADIENT
-            # tail iterates differ only by value rounding noise; prefer the
-            # stationary one over a noise-lower earlier iterate, but never
-            # accept a genuinely worse point (saddle capture)
-            if value <= best_value + 1e-12 * (1.0 + best_value):
-                best_value, best_alpha, best_phi = value, alpha, phi
-            break
-        if n == MAX_NEWTON_STEPS:
-            status = NewtonStatus.STOPPED_MAX_ITERATIONS
-            break
-        state = NewtonState(alpha=alpha, phi=phi, gradient=grad, hessian=hess)
-        det = hess[0, 0] * hess[1, 1] - hess[0, 1] * hess[1, 0]
-        if abs(det) < HESSIAN_DET_TOLERANCE:
-            status = NewtonStatus.STOPPED_SINGULAR_HESSIAN
-            break
-        # explicit 2x2 inverse keeps an exactly decoupled phi step at phi = 0
-        step_a = (hess[1, 1] * grad[0] - hess[0, 1] * grad[1]) / det
-        step_p = (hess[0, 0] * grad[1] - hess[1, 0] * grad[0]) / det
-        moved = canonicalize(BlochPair(alpha=state.alpha - step_a, phi=state.phi - step_p))
-        alpha, phi = moved.alpha, moved.phi
-
-    pair = BlochPair(alpha=best_alpha, phi=best_phi)
+    unit = m / scale
+    t, v, a, b = _quadratic_form(unit)
+    r = math.sqrt(v * v + a * a + b * b)
+    if r == 0.0:
+        pair = BlochPair(alpha=0.0, phi=0.0)  # C' == 1 everywhere
+    else:
+        cos_alpha = min(max(-v / r, -1.0), 1.0)
+        pair = canonicalize(BlochPair(alpha=math.acos(cos_alpha), phi=math.atan2(b, -a)))
     psi_a, psi_b = bloch_spinors(pair)
     # the ratio comes from the normalized matrix so extreme scales cannot
     # underflow it; the reported probabilities stay physical (|M psi|^2)
-    ratio_a = float(np.sum(np.abs((m / scale) @ psi_a) ** 2))
-    ratio_b = float(np.sum(np.abs((m / scale) @ psi_b) ** 2))
+    ratio_a = float(np.sum(np.abs(unit @ psi_a) ** 2))
+    ratio_b = float(np.sum(np.abs(unit @ psi_b) ** 2))
     if ratio_b < DEGENERATE_FLOOR:
         raise DegenerateDenominatorError("minimizer left psi_B in the kernel")
     prob_a = float(np.sum(np.abs(m @ psi_a) ** 2))
@@ -267,10 +191,10 @@ def minimize_contrast(m: np.ndarray) -> ContrastResult:
     value = min(ratio_a / ratio_b, 1.0)
     return ContrastResult(
         value=value,
-        alpha=best_alpha,
-        phi=best_phi,
-        iterations=steps,
-        status=status,
+        alpha=pair.alpha,
+        phi=pair.phi,
+        iterations=0,
+        status=NewtonStatus.CONVERGED_GRADIENT,
         prob_a=prob_a,
         prob_b=prob_b,
     )

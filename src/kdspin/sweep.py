@@ -137,7 +137,7 @@ def _point_record(spec: GridSpec, x: float, y: float) -> tuple:
         cfg, pol = _resolve_point(spec, x, y)
         res = minimize_contrast(spin_matrix(cfg, pol))
         return (res.value, res.alpha, res.phi, res.prob_a, res.prob_b, res.status.value)
-    except Exception as exc:  # record, never abort the sweep
+    except (ValueError, ZeroDivisionError) as exc:  # record, never abort the sweep
         return (math.nan, math.nan, math.nan, math.nan, math.nan, f"failed_{type(exc).__name__}")
 
 

@@ -22,8 +22,9 @@ def test_parse_angle_tokens():
     assert parse_angle("3pi/8") == 3.0 * math.pi / 8.0
     assert parse_angle("-pi/2") == -math.pi / 2.0
     assert parse_angle("2pi") == 2.0 * math.pi
-    with pytest.raises(ValueError):
-        parse_angle("four")
+    for bad in ("four", "pi/0"):
+        with pytest.raises(ValueError):
+            parse_angle(bad)
 
 
 def test_parse_polarization():
@@ -173,6 +174,42 @@ def test_sweep_bad_axes(capsys):
         ]
     )
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["point", "--theta", "pi/0"],
+        ["sweep", "--axes", "q2,q3", "--x-range", "0,1", "--y-range", "0,1",
+         "--out", "unused.csv", "--workers", "0"],
+        ["locus-fit", "--out", "unused", "--workers", "-3"],
+    ],
+)
+def test_bad_flag_value_exits_2(argv, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_sweep_failed_points_recorded(tmp_path):
+    # 1/theta = 0 has no ellipticity angle: that row fails, the rest run
+    out = tmp_path / "tile.csv"
+    code = main(
+        [
+            "sweep",
+            "--axes", "q3,inv_theta",
+            "--x-range", "0,1",
+            "--y-range", "0,50",
+            "--nx", "2",
+            "--ny", "2",
+            "--workers", "1",
+            "--out", str(out),
+        ]
+    )
+    assert code == 0
+    status = [line.rsplit(",", 1)[1] for line in out.read_text().strip().splitlines()[1:]]
+    assert status == ["failed_ZeroDivisionError"] * 2 + ["converged_gradient"] * 2
 
 
 def test_missing_required_flag_exits_2():

@@ -3,9 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from kdspin.compton import elliptic_polarization, spin_matrix
 from kdspin.contrast import (
-    ALPHA_SEED_COUNT,
-    PHI_SEED_COUNT,
     BlochPair,
     DegenerateDenominatorError,
     NewtonStatus,
@@ -15,6 +14,7 @@ from kdspin.contrast import (
     contrast_derivatives,
     minimize_contrast,
 )
+from kdspin.kinematics import ScatterConfig
 from kdspin.taylor import low_momentum_matrix
 
 TWO_PI = 2.0 * math.pi
@@ -207,6 +207,9 @@ def test_minimize_range_and_probability_consistency():
 
 
 def test_minimize_dominates_seed_grid():
+    # a 126 x 63 angle grid, spacing pi/63 on both axes
+    ALPHA_SEED_COUNT = 126
+    PHI_SEED_COUNT = 63
     rng = np.random.RandomState(21)
     alphas = np.arange(ALPHA_SEED_COUNT) * (TWO_PI / ALPHA_SEED_COUNT)
     phis = np.arange(PHI_SEED_COUNT) * (math.pi / PHI_SEED_COUNT)
@@ -215,6 +218,60 @@ def test_minimize_dominates_seed_grid():
         seed_min = float(np.min(grid_contrast(m, alphas, phis)))
         result = minimize_contrast(m)
         assert result.value <= seed_min * (1.0 + 1e-12) + 1e-300
+
+
+def eigen_contrast(m):
+    """Independent oracle: (lambda_min / lambda_max, lambda_min, lambda_max) of M^dag M."""
+    low, high = np.linalg.eigvalsh(m.conj().T @ m)
+    return low / high, low, high
+
+
+@pytest.mark.parametrize(
+    "q2, q3", [(0.0, 1.014), (-5e-4, 1.0145), (5e-4, 1.0145), (0.0, 1.0145), (0.0, 1.015)]
+)
+def test_minimize_exact_at_pole_stall_points(q2, q3):
+    # optimum near the alpha = 0 pole of the README q2,q3 tile, where a
+    # gradient iteration in (alpha, phi) stalls 0.2-0.5 % above the minimum
+    m = spin_matrix(ScatterConfig(q_l=0.02, q2=q2, q3=q3), elliptic_polarization(math.pi / 4.0))
+    result = minimize_contrast(m)
+    assert result.value == pytest.approx(eigen_contrast(m)[0], rel=1e-10)
+    alphas = np.linspace(0.0, TWO_PI, 2000, endpoint=False)
+    phis = np.linspace(0.0, math.pi, 1000, endpoint=False)
+    assert result.value <= float(np.min(grid_contrast(m, alphas, phis)))
+    assert result.status is NewtonStatus.CONVERGED_GRADIENT
+
+
+def test_minimize_matches_eigenvalues_near_poles():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    angle = st.floats(-math.pi, math.pi)
+    # a small right rotation makes P nearly diagonal: optimum at alpha ~ 0 or pi,
+    # within the pi/63 spacing of the old seed grid around the pole
+    tilt = st.one_of(st.just(0.0), st.floats(-1e-6, 1e-6), st.floats(-0.02, 0.02), angle)
+    singular = st.floats(0.1, 1.0)
+
+    def unitary(theta, xi, eta):
+        return np.array(
+            [
+                [math.cos(theta) * np.exp(1j * xi), math.sin(theta) * np.exp(1j * eta)],
+                [-math.sin(theta) * np.exp(-1j * eta), math.cos(theta) * np.exp(-1j * xi)],
+            ]
+        )
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(angle, angle, angle, tilt, angle, angle, singular, singular)
+    def check(u_theta, u_xi, u_eta, v_theta, v_xi, v_eta, s0, s1):
+        # condition number of P is at most 100, so eigvalsh resolves
+        # lambda_min to ~1e-14 relative
+        m = unitary(u_theta, u_xi, u_eta) @ np.diag([s0, s1]) @ unitary(v_theta, v_xi, v_eta)
+        ratio, low, high = eigen_contrast(m)
+        result = minimize_contrast(m)
+        assert result.value == pytest.approx(ratio, rel=1e-12)
+        assert result.prob_a == pytest.approx(low, rel=1e-12)
+        assert result.prob_b == pytest.approx(high, rel=1e-12)
+
+    check()
 
 
 def test_minimize_beats_brute_force_grid():

@@ -84,6 +84,15 @@ def test_sweep_deterministic_across_workers():
     assert np.array_equal(serial.status, parallel.status)
 
 
+def test_sweep_propagates_programming_errors(monkeypatch):
+    def broken(matrix):
+        raise TypeError("not a recordable numeric failure")
+
+    monkeypatch.setattr("kdspin.sweep.minimize_contrast", broken)
+    with pytest.raises(TypeError):
+        run_sweep(GridSpec("q2", "q3", (-0.01, 0.01), (0.99, 1.01), 2, 2))
+
+
 def test_refinement_never_raises_minimum():
     fixed = FixedParams(theta=math.pi / 4.0)
     coarse = run_sweep(
