@@ -11,11 +11,14 @@ from .compton import (
     PolarizationPair,
     compton_tensor,
     contract_polarization,
+    elliptic_left,
     elliptic_polarization,
     spin_matrix,
+    spin_matrix_batch,
 )
 from .contrast import (
     BlochPair,
+    ContrastBatch,
     ContrastResult,
     DegenerateDenominatorError,
     NewtonStatus,
@@ -24,6 +27,7 @@ from .contrast import (
     contrast_at,
     contrast_derivatives,
     minimize_contrast,
+    minimize_contrast_batch,
 )
 from .dirac import bispinor_u, dirac_adjoint, gamma, pauli, slash
 from .kinematics import (
@@ -53,6 +57,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BlochPair",
+    "ContrastBatch",
     "ContrastResult",
     "DegenerateDenominatorError",
     "FitConvergenceError",
@@ -76,6 +81,7 @@ __all__ = [
     "contrast_at",
     "contrast_derivatives",
     "dirac_adjoint",
+    "elliptic_left",
     "elliptic_polarization",
     "energy",
     "evaluate_fit",
@@ -84,12 +90,14 @@ __all__ = [
     "locus_probabilities",
     "low_momentum_matrix",
     "minimize_contrast",
+    "minimize_contrast_batch",
     "minimum_locus",
     "minkowski_dot",
     "pauli",
     "run_sweep",
     "slash",
     "spin_matrix",
+    "spin_matrix_batch",
     "taylor_error",
     "taylor_tensor",
 ]

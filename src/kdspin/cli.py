@@ -13,6 +13,7 @@ import math
 import os
 import re
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +22,7 @@ from .compton import PolarizationPair, elliptic_polarization, spin_matrix
 from .contrast import minimize_contrast
 from .kinematics import ScatterConfig
 from .sweep import (
+    FitConvergenceError,
     FixedParams,
     GridSpec,
     SweepTile,
@@ -73,7 +75,8 @@ def parse_polarization(text: str) -> np.ndarray:
 
 
 def parse_workers(text: str) -> int:
-    """Process count for --workers; at least 1."""
+    """Value of --workers; at least 1.  Kept for compatibility: evaluation runs
+    in one process whatever the value."""
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
@@ -209,6 +212,13 @@ def cmd_sweep(args) -> int:
     with open(out, "w", encoding="ascii", newline="\n") as handle:
         write_tile_csv(tile, handle)
     print(f"wrote {out} ({spec.nx * spec.ny} points)")
+    failed = Counter(status for status in tile.status.flat if status.startswith("failed"))
+    if failed:
+        counts = ", ".join(f"{name}: {n}" for name, n in sorted(failed.items()))
+        print(
+            f"sweep: {sum(failed.values())} of {tile.status.size} points failed ({counts})",
+            file=sys.stderr,
+        )
     if args.heatmap_column is not None:
         pgm = Path(args.heatmap_out) if args.heatmap_out else out.with_suffix(".pgm")
         write_heatmap_pgm(tile, args.heatmap_column, pgm, args.log_scale)
@@ -225,27 +235,12 @@ def _locus_csv(points, stream) -> None:
 def cmd_locus_fit(args) -> int:
     fixed = FixedParams(q_l=args.ql, q2=args.q2)
     q3_values = np.linspace(args.q3_min, args.q3_max, args.q3_points)
-    inv_range = (args.inv_theta_min, args.inv_theta_max)
-    if args.workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        from functools import partial
-
-        task = partial(
-            minimum_locus,
-            inv_theta_range=inv_range,
-            inv_theta_points=args.inv_theta_points,
-            fixed=fixed,
-        )
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            chunks = pool.map(task, [[float(v)] for v in q3_values])
-        points = [p for chunk in chunks for p in chunk]
-    else:
-        points = minimum_locus(
-            q3_values,
-            inv_theta_range=inv_range,
-            inv_theta_points=args.inv_theta_points,
-            fixed=fixed,
-        )
+    points = minimum_locus(
+        q3_values,
+        inv_theta_range=(args.inv_theta_min, args.inv_theta_max),
+        inv_theta_points=args.inv_theta_points,
+        fixed=fixed,
+    )
 
     prefix = args.out
     locus_path = Path(f"{prefix}_locus.csv")
@@ -263,6 +258,9 @@ def cmd_locus_fit(args) -> int:
     except ValueError as exc:
         print(f"fit skipped: {exc}")
         return 0 if len(failed) <= 0.05 * len(points) else 3
+    except FitConvergenceError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
     def branch_rms(model, data):
         errs = [evaluate_fit(model, q) - v for q, v in data if model.domain[0] - 1e-12 <= q <= model.domain[1] + 1e-12]
@@ -359,7 +357,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--nx", type=int, default=201)
     p_sweep.add_argument("--ny", type=int, default=201)
     p_sweep.add_argument("--out", required=True, help="output CSV path")
-    p_sweep.add_argument("--workers", type=parse_workers, default=os.cpu_count() or 1)
+    p_sweep.add_argument("--workers", type=parse_workers, default=os.cpu_count() or 1,
+                         help="accepted for compatibility; evaluation runs in one process")
     p_sweep.add_argument("--heatmap-column", choices=HEATMAP_COLUMNS, default=None)
     p_sweep.add_argument("--heatmap-out", default=None, help="heatmap path (default: out with .pgm)")
     p_sweep.add_argument("--log-scale", action="store_true", help="log10 heatmap mapping")
@@ -375,7 +374,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_locus.add_argument("--inv-theta-max", type=float, default=100.0)
     p_locus.add_argument("--inv-theta-points", type=int, default=400)
     p_locus.add_argument("--out", required=True, help="output path prefix")
-    p_locus.add_argument("--workers", type=parse_workers, default=os.cpu_count() or 1)
+    p_locus.add_argument("--workers", type=parse_workers, default=os.cpu_count() or 1,
+                         help="accepted for compatibility; evaluation runs in one process")
     p_locus.set_defaults(func=cmd_locus_fit)
 
     p_taylor = sub.add_parser("taylor-check", help="convergence order of the expansion")
@@ -413,6 +413,14 @@ def _join_dashed_values(argv: list[str]) -> list[str]:
 
 
 def main(argv=None) -> int:
+    """Run one kdspin command; returns its exit code.
+
+    A flag value that argparse rejects (an unparsable number or angle, a
+    ``--workers`` below 1, a missing required flag) raises ``SystemExit(2)``
+    after argparse prints its usage and ``error:`` line.  A rejected
+    combination of values (an unsupported ``--axes`` pair, a beam-axis
+    ``--pol-l``) returns 2 after an ``error:`` line on stderr.
+    """
     if argv is None:
         argv = sys.argv[1:]
     args = build_parser().parse_args(_join_dashed_values(list(argv)))

@@ -23,6 +23,7 @@ domain alpha in [0, 2pi], phi in [0, pi].  The numerator is t/2 plus
 (v, a, -b) dotted into the Bloch vector of (alpha, phi), so C' is smallest
 with that vector along -(v, a, -b), where it equals lambda_min/lambda_max of
 P: the exact minimum that a Newton iteration on C' reaches when it converges.
+``minimize_contrast_batch`` takes the same minimum for a stack of matrices.
 """
 
 from __future__ import annotations
@@ -66,6 +67,17 @@ class ContrastResult:
     status: NewtonStatus
     prob_a: float
     prob_b: float
+
+
+@dataclass(frozen=True)
+class ContrastBatch:
+    """Minimized contrast of N matrices: (N,) arrays, NaN where a matrix has none."""
+
+    value: np.ndarray
+    alpha: np.ndarray
+    phi: np.ndarray
+    prob_a: np.ndarray
+    prob_b: np.ndarray
 
 
 def bloch_spinors(pair: BlochPair) -> tuple[np.ndarray, np.ndarray]:
@@ -198,3 +210,52 @@ def minimize_contrast(m: np.ndarray) -> ContrastResult:
         prob_a=prob_a,
         prob_b=prob_b,
     )
+
+
+def _norm2(x0: np.ndarray, x1: np.ndarray) -> np.ndarray:
+    """|x0|^2 + |x1|^2 of complex arrays, in real arithmetic."""
+    return x0.real * x0.real + x0.imag * x0.imag + (x1.real * x1.real + x1.imag * x1.imag)
+
+
+def minimize_contrast_batch(m: np.ndarray) -> ContrastBatch:
+    """``minimize_contrast`` for a stack of N matrices of shape (N, 2, 2).
+
+    Uses elementwise operations only, so each matrix's result does not depend
+    on the batch it is part of.  Matrices that ``minimize_contrast`` may
+    reject (numerically zero, non-finite or degenerate) get NaN in every field;
+    the scale is the largest real or imaginary part, within sqrt(2) of the
+    largest modulus, so every matrix the scalar form calls zero is caught.
+    """
+    m = np.asarray(m, dtype=complex)
+    if m.ndim != 3 or m.shape[1:] != (2, 2):
+        raise ValueError(f"expected a stack of 2x2 matrices, got shape {m.shape}")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scale = np.maximum(np.abs(m.real), np.abs(m.imag)).max(axis=(1, 2))
+        unit = m / scale[:, None, None]
+        u00, u01, u10, u11 = unit[:, 0, 0], unit[:, 0, 1], unit[:, 1, 0], unit[:, 1, 1]
+        p00, p11 = _norm2(u00, u10), _norm2(u01, u11)
+        v = 0.5 * (p00 - p11)
+        # (a, b) = p01 = conj(u00) u01 + conj(u10) u11, in real arithmetic: a
+        # complex product may be fused or not depending on numpy's inner loop
+        a = u00.real * u01.real + u00.imag * u01.imag + (u10.real * u11.real + u10.imag * u11.imag)
+        b = u00.real * u01.imag - u00.imag * u01.real + (u10.real * u11.imag - u10.imag * u11.real)
+        r = np.sqrt(v * v + a * a + b * b)
+        flat = r == 0.0  # C' == 1 everywhere: (0, 0) as in the scalar form
+        alpha = np.where(flat, 0.0, np.arccos(np.clip(-v / r, -1.0, 1.0)))
+        phi = np.where(flat, 0.0, np.arctan2(b, -a))
+        # canonicalize(): fold phi into [0, pi) with alpha -> 2 pi - alpha
+        alpha, phi = np.mod(alpha, TWO_PI), np.mod(phi, TWO_PI)
+        upper = phi >= math.pi
+        phi = np.where(upper, phi - math.pi, phi)
+        alpha = np.where(upper, np.mod(TWO_PI - alpha, TWO_PI), alpha)
+
+        c, s = np.cos(0.5 * alpha), np.sin(0.5 * alpha)
+        phase = np.cos(phi) + 1j * np.sin(phi)
+        psi_a1, psi_b0 = s * phase, s * np.conj(phase)
+        ratio_a = _norm2(u00 * c + u01 * psi_a1, u10 * c + u11 * psi_a1)
+        ratio_b = _norm2(u00 * psi_b0 - u01 * c, u10 * psi_b0 - u11 * c)
+        ok = (scale > DEGENERATE_FLOOR) & (ratio_b >= DEGENERATE_FLOOR)
+        s2 = scale * scale  # the probabilities are |M psi|^2 = scale^2 |unit psi|^2
+        # identical rounding can push the ratio one ulp past the analytic bound
+        fields = (np.minimum(ratio_a / ratio_b, 1.0), alpha, phi, ratio_a * s2, ratio_b * s2)
+    return ContrastBatch(*(np.where(ok, f, math.nan) for f in fields))

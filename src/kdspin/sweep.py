@@ -1,18 +1,18 @@
 """Parameter-space studies: contrast maps, minimum-locus extraction and fits.
 
 A sweep evaluates the spin matrix and its minimized contrast on a regular
-grid over one of the supported axis pairs.  The minimum locus traces, for
-each transverse momentum q3, the inverse ellipticity 1/theta at which the
-contrast valley bottoms out (coarse scan plus golden-section refinement).
-The locus is fitted per branch by damped Gauss-Newton least squares against
-1/theta = c1 + c2 sqrt((q3 - q0)^2 + c3) with q0 = 0 on the left branch and
-q0 = 1 on the right.
+grid over one of the supported axis pairs, in one process: chunks of whole
+grid rows go through the batched kernel and minimizer at once.  The minimum
+locus traces, for each transverse momentum q3, the inverse ellipticity
+1/theta at which the contrast valley bottoms out (one batched coarse scan
+plus golden-section refinement).  The locus is fitted per branch by damped
+Gauss-Newton least squares against 1/theta = c1 + c2 sqrt((q3 - q0)^2 + c3)
+with q0 = 0 on the left branch and q0 = 1 on the right.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,10 +21,18 @@ from .compton import (
     PolarizationPair,
     compton_tensor,
     contract_polarization,
+    elliptic_left,
     elliptic_polarization,
     spin_matrix,
+    spin_matrix_batch,
 )
-from .contrast import ContrastResult, minimize_contrast
+from .contrast import (
+    ContrastBatch,
+    ContrastResult,
+    NewtonStatus,
+    minimize_contrast,
+    minimize_contrast_batch,
+)
 from .kinematics import ScatterConfig
 
 SUPPORTED_AXES = (("q2", "q3"), ("q3", "theta"), ("q3", "inv_theta"))
@@ -35,7 +43,17 @@ BRANCH_SPLIT = 0.9
 #: golden-section tolerance on the refined 1/theta
 LOCUS_TOLERANCE = 1e-4
 
+#: grid points per batched sweep chunk (whole rows, at least one)
+SWEEP_CHUNK_POINTS = 4096
+
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+_CONVERGED = NewtonStatus.CONVERGED_GRADIENT.value
+
+#: absorption-beam amplitude of ``elliptic_polarization``: linear along z
+_RIGHT_Z = np.array([0.0, 0.0, 1.0 + 0.0j])
+
+_NAN_BEAM = np.full(3, math.nan + 0j)
 
 
 @dataclass(frozen=True)
@@ -117,64 +135,90 @@ class FitConvergenceError(RuntimeError):
     """Raised when the damped Gauss-Newton loop exhausts its iterations."""
 
 
-def _resolve_point(spec: GridSpec, x: float, y: float) -> tuple[ScatterConfig, PolarizationPair]:
+def _polarization(spec: GridSpec, y: float) -> PolarizationPair:
+    """Beam pair of grid row y (the polarization depends on y only)."""
+    if spec.y_name == "theta":
+        return elliptic_polarization(y)
+    if spec.y_name == "inv_theta":
+        return elliptic_polarization(1.0 / y)
     fixed = spec.fixed
-    axes = (spec.x_name, spec.y_name)
-    if axes == ("q2", "q3"):
-        cfg = ScatterConfig(q_l=fixed.q_l, q2=x, q3=y)
-        pol = fixed.pol if fixed.pol is not None else elliptic_polarization(fixed.theta)
-    elif axes == ("q3", "theta"):
-        cfg = ScatterConfig(q_l=fixed.q_l, q2=fixed.q2, q3=x)
-        pol = elliptic_polarization(y)
-    else:  # ("q3", "inv_theta")
-        cfg = ScatterConfig(q_l=fixed.q_l, q2=fixed.q2, q3=x)
-        pol = elliptic_polarization(1.0 / y)
-    return cfg, pol
+    return fixed.pol if fixed.pol is not None else elliptic_polarization(fixed.theta)
 
 
-def _point_record(spec: GridSpec, x: float, y: float) -> tuple:
+def _scalar_point(spec: GridSpec, x: float, y: float) -> tuple:
+    """One point through ScatterConfig, spin_matrix and minimize_contrast.
+
+    Only points the batch leaves NaN come here: the scalar path names their
+    failure, and programming errors propagate.
+    """
+    fixed = spec.fixed
+    q2, q3 = (x, y) if spec.x_name == "q2" else (fixed.q2, x)
     try:
-        cfg, pol = _resolve_point(spec, x, y)
-        res = minimize_contrast(spin_matrix(cfg, pol))
+        cfg = ScatterConfig(q_l=fixed.q_l, q2=q2, q3=q3)
+        res = minimize_contrast(spin_matrix(cfg, _polarization(spec, y)))
         return (res.value, res.alpha, res.phi, res.prob_a, res.prob_b, res.status.value)
     except (ValueError, ZeroDivisionError) as exc:  # record, never abort the sweep
         return (math.nan, math.nan, math.nan, math.nan, math.nan, f"failed_{type(exc).__name__}")
 
 
-def _sweep_row(args: tuple[GridSpec, np.ndarray, float]) -> list[tuple]:
-    spec, xs, y = args
-    return [_point_record(spec, float(x), y) for x in xs]
+def _batch_rows(spec: GridSpec, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """(5, len(ys), len(xs)) contrast, alpha, phi, prob_A, prob_B of whole grid rows.
+
+    A row without a valid beam pair gets NaN amplitudes, so its points go to
+    the scalar path.
+    """
+    beams = []
+    for y in ys:
+        try:
+            pol = _polarization(spec, float(y))
+            beams.append((pol.left, pol.right))
+        except (ValueError, ZeroDivisionError):
+            beams.append((_NAN_BEAM, _NAN_BEAM))
+    left, right = (np.repeat(side, len(xs), axis=0) for side in zip(*beams))
+    across = np.tile(xs, len(ys))
+    if spec.x_name == "q2":
+        q2, q3 = across, np.repeat(ys, len(xs))
+    else:
+        q2, q3 = np.full_like(across, spec.fixed.q2), across
+    with np.errstate(invalid="ignore", over="ignore"):
+        res = minimize_contrast_batch(spin_matrix_batch(spec.fixed.q_l, q2, q3, left, right))
+    fields = (res.value, res.alpha, res.phi, res.prob_a, res.prob_b)
+    return np.reshape(fields, (5, len(ys), len(xs)))
 
 
 def run_sweep(spec: GridSpec, workers: int = 1) -> SweepTile:
     """Evaluate contrast minimization on every grid point of ``spec``.
 
-    Rows (fixed y) are independent work items; with ``workers`` > 1 they are
-    dispatched to a process pool and reassembled in index order, so the tile
-    is bit-identical for any worker count.
+    Chunks of whole rows (fixed y) go through ``spin_matrix_batch`` and
+    ``minimize_contrast_batch`` in this process.  Each point's result is
+    independent of the chunk it lands in, so the tile is bit-identical for
+    any chunking.  Points the batch leaves NaN are re-run through the scalar
+    path, which records the failure as ``failed_<exception>``.  ``workers``
+    is accepted for compatibility and has no effect.
     """
     xs = np.linspace(spec.x_range[0], spec.x_range[1], spec.nx)
     ys = np.linspace(spec.y_range[0], spec.y_range[1], spec.ny)
-    tasks = [(spec, xs, float(y)) for y in ys]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_sweep_row, tasks))
-    else:
-        rows = [_sweep_row(task) for task in tasks]
-
-    def collect(index: int, dtype=float) -> np.ndarray:
-        return np.array([[rec[index] for rec in row] for row in rows], dtype=dtype)
-
+    fields = np.full((5, spec.ny, spec.nx), math.nan)
+    q_l = spec.fixed.q_l
+    if math.isfinite(q_l) and q_l > 0.0:  # else no point is valid: all go to the scalar path
+        rows = max(1, SWEEP_CHUNK_POINTS // spec.nx)
+        for start in range(0, spec.ny, rows):
+            chunk = slice(start, start + rows)
+            fields[:, chunk] = _batch_rows(spec, xs, ys[chunk])
+    status = np.full((spec.ny, spec.nx), _CONVERGED, dtype=object)
+    for j, i in np.argwhere(np.isnan(fields[0])):
+        *fields[:, j, i], status[j, i] = _scalar_point(spec, float(xs[i]), float(ys[j]))
+    contrast, alpha, phi, prob_a, prob_b = fields
     return SweepTile(
         spec=spec,
         x=xs,
         y=ys,
-        contrast=collect(0),
-        alpha=collect(1),
-        phi=collect(2),
-        prob_a=collect(3),
-        prob_b=collect(4),
-        status=collect(5, dtype=object),
+        contrast=contrast,
+        alpha=alpha,
+        phi=phi,
+        prob_a=prob_a,
+        prob_b=prob_b,
+        status=status,
     )
 
 
@@ -196,6 +240,25 @@ def _golden_section(func, lo: float, hi: float, tol: float) -> float:
     return 0.5 * (lo + hi)
 
 
+def _elliptic_minima(fixed: FixedParams, q3, inv_theta) -> ContrastBatch:
+    """Batched contrast minima of the elliptic beam pair at 1/theta = inv_theta.
+
+    ``q3`` and ``inv_theta`` broadcast against each other; q2 and q_l come
+    from ``fixed``.  Raises ValueError if a point has no minimum.
+    """
+    q3, inv_theta = np.broadcast_arrays(np.asarray(q3, dtype=float), np.asarray(inv_theta, dtype=float))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        left = elliptic_left(1.0 / inv_theta)
+        res = minimize_contrast_batch(
+            spin_matrix_batch(fixed.q_l, np.full(q3.shape, fixed.q2), q3, left, _RIGHT_Z)
+        )
+    failed = np.flatnonzero(np.isnan(res.value))
+    if failed.size:
+        i = failed[0]
+        raise ValueError(f"no contrast minimum at q3={float(q3[i])!r}, 1/theta={float(inv_theta[i])!r}")
+    return res
+
+
 def minimum_locus(
     q3_values,
     inv_theta_range: tuple[float, float] = (1.0, 100.0),
@@ -205,10 +268,12 @@ def minimum_locus(
 ) -> list[LocusPoint]:
     """Trace the contrast minimum over 1/theta for each q3 (q2 held fixed).
 
-    Each q3 reuses a single amplitude tensor; only the polarization
-    contraction and the contrast minimization vary along the 1/theta scan.
-    Points whose coarse minimum lands on the scan boundary cannot be
-    bracketed and are flagged with ``bracketed=False`` and NaN results.
+    The coarse scan over ``inv_theta_points`` values is one batched call per
+    q3.  The golden-section refinement around its minimum is scalar and
+    reuses one amplitude tensor per q3, so only the polarization contraction
+    and the contrast minimization vary along it.  Points whose coarse minimum
+    lands on the scan boundary cannot be bracketed and are flagged with
+    ``bracketed=False`` and NaN results.
     """
     fixed = fixed or FixedParams()
     grid = np.linspace(inv_theta_range[0], inv_theta_range[1], inv_theta_points)
@@ -221,8 +286,7 @@ def minimum_locus(
             pol = elliptic_polarization(1.0 / inv_theta)
             return minimize_contrast(contract_polarization(tensor, pol))
 
-        coarse = np.array([minimize_at(v).value for v in grid])
-        idx = int(np.argmin(coarse))
+        idx = int(np.argmin(_elliptic_minima(fixed, q3, grid).value))
         if idx == 0 or idx == len(grid) - 1:
             points.append(
                 LocusPoint(
@@ -280,8 +344,8 @@ def _fit_branch(q3: np.ndarray, inv_theta: np.ndarray, branch: str, domain) -> F
     For any trial curvature scale c3 the model is linear in (c1, c2), so the
     start point solves that linear least-squares problem on a log-spaced c3
     grid and keeps the best; Eq.-style published coefficients are never used
-    for initialization.  The Jacobian uses central differences with relative
-    step 1e-6; steps are halved until the residual improves.
+    for initialization.  The Jacobian is analytic, (1, sqrt(s), c2 / (2 sqrt(s)))
+    with s = (q3 - q0)^2 + c3; steps are halved until the residual improves.
     """
     offset = _branch_offset(branch)
     shifted = q3 - offset
@@ -305,20 +369,8 @@ def _fit_branch(q3: np.ndarray, inv_theta: np.ndarray, branch: str, domain) -> F
     sumsq = float(res @ res)
     converged = False
     for _ in range(200):
-        jac = np.empty((len(q3), 3))
-        for j in range(3):
-            h = 1e-6 * max(abs(params[j]), 1e-12)
-            upper, lower = params.copy(), params.copy()
-            upper[j] += h
-            lower[j] -= h
-            r_up, r_dn = residual(upper), residual(lower)
-            if r_up is None or r_dn is None:
-                h = 0.49 * params[2]
-                upper, lower = params.copy(), params.copy()
-                upper[j] += h
-                lower[j] -= h
-                r_up, r_dn = residual(upper), residual(lower)
-            jac[:, j] = (r_up - r_dn) / (2.0 * h)
+        root = np.sqrt(shifted**2 + params[2])
+        jac = np.stack([np.ones_like(root), root, 0.5 * params[1] / root], axis=1)
         gradient = jac.T @ res
         try:
             step = np.linalg.solve(jac.T @ jac, gradient)
@@ -394,23 +446,22 @@ def locus_probabilities(
     q3_values,
     fixed: FixedParams | None = None,
 ) -> list[ProbabilityPoint]:
-    """Evaluate |M psi_A|^2, |M psi_B|^2 and the optimal angles along the fit."""
+    """Evaluate |M psi_A|^2, |M psi_B|^2 and the optimal angles along the fit.
+
+    All q3 values go through one batched kernel and minimizer call.
+    """
     fixed = fixed or FixedParams()
-    records: list[ProbabilityPoint] = []
-    for q3 in q3_values:
-        q3 = float(q3)
-        model = left if q3 <= BRANCH_SPLIT else right
-        inv_theta = evaluate_fit(model, q3)
-        cfg = ScatterConfig(q_l=fixed.q_l, q2=fixed.q2, q3=q3)
-        res = minimize_contrast(spin_matrix(cfg, elliptic_polarization(1.0 / inv_theta)))
-        records.append(
-            ProbabilityPoint(
-                q3=q3,
-                prob_a=res.prob_a,
-                prob_b=res.prob_b,
-                alpha=res.alpha,
-                phi=res.phi,
-                status=res.status.value,
-            )
+    q3 = [float(v) for v in q3_values]
+    inv_theta = [evaluate_fit(left if v <= BRANCH_SPLIT else right, v) for v in q3]
+    res = _elliptic_minima(fixed, q3, inv_theta)
+    return [
+        ProbabilityPoint(
+            q3=v,
+            prob_a=float(res.prob_a[i]),
+            prob_b=float(res.prob_b[i]),
+            alpha=float(res.alpha[i]),
+            phi=float(res.phi[i]),
+            status=_CONVERGED,
         )
-    return records
+        for i, v in enumerate(q3)
+    ]

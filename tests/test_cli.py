@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from kdspin.cli import main, parse_angle, parse_polarization
+from kdspin.sweep import FitConvergenceError
 
 
 def parse_kv(output):
@@ -192,7 +193,7 @@ def test_bad_flag_value_exits_2(argv, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_sweep_failed_points_recorded(tmp_path):
+def test_sweep_failed_points_recorded(tmp_path, capsys):
     # 1/theta = 0 has no ellipticity angle: that row fails, the rest run
     out = tmp_path / "tile.csv"
     code = main(
@@ -210,6 +211,8 @@ def test_sweep_failed_points_recorded(tmp_path):
     assert code == 0
     status = [line.rsplit(",", 1)[1] for line in out.read_text().strip().splitlines()[1:]]
     assert status == ["failed_ZeroDivisionError"] * 2 + ["converged_gradient"] * 2
+    err = capsys.readouterr().err
+    assert err == "sweep: 2 of 4 points failed (failed_ZeroDivisionError: 2)\n"
 
 
 def test_missing_required_flag_exits_2():
@@ -275,6 +278,19 @@ def test_locus_fit_minimal_skips_fit(tmp_path, capsys):
     lines = (tmp_path / "locus_locus.csv").read_text().strip().splitlines()
     assert lines[0] == "q3,inv_theta,alpha"
     assert len(lines) == 4  # header + 3 rows
+
+
+def test_locus_fit_unconverged_fit_exits_3(tmp_path, capsys, monkeypatch):
+    def unconverged(locus):
+        raise FitConvergenceError("left branch not converged after 200 damped iterations")
+
+    monkeypatch.setattr("kdspin.cli.fit_locus", unconverged)
+    code = main(["locus-fit", "--q3-points", "9", "--q3-min", "0.8", "--out", str(tmp_path / "run")])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "error: left branch not converged" in err
+    assert "Traceback" not in err
+    assert (tmp_path / "run_locus.csv").is_file()
 
 
 def test_taylor_check_default_ladder(capsys):

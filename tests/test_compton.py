@@ -7,10 +7,12 @@ from kdspin.compton import (
     PolarizationPair,
     compton_tensor,
     contract_polarization,
+    elliptic_left,
     elliptic_polarization,
     spin_matrix,
+    spin_matrix_batch,
 )
-from kdspin.contrast import minimize_contrast
+from kdspin.contrast import minimize_contrast, minimize_contrast_batch
 from kdspin.dirac import PAULI_MATRICES
 from kdspin.kinematics import ScatterConfig
 
@@ -151,3 +153,63 @@ def test_reference_point_has_vanishing_contrast():
     result = minimize_contrast(spin_matrix(ScatterConfig(q_l=0.02, q3=1.0), pol))
     assert result.value < 1e-3
     assert result.prob_b > 0.0
+
+
+def test_batch_matches_tensor_contraction():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    part = st.floats(-1.0, 1.0)
+    amplitude = st.tuples(part, part, part, part).filter(lambda v: max(map(abs, v)) > 1e-3)
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(st.floats(-0.05, 0.05), st.floats(0.0, 1.05), amplitude, amplitude)
+    def check(q2, q3, left_parts, right_parts):
+        # independent complex y and z amplitudes: elliptic and beyond
+        left = np.array([0.0, complex(*left_parts[:2]), complex(*left_parts[2:])])
+        right = np.array([0.0, complex(*right_parts[:2]), complex(*right_parts[2:])])
+        pol = PolarizationPair(left=left, right=right)
+        reference = contract_polarization(compton_tensor(ScatterConfig(q_l=0.02, q2=q2, q3=q3)), pol)
+        batch = spin_matrix_batch(0.02, np.array([q2]), np.array([q3]), left[None], right)[0]
+        # both paths round the two O(1/q_l) diagrams before they cancel, so the
+        # gap scales with |left| |right| (M is bilinear in them), not with |M|
+        scale = np.linalg.norm(left) * np.linalg.norm(right)
+        assert np.max(np.abs(batch - reference)) <= 1e-13 * scale
+
+    check()
+
+
+def test_batch_result_independent_of_batch_size():
+    # one grid row of the README tile: a point's matrix and contrast fields
+    # must not depend on which batch evaluates it
+    q2 = np.linspace(-0.05, 0.05, 201)
+    q3 = np.full(201, 1.0145)
+    left = elliptic_left(np.full(201, math.pi / 4.0))
+
+    def evaluate(index):
+        m = spin_matrix_batch(0.02, q2[index], q3[index], left[index], E3)
+        res = minimize_contrast_batch(m)
+        return m, np.stack([res.value, res.alpha, res.phi, res.prob_a, res.prob_b])
+
+    row_m, row_fields = evaluate(slice(None))
+    strip = slice(None, None, 5)  # 41 points
+    strip_m, strip_fields = evaluate(strip)
+    assert np.array_equal(strip_m, row_m[strip])
+    assert np.array_equal(strip_fields, row_fields[:, strip])
+    for i in (0, 37, 100, 200):
+        alone_m, alone_fields = evaluate(slice(i, i + 1))
+        assert np.array_equal(alone_m, row_m[i : i + 1])
+        assert np.array_equal(alone_fields, row_fields[:, i : i + 1])
+
+
+def test_spin_matrix_is_batch_of_one():
+    cfg = ScatterConfig(q_l=0.02, q2=0.01, q3=0.7)
+    pol = PolarizationPair(left=CIRCULAR, right=E3)
+    batch = spin_matrix_batch(cfg.q_l, np.array([0.01, cfg.q2]), np.array([0.2, cfg.q3]), CIRCULAR, E3)
+    assert np.array_equal(spin_matrix(cfg, pol), batch[1])
+
+
+def test_batch_rejects_bad_photon_momentum():
+    for q_l in (0.0, -0.02, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            spin_matrix_batch(q_l, np.zeros(1), np.zeros(1), CIRCULAR, E3)

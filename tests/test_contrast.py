@@ -13,6 +13,7 @@ from kdspin.contrast import (
     contrast_at,
     contrast_derivatives,
     minimize_contrast,
+    minimize_contrast_batch,
 )
 from kdspin.kinematics import ScatterConfig
 from kdspin.taylor import low_momentum_matrix
@@ -316,3 +317,47 @@ def test_minimize_unitary_invariance():
         base = minimize_contrast(m)
         rotated = minimize_contrast(unitary @ m)
         assert rotated.value == pytest.approx(base.value, abs=1e-10)
+
+
+# output tolerances of the benchmark's closed-form check (bench/oracle.py)
+CONTRAST_RTOL = 1e-8
+CONTRAST_ATOL = 1e-12
+PROB_RTOL = 1e-8
+
+
+def test_batch_minimizer_matches_scalar():
+    rng = np.random.RandomState(43)
+    generic = rng.randn(300, 2, 2) + 1j * rng.randn(300, 2, 2)
+    singular = generic[:50].copy()
+    singular[:, 1] = (0.3 - 0.2j) * singular[:, 0]  # rank one: contrast 0
+    pole = generic[50:100].copy()
+    pole[:, 0, 1] = pole[:, 1, 0] = 0.0  # diagonal P: optimum on alpha = 0 or pi
+    tile = np.array(
+        [
+            spin_matrix(ScatterConfig(q_l=0.02, q2=q2, q3=q3), elliptic_polarization(math.pi / 4.0))
+            for q2 in (-5e-4, 0.0, 0.03)
+            for q3 in (0.0, 0.5, 1.0, 1.014, 1.0145)
+        ]
+    )
+    stack = np.concatenate([generic, singular, pole, tile, np.eye(2)[None], 1e-3 * generic[:5]])
+    batch = minimize_contrast_batch(stack)
+    for i, m in enumerate(stack):
+        ref = minimize_contrast(m)
+        assert abs(batch.value[i] - ref.value) <= CONTRAST_RTOL * ref.value + CONTRAST_ATOL
+        assert abs(batch.prob_a[i] - ref.prob_a) <= PROB_RTOL * ref.prob_b
+        assert abs(batch.prob_b[i] - ref.prob_b) <= PROB_RTOL * ref.prob_b
+        assert batch.alpha[i] == pytest.approx(ref.alpha, abs=1e-9)
+        assert batch.phi[i] == pytest.approx(ref.phi, abs=1e-9)
+
+
+def test_batch_minimizer_marks_zero_and_nonfinite_matrices():
+    # NaN exactly where the scalar form rejects the matrix
+    rejected = [np.zeros((2, 2)), 1e-305 * np.eye(2), np.full((2, 2), np.nan)]
+    for m in rejected:
+        with pytest.raises(ValueError):
+            minimize_contrast(m)
+    batch = minimize_contrast_batch(np.array(rejected + [np.eye(2)], dtype=complex))
+    for field in (batch.value, batch.alpha, batch.phi, batch.prob_a, batch.prob_b):
+        assert np.isnan(field[:3]).all() and not np.isnan(field[3])
+    with pytest.raises(ValueError):
+        minimize_contrast_batch(np.eye(2))

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from kdspin.compton import PolarizationPair
 from kdspin.sweep import (
     FitModel,
     FixedParams,
@@ -88,9 +89,23 @@ def test_sweep_propagates_programming_errors(monkeypatch):
     def broken(matrix):
         raise TypeError("not a recordable numeric failure")
 
-    monkeypatch.setattr("kdspin.sweep.minimize_contrast", broken)
+    monkeypatch.setattr("kdspin.sweep.minimize_contrast_batch", broken)
     with pytest.raises(TypeError):
         run_sweep(GridSpec("q2", "q3", (-0.01, 0.01), (0.99, 1.01), 2, 2))
+
+
+@pytest.mark.parametrize(
+    "fixed",
+    [
+        # a dark left beam makes every spin matrix exactly zero
+        FixedParams(pol=PolarizationPair(left=np.zeros(3), right=np.array([0.0, 0.0, 1.0]))),
+        FixedParams(q_l=-0.02),
+    ],
+)
+def test_sweep_records_failed_points(fixed):
+    tile = run_sweep(GridSpec("q2", "q3", (-0.01, 0.01), (0.99, 1.01), 3, 2, fixed=fixed))
+    assert list(tile.status.flat) == ["failed_ValueError"] * 6
+    assert np.isnan(tile.contrast).all() and np.isnan(tile.prob_b).all()
 
 
 def test_refinement_never_raises_minimum():
