@@ -4,10 +4,14 @@ A sweep evaluates the spin matrix and its minimized contrast on a regular
 grid over one of the supported axis pairs, in one process: chunks of whole
 grid rows go through the batched kernel and minimizer at once.  The minimum
 locus traces, for each transverse momentum q3, the inverse ellipticity
-1/theta at which the contrast valley bottoms out (one batched coarse scan
-plus golden-section refinement).  The locus is fitted per branch by damped
-Gauss-Newton least squares against 1/theta = c1 + c2 sqrt((q3 - q0)^2 + c3)
-with q0 = 0 on the left branch and q0 = 1 on the right.
+1/theta at which the contrast valley bottoms out.  The elliptic beam gives
+M(theta) = cos(theta) M_y - i sin(theta) M_z; where the cross term of
+det M(theta) vanishes (q2 = 0, and q3 = 0 at any q2) the bottom is the
+closed-form zero tan^2(theta) = det M_y / det M_z.  Elsewhere it is found by
+a batched coarse scan plus golden-section refinement.  The locus is fitted
+per branch by damped Gauss-Newton least squares against
+1/theta = c1 + c2 sqrt((q3 - q0)^2 + c3) with q0 = 0 on the left branch and
+q0 = 1 on the right.
 """
 
 from __future__ import annotations
@@ -43,6 +47,10 @@ BRANCH_SPLIT = 0.9
 #: golden-section tolerance on the refined 1/theta
 LOCUS_TOLERANCE = 1e-4
 
+#: relative size up to which the cross term X and Im(det M_y / det M_z) count
+#: as rounding of zero; at q2 = 0 they come out 0 or ~1e-16 of their scale
+ROOT_RTOL = 1e-12
+
 #: grid points per batched sweep chunk (whole rows, at least one)
 SWEEP_CHUNK_POINTS = 4096
 
@@ -52,6 +60,10 @@ _CONVERGED = NewtonStatus.CONVERGED_GRADIENT.value
 
 #: absorption-beam amplitude of ``elliptic_polarization``: linear along z
 _RIGHT_Z = np.array([0.0, 0.0, 1.0 + 0.0j])
+
+#: emission-beam amplitudes whose spin matrices M_y, M_z span the elliptic beam
+_LEFT_Y = np.array([0.0, 1.0 + 0.0j, 0.0])
+_LEFT_Z = _RIGHT_Z
 
 _NAN_BEAM = np.full(3, math.nan + 0j)
 
@@ -259,6 +271,71 @@ def _elliptic_minima(fixed: FixedParams, q3, inv_theta) -> ContrastBatch:
     return res
 
 
+def _det(m: np.ndarray) -> np.ndarray:
+    """Determinants of stacked 2x2 matrices, shape (N,)."""
+    return m[:, 0, 0] * m[:, 1, 1] - m[:, 0, 1] * m[:, 1, 0]
+
+
+def _locus_roots(fixed: FixedParams, q3: np.ndarray) -> np.ndarray:
+    """1/theta where det M(theta) = 0 at each q3; NaN where that root does not exist.
+
+    M(theta) = cos(theta) M_y - i sin(theta) M_z, so with t = tan(theta)
+    det M = 0 reads det M_z t^2 + i X t - det M_y = 0, X = tr(adj M_y . M_z).
+    When X and Im(det M_y / det M_z) vanish (to ``ROOT_RTOL``) and the ratio
+    is positive, t = sqrt(det M_y / det M_z).
+    """
+    q2 = np.full(q3.shape, fixed.q2)
+    m_y = spin_matrix_batch(fixed.q_l, q2, q3, _LEFT_Y, _RIGHT_Z)
+    m_z = spin_matrix_batch(fixed.q_l, q2, q3, _LEFT_Z, _RIGHT_Z)
+    det_y, det_z = _det(m_y), _det(m_z)
+    cross = (
+        m_y[:, 1, 1] * m_z[:, 0, 0] - m_y[:, 0, 1] * m_z[:, 1, 0]
+        - m_y[:, 1, 0] * m_z[:, 0, 1] + m_y[:, 0, 0] * m_z[:, 1, 1]
+    )
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = det_y / det_z
+        exact = (np.abs(cross) <= ROOT_RTOL * np.sqrt(np.abs(det_y * det_z))) & (
+            np.abs(ratio.imag) <= ROOT_RTOL * np.abs(ratio)
+        )
+        return np.where(exact & (ratio.real > 0.0), 1.0 / np.arctan(np.sqrt(ratio.real)), math.nan)
+
+
+def _scan_point(fixed: FixedParams, q3: float, grid: np.ndarray, tol: float) -> LocusPoint:
+    """Contrast minimum over 1/theta at one q3: batched coarse scan, golden section."""
+    tensor = compton_tensor(ScatterConfig(q_l=fixed.q_l, q2=fixed.q2, q3=q3))
+
+    def minimize_at(inv_theta: float) -> ContrastResult:
+        pol = elliptic_polarization(1.0 / inv_theta)
+        return minimize_contrast(contract_polarization(tensor, pol))
+
+    idx = int(np.argmin(_elliptic_minima(fixed, q3, grid).value))
+    if idx == 0 or idx == len(grid) - 1:
+        return LocusPoint(
+            q3=q3,
+            inv_theta=math.nan,
+            alpha=math.nan,
+            phi=math.nan,
+            prob_a=math.nan,
+            prob_b=math.nan,
+            bracketed=False,
+            status="unbracketed",
+        )
+    refined = _golden_section(
+        lambda v: minimize_at(v).value, float(grid[idx - 1]), float(grid[idx + 1]), tol
+    )
+    res = minimize_at(refined)
+    return LocusPoint(
+        q3=q3,
+        inv_theta=refined,
+        alpha=res.alpha,
+        phi=res.phi,
+        prob_a=res.prob_a,
+        prob_b=res.prob_b,
+        bracketed=True,
+        status=res.status.value,
+    )
+
+
 def minimum_locus(
     q3_values,
     inv_theta_range: tuple[float, float] = (1.0, 100.0),
@@ -268,53 +345,47 @@ def minimum_locus(
 ) -> list[LocusPoint]:
     """Trace the contrast minimum over 1/theta for each q3 (q2 held fixed).
 
-    The coarse scan over ``inv_theta_points`` values is one batched call per
-    q3.  The golden-section refinement around its minimum is scalar and
-    reuses one amplitude tensor per q3, so only the polarization contraction
-    and the contrast minimization vary along it.  Points whose coarse minimum
-    lands on the scan boundary cannot be bracketed and are flagged with
-    ``bracketed=False`` and NaN results.
+    Where the closed-form root of det M(theta) = 0 exists (see
+    ``_locus_roots``; in this geometry at q2 = 0, and at q3 = 0 for any q2)
+    and lies inside ``inv_theta_range``, it is the locus point: the contrast
+    is zero there.  Every other q3 takes the scan path: a batched coarse
+    scan over ``inv_theta_points`` values, then golden-section refinement
+    to ``tol`` around its minimum on one amplitude tensor.  Scan points
+    whose coarse minimum lands on the scan boundary cannot be bracketed and
+    are flagged with ``bracketed=False`` and NaN results.  A point's result
+    does not depend on the other q3 values requested with it.
+
+    Raises ValueError unless 0 < low < high are finite and there are at
+    least 3 scan points.
     """
+    lo, hi = (float(v) for v in inv_theta_range)
+    if not (math.isfinite(lo) and math.isfinite(hi) and 0.0 < lo < hi):
+        raise ValueError(f"1/theta range must satisfy 0 < low < high, got {inv_theta_range!r}")
+    if inv_theta_points < 3:
+        raise ValueError(f"1/theta scan needs at least 3 points, got {inv_theta_points!r}")
     fixed = fixed or FixedParams()
-    grid = np.linspace(inv_theta_range[0], inv_theta_range[1], inv_theta_points)
+    q3 = np.array([float(v) for v in q3_values])
+    roots = _locus_roots(fixed, q3)
+    on_root = (roots > lo) & (roots < hi)
+    exact = _elliptic_minima(fixed, q3[on_root], roots[on_root])
+    found = zip(roots[on_root], exact.alpha, exact.phi, exact.prob_a, exact.prob_b)
+    grid = np.linspace(lo, hi, inv_theta_points)
     points: list[LocusPoint] = []
-    for q3 in q3_values:
-        q3 = float(q3)
-        tensor = compton_tensor(ScatterConfig(q_l=fixed.q_l, q2=fixed.q2, q3=q3))
-
-        def minimize_at(inv_theta: float) -> ContrastResult:
-            pol = elliptic_polarization(1.0 / inv_theta)
-            return minimize_contrast(contract_polarization(tensor, pol))
-
-        idx = int(np.argmin(_elliptic_minima(fixed, q3, grid).value))
-        if idx == 0 or idx == len(grid) - 1:
-            points.append(
-                LocusPoint(
-                    q3=q3,
-                    inv_theta=math.nan,
-                    alpha=math.nan,
-                    phi=math.nan,
-                    prob_a=math.nan,
-                    prob_b=math.nan,
-                    bracketed=False,
-                    status="unbracketed",
-                )
-            )
+    for v, root in zip(q3.tolist(), on_root):
+        if not root:
+            points.append(_scan_point(fixed, v, grid, tol))
             continue
-        refined = _golden_section(
-            lambda v: minimize_at(v).value, float(grid[idx - 1]), float(grid[idx + 1]), tol
-        )
-        res = minimize_at(refined)
+        inv_theta, alpha, phi, prob_a, prob_b = map(float, next(found))
         points.append(
             LocusPoint(
-                q3=q3,
-                inv_theta=refined,
-                alpha=res.alpha,
-                phi=res.phi,
-                prob_a=res.prob_a,
-                prob_b=res.prob_b,
+                q3=v,
+                inv_theta=inv_theta,
+                alpha=alpha,
+                phi=phi,
+                prob_a=prob_a,
+                prob_b=prob_b,
                 bracketed=True,
-                status=res.status.value,
+                status=_CONVERGED,
             )
         )
     return points

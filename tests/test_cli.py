@@ -293,6 +293,23 @@ def test_locus_fit_unconverged_fit_exits_3(tmp_path, capsys, monkeypatch):
     assert (tmp_path / "run_locus.csv").is_file()
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--inv-theta-min", "5", "--inv-theta-max", "2"],
+        ["--inv-theta-min", "0"],
+        ["--inv-theta-points", "1"],
+        ["--inv-theta-points", "0"],
+    ],
+)
+def test_locus_fit_bad_search_range_exits_2(flags, tmp_path, capsys):
+    code = main(["locus-fit", "--q3-points", "3", "--out", str(tmp_path / "run"), *flags])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.count("error:") == 1 and err.startswith("error:")
+    assert "Traceback" not in err
+
+
 def test_taylor_check_default_ladder(capsys):
     code = main(["taylor-check", "--scale", "1e-2", "--halvings", "3"])
     out = parse_kv(capsys.readouterr().out)

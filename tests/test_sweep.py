@@ -3,11 +3,21 @@ import math
 import numpy as np
 import pytest
 
-from kdspin.compton import PolarizationPair
+from kdspin.compton import (
+    PolarizationPair,
+    compton_tensor,
+    contract_polarization,
+    elliptic_polarization,
+)
+from kdspin.contrast import minimize_contrast
+from kdspin.kinematics import ScatterConfig
 from kdspin.sweep import (
+    LOCUS_TOLERANCE,
     FitModel,
     FixedParams,
     GridSpec,
+    _elliptic_minima,
+    _golden_section,
     evaluate_fit,
     fit_locus,
     locus_probabilities,
@@ -135,6 +145,102 @@ def test_minimum_locus_flags_unbracketed():
     assert not points[0].bracketed
     assert math.isnan(points[0].inv_theta)
     assert points[0].status == "unbracketed"
+
+
+def reference_contrast(fixed, q3):
+    """Contrast over 1/theta at one q3 through the tensor path, independent of the kernel."""
+    tensor = compton_tensor(ScatterConfig(q_l=fixed.q_l, q2=fixed.q2, q3=q3))
+
+    def value(inv_theta):
+        return minimize_contrast(contract_polarization(tensor, elliptic_polarization(1.0 / inv_theta))).value
+
+    return value
+
+
+def forbid_scan(mp):
+    def scan(cfg):
+        raise AssertionError(f"scan path taken at q3={cfg.q3!r}")
+
+    mp.setattr("kdspin.sweep.compton_tensor", scan)
+
+
+def test_minimum_locus_roots_match_reference_path():
+    # the default locus-fit grid: each point is a zero of the tensor-built
+    # contrast and agrees with a golden-section search on that contrast
+    step = 99.0 / 399.0  # the default coarse-scan spacing, so the bracket is the scan's
+    fixed = FixedParams()
+    for p in minimum_locus(np.linspace(0.0, 1.0, 201)):
+        value = reference_contrast(fixed, p.q3)
+        assert p.bracketed
+        assert value(p.inv_theta) <= 1e-20
+        refined = _golden_section(value, p.inv_theta - step, p.inv_theta + step, LOCUS_TOLERANCE)
+        assert abs(p.inv_theta - refined) <= LOCUS_TOLERANCE
+
+
+def test_minimum_locus_takes_root_at_zero_q2():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    # the range holds every root of this domain (1/theta from 4/pi to ~1/q_l)
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(st.floats(1e-3, 0.05), st.floats(0.0, 1.05))
+    def check(q_l, q3):
+        fixed = FixedParams(q_l=q_l)
+        with pytest.MonkeyPatch.context() as mp:
+            forbid_scan(mp)
+            (point,) = minimum_locus([q3], inv_theta_range=(1.0, 1e4), fixed=fixed)
+        assert point.bracketed
+        assert reference_contrast(fixed, q3)(point.inv_theta) <= 1e-20
+
+    check()
+
+
+def test_minimum_locus_scans_where_cross_term_survives(monkeypatch):
+    fixed = FixedParams(q2=0.01)
+    q3_values = [0.3, 0.7, 0.95, 1.0]
+    scanned = []
+
+    def counting_tensor(cfg):
+        scanned.append(cfg.q3)
+        return compton_tensor(cfg)
+
+    monkeypatch.setattr("kdspin.sweep.compton_tensor", counting_tensor)
+    points = minimum_locus(q3_values, fixed=fixed)
+    assert scanned == q3_values
+    fine = np.linspace(1.0, 100.0, 19801)
+    for p in points:
+        assert p.bracketed
+        found = _elliptic_minima(fixed, p.q3, [p.inv_theta]).value[0]
+        # the golden-section midpoint sits within LOCUS_TOLERANCE of the minimum
+        assert found <= _elliptic_minima(fixed, p.q3, fine).value.min() * (1.0 + 1e-9)
+
+
+def test_minimum_locus_root_at_zero_q3_for_any_q2(monkeypatch):
+    fixed = FixedParams(q2=0.01)
+    forbid_scan(monkeypatch)
+    (point,) = minimum_locus([0.0], fixed=fixed)
+    assert point.bracketed
+    assert reference_contrast(fixed, 0.0)(point.inv_theta) <= 1e-20
+
+
+@pytest.mark.parametrize("q2, count", [(0.0, 201), (0.01, 41)])
+def test_minimum_locus_point_independent_of_request(q2, count):
+    # a one-q3 request reproduces its row of the whole locus, on both paths
+    fixed = FixedParams(q2=q2)
+    grid = np.linspace(0.0, 1.0, count)
+    whole = minimum_locus(grid, fixed=fixed)
+    for i in (0, count // 5, count // 2, count - 5, count - 1):
+        assert minimum_locus([grid[i]], fixed=fixed)[0] == whole[i]
+
+
+@pytest.mark.parametrize(
+    "inv_theta_range, inv_theta_points",
+    [((5.0, 2.0), 400), ((2.0, 2.0), 400), ((0.0, 100.0), 400), ((-1.0, 100.0), 400),
+     ((1.0, math.inf), 400), ((math.nan, 100.0), 400), ((1.0, 100.0), 2), ((1.0, 100.0), 0)],
+)
+def test_minimum_locus_rejects_bad_search_range(inv_theta_range, inv_theta_points):
+    with pytest.raises(ValueError):
+        minimum_locus([0.5], inv_theta_range=inv_theta_range, inv_theta_points=inv_theta_points)
 
 
 def test_fit_round_trip_left():
