@@ -74,9 +74,8 @@ def parse_polarization(text: str) -> np.ndarray:
     return np.array([complex(values[2 * i], values[2 * i + 1]) for i in range(3)])
 
 
-def parse_workers(text: str) -> int:
-    """Value of --workers; at least 1.  Kept for compatibility: evaluation runs
-    in one process whatever the value."""
+def parse_positive_int(text: str) -> int:
+    """Integer flag value of at least 1 (--workers, --q3-points, --halvings)."""
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
@@ -234,6 +233,9 @@ def _locus_csv(points, stream) -> None:
 
 def cmd_locus_fit(args) -> int:
     fixed = FixedParams(q_l=args.ql, q2=args.q2)
+    for flag, value in (("--q3-min", args.q3_min), ("--q3-max", args.q3_max)):
+        if not math.isfinite(value):
+            raise ValueError(f"{flag} must be finite, got {value!r}")
     q3_values = np.linspace(args.q3_min, args.q3_max, args.q3_points)
     points = minimum_locus(
         q3_values,
@@ -357,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--nx", type=int, default=201)
     p_sweep.add_argument("--ny", type=int, default=201)
     p_sweep.add_argument("--out", required=True, help="output CSV path")
-    p_sweep.add_argument("--workers", type=parse_workers, default=os.cpu_count() or 1,
+    p_sweep.add_argument("--workers", type=parse_positive_int, default=os.cpu_count() or 1,
                          help="accepted for compatibility; evaluation runs in one process")
     p_sweep.add_argument("--heatmap-column", choices=HEATMAP_COLUMNS, default=None)
     p_sweep.add_argument("--heatmap-out", default=None, help="heatmap path (default: out with .pgm)")
@@ -369,12 +371,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_locus.add_argument("--q2", type=float, default=0.0)
     p_locus.add_argument("--q3-min", type=float, default=0.0)
     p_locus.add_argument("--q3-max", type=float, default=1.0)
-    p_locus.add_argument("--q3-points", type=int, default=201)
+    p_locus.add_argument("--q3-points", type=parse_positive_int, default=201)
     p_locus.add_argument("--inv-theta-min", type=float, default=1.0)
     p_locus.add_argument("--inv-theta-max", type=float, default=100.0)
     p_locus.add_argument("--inv-theta-points", type=int, default=400)
     p_locus.add_argument("--out", required=True, help="output path prefix")
-    p_locus.add_argument("--workers", type=parse_workers, default=os.cpu_count() or 1,
+    p_locus.add_argument("--workers", type=parse_positive_int, default=os.cpu_count() or 1,
                          help="accepted for compatibility; evaluation runs in one process")
     p_locus.set_defaults(func=cmd_locus_fit)
 
@@ -382,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_taylor)
     p_taylor.add_argument("--scale", type=float, default=1e-2,
                           help="largest momentum scale of the halving ladder")
-    p_taylor.add_argument("--halvings", type=int, default=4)
+    p_taylor.add_argument("--halvings", type=parse_positive_int, default=4)
     p_taylor.set_defaults(func=cmd_taylor_check)
 
     return parser
@@ -416,10 +418,11 @@ def main(argv=None) -> int:
     """Run one kdspin command; returns its exit code.
 
     A flag value that argparse rejects (an unparsable number or angle, a
-    ``--workers`` below 1, a missing required flag) raises ``SystemExit(2)``
-    after argparse prints its usage and ``error:`` line.  A rejected
-    combination of values (an unsupported ``--axes`` pair, a beam-axis
-    ``--pol-l``) returns 2 after an ``error:`` line on stderr.
+    count such as ``--workers`` below 1, a missing required flag) raises
+    ``SystemExit(2)`` after argparse prints its usage and ``error:`` line.
+    A rejected combination of values (an unsupported ``--axes`` pair, a
+    beam-axis ``--pol-l``, a non-finite momentum) returns 2 after an
+    ``error:`` line on stderr.
     """
     if argv is None:
         argv = sys.argv[1:]

@@ -7,8 +7,9 @@ locus traces, for each transverse momentum q3, the inverse ellipticity
 1/theta at which the contrast valley bottoms out.  The elliptic beam gives
 M(theta) = cos(theta) M_y - i sin(theta) M_z; where the cross term of
 det M(theta) vanishes (q2 = 0, and q3 = 0 at any q2) the bottom is the
-closed-form zero tan^2(theta) = det M_y / det M_z.  Elsewhere it is found by
-a batched coarse scan plus golden-section refinement.  The locus is fitted
+closed-form zero tan^2(theta) = det M_y / det M_z.  Elsewhere a batched coarse
+scan over 1/theta brackets it per q3, and one elementwise golden section
+refines all brackets together on the same kernel.  The locus is fitted
 per branch by damped Gauss-Newton least squares against
 1/theta = c1 + c2 sqrt((q3 - q0)^2 + c3) with q0 = 0 on the left branch and
 q0 = 1 on the right.
@@ -23,8 +24,6 @@ import numpy as np
 
 from .compton import (
     PolarizationPair,
-    compton_tensor,
-    contract_polarization,
     elliptic_left,
     elliptic_polarization,
     spin_matrix,
@@ -32,7 +31,6 @@ from .compton import (
 )
 from .contrast import (
     ContrastBatch,
-    ContrastResult,
     NewtonStatus,
     minimize_contrast,
     minimize_contrast_batch,
@@ -234,21 +232,25 @@ def run_sweep(spec: GridSpec, workers: int = 1) -> SweepTile:
     )
 
 
-def _golden_section(func, lo: float, hi: float, tol: float) -> float:
-    """Midpoint of the golden-section bracket of a unimodal minimum."""
-    span = hi - lo
-    c = hi - _INV_GOLDEN * span
-    d = lo + _INV_GOLDEN * span
+def _golden_section(func, lo, hi, tol: float):
+    """Midpoints of golden-section brackets of unimodal minima, elementwise.
+
+    ``func`` maps an array of abscissae to an array of values.  A bracket
+    stops once it is no wider than ``tol``, so its result does not depend
+    on the others.
+    """
+    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    c = hi - _INV_GOLDEN * (hi - lo)
+    d = lo + _INV_GOLDEN * (hi - lo)
     fc, fd = func(c), func(d)
-    while (hi - lo) > tol:
-        if fc < fd:
-            hi, d, fd = d, c, fc
-            c = hi - _INV_GOLDEN * (hi - lo)
-            fc = func(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + _INV_GOLDEN * (hi - lo)
-            fd = func(d)
+    while (active := hi - lo > tol).any():
+        left = fc < fd  # the minimum lies in [lo, d]
+        lo = np.where(active & ~left, c, lo)
+        hi = np.where(active & left, d, hi)
+        probe = np.where(left, hi - _INV_GOLDEN * (hi - lo), lo + _INV_GOLDEN * (hi - lo))
+        c, d = np.where(left, probe, d), np.where(left, c, probe)
+        fprobe = func(probe)
+        fc, fd = np.where(left, fprobe, fd), np.where(left, fc, fprobe)
     return 0.5 * (lo + hi)
 
 
@@ -300,40 +302,16 @@ def _locus_roots(fixed: FixedParams, q3: np.ndarray) -> np.ndarray:
         return np.where(exact & (ratio.real > 0.0), 1.0 / np.arctan(np.sqrt(ratio.real)), math.nan)
 
 
-def _scan_point(fixed: FixedParams, q3: float, grid: np.ndarray, tol: float) -> LocusPoint:
-    """Contrast minimum over 1/theta at one q3: batched coarse scan, golden section."""
-    tensor = compton_tensor(ScatterConfig(q_l=fixed.q_l, q2=fixed.q2, q3=q3))
-
-    def minimize_at(inv_theta: float) -> ContrastResult:
-        pol = elliptic_polarization(1.0 / inv_theta)
-        return minimize_contrast(contract_polarization(tensor, pol))
-
-    idx = int(np.argmin(_elliptic_minima(fixed, q3, grid).value))
-    if idx == 0 or idx == len(grid) - 1:
-        return LocusPoint(
-            q3=q3,
-            inv_theta=math.nan,
-            alpha=math.nan,
-            phi=math.nan,
-            prob_a=math.nan,
-            prob_b=math.nan,
-            bracketed=False,
-            status="unbracketed",
-        )
-    refined = _golden_section(
-        lambda v: minimize_at(v).value, float(grid[idx - 1]), float(grid[idx + 1]), tol
+def _scan_minima(fixed: FixedParams, q3: np.ndarray, grid: np.ndarray, tol: float) -> np.ndarray:
+    """1/theta of the contrast minimum at each q3, NaN where the coarse scan
+    over ``grid`` puts it on the boundary; all brackets refine together."""
+    idx = np.array([np.argmin(_elliptic_minima(fixed, v, grid).value) for v in q3])
+    inner = (idx > 0) & (idx < len(grid) - 1)
+    found = np.full(len(q3), math.nan)
+    found[inner] = _golden_section(
+        lambda v: _elliptic_minima(fixed, q3[inner], v).value, grid[idx[inner] - 1], grid[idx[inner] + 1], tol
     )
-    res = minimize_at(refined)
-    return LocusPoint(
-        q3=q3,
-        inv_theta=refined,
-        alpha=res.alpha,
-        phi=res.phi,
-        prob_a=res.prob_a,
-        prob_b=res.prob_b,
-        bracketed=True,
-        status=res.status.value,
-    )
+    return found
 
 
 def minimum_locus(
@@ -349,14 +327,14 @@ def minimum_locus(
     ``_locus_roots``; in this geometry at q2 = 0, and at q3 = 0 for any q2)
     and lies inside ``inv_theta_range``, it is the locus point: the contrast
     is zero there.  Every other q3 takes the scan path: a batched coarse
-    scan over ``inv_theta_points`` values, then golden-section refinement
-    to ``tol`` around its minimum on one amplitude tensor.  Scan points
-    whose coarse minimum lands on the scan boundary cannot be bracketed and
-    are flagged with ``bracketed=False`` and NaN results.  A point's result
-    does not depend on the other q3 values requested with it.
+    scan over ``inv_theta_points`` values per q3, then one elementwise
+    golden section that refines all scan-path brackets to ``tol`` together.
+    Scan points whose coarse minimum lands on the scan boundary cannot be
+    bracketed and are flagged with ``bracketed=False`` and NaN results.  A
+    point's result does not depend on the other q3 values requested with it.
 
     Raises ValueError unless 0 < low < high are finite and there are at
-    least 3 scan points.
+    least 3 scan points, and for a non-finite q_l, q2 or q3.
     """
     lo, hi = (float(v) for v in inv_theta_range)
     if not (math.isfinite(lo) and math.isfinite(hi) and 0.0 < lo < hi):
@@ -364,31 +342,21 @@ def minimum_locus(
     if inv_theta_points < 3:
         raise ValueError(f"1/theta scan needs at least 3 points, got {inv_theta_points!r}")
     fixed = fixed or FixedParams()
+    ScatterConfig(q_l=fixed.q_l, q2=fixed.q2)  # rejects a non-finite q_l or q2
     q3 = np.array([float(v) for v in q3_values])
+    if not np.isfinite(q3).all():
+        raise ValueError(f"q3 must be finite, got {float(q3[~np.isfinite(q3)][0])!r}")
     roots = _locus_roots(fixed, q3)
-    on_root = (roots > lo) & (roots < hi)
-    exact = _elliptic_minima(fixed, q3[on_root], roots[on_root])
-    found = zip(roots[on_root], exact.alpha, exact.phi, exact.prob_a, exact.prob_b)
-    grid = np.linspace(lo, hi, inv_theta_points)
-    points: list[LocusPoint] = []
-    for v, root in zip(q3.tolist(), on_root):
-        if not root:
-            points.append(_scan_point(fixed, v, grid, tol))
-            continue
-        inv_theta, alpha, phi, prob_a, prob_b = map(float, next(found))
-        points.append(
-            LocusPoint(
-                q3=v,
-                inv_theta=inv_theta,
-                alpha=alpha,
-                phi=phi,
-                prob_a=prob_a,
-                prob_b=prob_b,
-                bracketed=True,
-                status=_CONVERGED,
-            )
-        )
-    return points
+    inv_theta = np.where((roots > lo) & (roots < hi), roots, math.nan)
+    scan = np.isnan(inv_theta)
+    if scan.any():
+        inv_theta[scan] = _scan_minima(fixed, q3[scan], np.linspace(lo, hi, inv_theta_points), tol)
+    bracketed = ~np.isnan(inv_theta)
+    res = _elliptic_minima(fixed, q3[bracketed], inv_theta[bracketed])
+    fields = np.full((4, len(q3)), math.nan)
+    fields[:, bracketed] = res.alpha, res.phi, res.prob_a, res.prob_b
+    rows = zip(q3.tolist(), inv_theta.tolist(), *fields.tolist(), bracketed.tolist())
+    return [LocusPoint(*row, status=_CONVERGED if row[-1] else "unbracketed") for row in rows]
 
 
 def _branch_offset(branch: str) -> float:

@@ -184,6 +184,10 @@ def test_sweep_bad_axes(capsys):
         ["sweep", "--axes", "q2,q3", "--x-range", "0,1", "--y-range", "0,1",
          "--out", "unused.csv", "--workers", "0"],
         ["locus-fit", "--out", "unused", "--workers", "-3"],
+        ["locus-fit", "--out", "unused", "--q3-points", "0"],
+        ["locus-fit", "--out", "unused", "--q3-points", "-1"],
+        ["taylor-check", "--halvings", "0"],
+        ["taylor-check", "--halvings", "-1"],
     ],
 )
 def test_bad_flag_value_exits_2(argv, capsys):
@@ -308,6 +312,16 @@ def test_locus_fit_bad_search_range_exits_2(flags, tmp_path, capsys):
     assert code == 2
     assert err.count("error:") == 1 and err.startswith("error:")
     assert "Traceback" not in err
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("flags", [["--q3-max", "inf"], ["--q3-min", "nan"], ["--q2", "nan"]])
+def test_locus_fit_nonfinite_momentum_exits_2(flags, tmp_path, capsys):
+    code = main(["locus-fit", "--q3-points", "3", "--out", str(tmp_path / "run"), *flags])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "must be finite" in err
 
 
 def test_taylor_check_default_ladder(capsys):

@@ -183,6 +183,14 @@ def test_minimize_reference_scenario():
     assert abs(result.phi) <= 1e-3
 
 
+def test_reference_angle_offset_in_closed_form():
+    # criterion 1's offset: alpha = 7pi/4 - (1 - 1/sqrt(2)) q_l + O(q_l^2) at q3 = 1, theta = pi/4
+    for q_l in (0.04, 0.02, 0.01, 0.005, 0.0025):
+        m = spin_matrix(ScatterConfig(q_l=q_l, q3=1.0), elliptic_polarization(math.pi / 4.0))
+        alpha = minimize_contrast(m).alpha
+        assert abs(alpha - 7.0 * math.pi / 4.0 + (1.0 - 1.0 / math.sqrt(2.0)) * q_l) <= 0.01 * q_l**2
+
+
 def test_minimize_constant_functional():
     result = minimize_contrast(np.eye(2))
     assert result.value == 1.0

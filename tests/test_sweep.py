@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -7,9 +8,11 @@ from kdspin.compton import (
     PolarizationPair,
     compton_tensor,
     contract_polarization,
+    elliptic_left,
     elliptic_polarization,
+    spin_matrix_batch,
 )
-from kdspin.contrast import minimize_contrast
+from kdspin.contrast import BlochPair, canonicalize, minimize_contrast
 from kdspin.kinematics import ScatterConfig
 from kdspin.sweep import (
     LOCUS_TOLERANCE,
@@ -18,6 +21,7 @@ from kdspin.sweep import (
     GridSpec,
     _elliptic_minima,
     _golden_section,
+    _scan_minima,
     evaluate_fit,
     fit_locus,
     locus_probabilities,
@@ -158,10 +162,10 @@ def reference_contrast(fixed, q3):
 
 
 def forbid_scan(mp):
-    def scan(cfg):
-        raise AssertionError(f"scan path taken at q3={cfg.q3!r}")
+    def scan(fixed, q3, grid, tol):
+        raise AssertionError(f"scan path taken at q3={q3.tolist()!r}")
 
-    mp.setattr("kdspin.sweep.compton_tensor", scan)
+    mp.setattr("kdspin.sweep._scan_minima", scan)
 
 
 def test_minimum_locus_roots_match_reference_path():
@@ -200,11 +204,11 @@ def test_minimum_locus_scans_where_cross_term_survives(monkeypatch):
     q3_values = [0.3, 0.7, 0.95, 1.0]
     scanned = []
 
-    def counting_tensor(cfg):
-        scanned.append(cfg.q3)
-        return compton_tensor(cfg)
+    def counting_scan(fixed, q3, grid, tol):
+        scanned.extend(q3.tolist())
+        return _scan_minima(fixed, q3, grid, tol)
 
-    monkeypatch.setattr("kdspin.sweep.compton_tensor", counting_tensor)
+    monkeypatch.setattr("kdspin.sweep._scan_minima", counting_scan)
     points = minimum_locus(q3_values, fixed=fixed)
     assert scanned == q3_values
     fine = np.linspace(1.0, 100.0, 19801)
@@ -223,14 +227,50 @@ def test_minimum_locus_root_at_zero_q3_for_any_q2(monkeypatch):
     assert reference_contrast(fixed, 0.0)(point.inv_theta) <= 1e-20
 
 
-@pytest.mark.parametrize("q2, count", [(0.0, 201), (0.01, 41)])
-def test_minimum_locus_point_independent_of_request(q2, count):
-    # a one-q3 request reproduces its row of the whole locus, on both paths
+def test_locus_angles_span_kernel_of_spin_matrix(monkeypatch):
+    # at a zero of the contrast psi_A spans the kernel of M, so the Bloch
+    # angles of that kernel vector are an oracle for the minimizer's
+    fixed = FixedParams()
+    forbid_scan(monkeypatch)
+    points = minimum_locus(np.linspace(0.0, 1.0, 201), fixed=fixed)
+    q3 = np.array([p.q3 for p in points])
+    left = elliptic_left(1.0 / np.array([p.inv_theta for p in points]))
+    m = spin_matrix_batch(fixed.q_l, np.zeros_like(q3), q3, left, np.array([0.0, 0.0, 1.0]))
+    for p, mat in zip(points, m):
+        row = mat[0] if np.linalg.norm(mat[0]) >= np.linalg.norm(mat[1]) else mat[1]
+        kernel = np.array([-row[1], row[0]])
+        pair = canonicalize(
+            BlochPair(
+                alpha=2.0 * math.atan2(abs(kernel[1]), abs(kernel[0])),
+                phi=cmath.phase(kernel[1] * kernel[0].conjugate()),
+            )
+        )
+        assert abs(pair.alpha - p.alpha) <= 1e-9 and abs(pair.phi - p.phi) <= 1e-9
+
+
+def locus_numbers(p):
+    return [p.q3, p.inv_theta, p.alpha, p.phi, p.prob_a, p.prob_b]
+
+
+@pytest.mark.parametrize(
+    "q2, count, inv_theta_range",
+    [
+        pytest.param(0.0, 201, (1.0, 100.0), id="0.0-201"),
+        pytest.param(0.01, 41, (1.0, 100.0), id="0.01-41"),
+        # 27 of 41 points unbracketed, and the q3 = 0 root above the range
+        pytest.param(0.01, 41, (1.0, 20.0), id="0.01-41-unbracketed"),
+    ],
+)
+def test_minimum_locus_point_independent_of_request(q2, count, inv_theta_range):
+    # a one-q3 request reproduces its row of the whole locus, on both paths;
+    # NaN compares equal, because an unbracketed row is all NaN
     fixed = FixedParams(q2=q2)
     grid = np.linspace(0.0, 1.0, count)
-    whole = minimum_locus(grid, fixed=fixed)
+    whole = minimum_locus(grid, inv_theta_range=inv_theta_range, fixed=fixed)
     for i in (0, count // 5, count // 2, count - 5, count - 1):
-        assert minimum_locus([grid[i]], fixed=fixed)[0] == whole[i]
+        (one,) = minimum_locus([grid[i]], inv_theta_range=inv_theta_range, fixed=fixed)
+        assert np.array_equal(locus_numbers(one), locus_numbers(whole[i]), equal_nan=True)
+        assert (one.bracketed, one.status) == (whole[i].bracketed, whole[i].status)
 
 
 @pytest.mark.parametrize(
