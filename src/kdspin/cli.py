@@ -94,36 +94,22 @@ def _polarization_from_args(args) -> PolarizationPair:
     return elliptic_polarization(args.theta)
 
 
+def _write_csv(stream, header: str, rows) -> None:
+    """Header line, then one comma-joined line per row; ``str`` of a Python float is its repr."""
+    stream.write(header + "\n")
+    stream.writelines(",".join(map(str, row)) + "\n" for row in rows)
+
+
 def write_tile_csv(tile: SweepTile, stream) -> None:
-    """Row-major (y outer, x inner) CSV dump of a sweep tile."""
-    stream.write("x,y,contrast,alpha,phi,prob_A,prob_B,status\n")
-    for j, y in enumerate(tile.y):
-        for i, x in enumerate(tile.x):
-            stream.write(
-                ",".join(
-                    (
-                        _format(x),
-                        _format(y),
-                        _format(tile.contrast[j, i]),
-                        _format(tile.alpha[j, i]),
-                        _format(tile.phi[j, i]),
-                        _format(tile.prob_a[j, i]),
-                        _format(tile.prob_b[j, i]),
-                        str(tile.status[j, i]),
-                    )
-                )
-                + "\n"
-            )
-
-
-def _tile_column(tile: SweepTile, name: str) -> np.ndarray:
-    return {
-        "contrast": tile.contrast,
-        "alpha": tile.alpha,
-        "phi": tile.phi,
-        "prob_A": tile.prob_a,
-        "prob_B": tile.prob_b,
-    }[name]
+    """Row-major (y outer, x inner) CSV dump of a sweep tile, one grid row at a time."""
+    xs = tile.x.tolist()
+    columns = (tile.contrast, tile.alpha, tile.phi, tile.prob_a, tile.prob_b, tile.status)
+    rows = (
+        row
+        for j, y in enumerate(tile.y.tolist())
+        for row in zip(xs, [y] * len(xs), *(column[j].tolist() for column in columns))
+    )
+    _write_csv(stream, "x,y,contrast,alpha,phi,prob_A,prob_B,status", rows)
 
 
 def write_heatmap_pgm(tile: SweepTile, column: str, path: Path, log_scale: bool) -> None:
@@ -132,7 +118,7 @@ def write_heatmap_pgm(tile: SweepTile, column: str, path: Path, log_scale: bool)
     Image row 0 holds the first y value; the sidecar records the column,
     the linear or log10 mapping and its min/max so values can be recovered.
     """
-    values = np.array(_tile_column(tile, column), dtype=float)
+    values = np.array(getattr(tile, column.lower()), dtype=float)
     finite = np.isfinite(values)
     if log_scale:
         positive = values[finite & (values > 0.0)]
@@ -225,12 +211,6 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _locus_csv(points, stream) -> None:
-    stream.write("q3,inv_theta,alpha\n")
-    for p in points:
-        stream.write(f"{_format(p.q3)},{_format(p.inv_theta)},{_format(p.alpha)}\n")
-
-
 def cmd_locus_fit(args) -> int:
     fixed = FixedParams(q_l=args.ql, q2=args.q2)
     for flag, value in (("--q3-min", args.q3_min), ("--q3-max", args.q3_max)):
@@ -247,7 +227,7 @@ def cmd_locus_fit(args) -> int:
     prefix = args.out
     locus_path = Path(f"{prefix}_locus.csv")
     with open(locus_path, "w", encoding="ascii", newline="\n") as handle:
-        _locus_csv(points, handle)
+        _write_csv(handle, "q3,inv_theta,alpha", ((p.q3, p.inv_theta, p.alpha) for p in points))
     print(f"wrote {locus_path} ({len(points)} points)")
 
     failed = [p for p in points if not p.bracketed]
@@ -290,12 +270,8 @@ def cmd_locus_fit(args) -> int:
     trace = locus_probabilities(left, right, [p.q3 for p in points if p.bracketed], fixed=fixed)
     prob_path = Path(f"{prefix}_probabilities.csv")
     with open(prob_path, "w", encoding="ascii", newline="\n") as handle:
-        handle.write("q3,prob_A,prob_B,alpha,phi\n")
-        for rec in trace:
-            handle.write(
-                f"{_format(rec.q3)},{_format(rec.prob_a)},{_format(rec.prob_b)},"
-                f"{_format(rec.alpha)},{_format(rec.phi)}\n"
-            )
+        rows = ((r.q3, r.prob_a, r.prob_b, r.alpha, r.phi) for r in trace)
+        _write_csv(handle, "q3,prob_A,prob_B,alpha,phi", rows)
     print(f"wrote {fit_path} and {prob_path}")
     return 0 if len(failed) <= 0.05 * len(points) else 3
 

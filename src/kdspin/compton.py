@@ -126,13 +126,15 @@ def _mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return x[..., :, :1] * y[..., :1, :] + x[..., :, 1:] * y[..., 1:, :]
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def spin_matrix_batch(q_l: float, q2, q3, left, right) -> np.ndarray:
     """Spin-propagation matrices of N configurations at once, shape (N, 2, 2).
 
     ``q2`` and ``q3`` are (N,) arrays of transverse momenta at the common
     photon momentum ``q_l``; ``left`` and ``right`` are (N, 3) or (3,)
     complex beam amplitudes.  Entries that cannot be evaluated (non-finite
-    momenta or amplitudes) come out NaN.
+    momenta or amplitudes, or momenta whose squares overflow) come out NaN
+    or infinite, without a floating-point warning.
 
     With eps_L = conj(left) . gamma and eps_R = right . gamma the amplitude is
     ubar(p_f) [eps_L A eps_R - eps_R B eps_L] u(p_i), A and B the two

@@ -168,7 +168,7 @@ def contrast_derivatives(m: np.ndarray, pair: BlochPair) -> tuple[np.ndarray, np
 
 
 def minimize_contrast(m: np.ndarray) -> ContrastResult:
-    """Global contrast of a nonzero 2x2 matrix: lambda_min/lambda_max of M^dag M.
+    """Global contrast of a nonzero finite 2x2 matrix: lambda_min/lambda_max of M^dag M.
 
     The angles put the Bloch vector along -(v, a, -b)/r, read off the matrix
     scaled to unit largest entry; when r = 0 every pair is optimal and (0, 0)
@@ -179,6 +179,8 @@ def minimize_contrast(m: np.ndarray) -> ContrastResult:
     if m.shape != (2, 2):
         raise ValueError(f"expected a 2x2 matrix, got shape {m.shape}")
     scale = float(np.max(np.abs(m)))
+    if not math.isfinite(scale):  # max propagates NaN, and |inf| is inf
+        raise ValueError("spin-propagation matrix has non-finite entries")
     if not scale > DEGENERATE_FLOOR:
         raise ValueError("spin-propagation matrix is numerically zero")
 

@@ -2,15 +2,16 @@
 
 A sweep evaluates the spin matrix and its minimized contrast on a regular
 grid over one of the supported axis pairs, in one process: chunks of whole
-grid rows go through the batched kernel and minimizer at once.  The minimum
-locus traces, for each transverse momentum q3, the inverse ellipticity
-1/theta at which the contrast valley bottoms out.  The elliptic beam gives
-M(theta) = cos(theta) M_y - i sin(theta) M_z; where the cross term of
-det M(theta) vanishes (q2 = 0, and q3 = 0 at any q2) the bottom is the
-closed-form zero tan^2(theta) = det M_y / det M_z.  Elsewhere a batched coarse
-scan over 1/theta brackets it per q3, and one elementwise golden section
-refines all brackets together on the same kernel.  The locus is fitted
-per branch by damped Gauss-Newton least squares against
+grid rows go through the batched kernel and minimizer at once, and a point
+they leave NaN is named after the exception the scalar forms raise for it.
+The minimum locus traces, for each transverse momentum q3, the inverse
+ellipticity 1/theta at which the contrast valley bottoms out.  The elliptic
+beam gives M(theta) = cos(theta) M_y - i sin(theta) M_z; where the cross
+term of det M(theta) vanishes (q2 = 0, and q3 = 0 at any q2) the bottom is
+the closed-form zero tan^2(theta) = det M_y / det M_z.  Elsewhere a batched
+coarse scan over 1/theta brackets it per q3, and one elementwise golden
+section refines all brackets together on the same kernel.  The locus is
+fitted per branch by damped Gauss-Newton least squares against
 1/theta = c1 + c2 sqrt((q3 - q0)^2 + c3) with q0 = 0 on the left branch and
 q0 = 1 on the right.
 """
@@ -26,13 +27,11 @@ from .compton import (
     PolarizationPair,
     elliptic_left,
     elliptic_polarization,
-    spin_matrix,
     spin_matrix_batch,
 )
 from .contrast import (
     ContrastBatch,
     NewtonStatus,
-    minimize_contrast,
     minimize_contrast_batch,
 )
 from .kinematics import ScatterConfig
@@ -99,6 +98,12 @@ class GridSpec:
             raise ValueError("grids need at least 2 points per axis")
         if len(self.x_range) != 2 or len(self.y_range) != 2:
             raise ValueError("axis ranges are (low, high) pairs")
+        for name, ends in (("x range", self.x_range), ("y range", self.y_range)):
+            if not math.isfinite(ends[1] - ends[0]):  # also a width that overflows
+                raise ValueError(f"{name} must have finite ends and width, got {ends!r}")
+        for name in ("q_l", "q2", "q3", "theta"):
+            if not math.isfinite(value := getattr(self.fixed, name)):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if not (self.x_range[0] < self.x_range[1] and self.y_range[0] < self.y_range[1]):
             raise ValueError("axis ranges must be nondegenerate increasing intervals")
 
@@ -155,45 +160,32 @@ def _polarization(spec: GridSpec, y: float) -> PolarizationPair:
     return fixed.pol if fixed.pol is not None else elliptic_polarization(fixed.theta)
 
 
-def _scalar_point(spec: GridSpec, x: float, y: float) -> tuple:
-    """One point through ScatterConfig, spin_matrix and minimize_contrast.
+def _batch_rows(spec: GridSpec, xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, list[str]]:
+    """(5, len(ys), len(xs)) contrast, alpha, phi, prob_A, prob_B of whole grid rows,
+    and the status of each row's NaN points.
 
-    Only points the batch leaves NaN come here: the scalar path names their
-    failure, and programming errors propagate.
+    A row without a valid beam pair gets NaN amplitudes and the name of the
+    exception its beam pair raised; in any other row a NaN point is a matrix
+    that ``minimize_contrast`` rejects with ValueError.
     """
-    fixed = spec.fixed
-    q2, q3 = (x, y) if spec.x_name == "q2" else (fixed.q2, x)
-    try:
-        cfg = ScatterConfig(q_l=fixed.q_l, q2=q2, q3=q3)
-        res = minimize_contrast(spin_matrix(cfg, _polarization(spec, y)))
-        return (res.value, res.alpha, res.phi, res.prob_a, res.prob_b, res.status.value)
-    except (ValueError, ZeroDivisionError) as exc:  # record, never abort the sweep
-        return (math.nan, math.nan, math.nan, math.nan, math.nan, f"failed_{type(exc).__name__}")
-
-
-def _batch_rows(spec: GridSpec, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """(5, len(ys), len(xs)) contrast, alpha, phi, prob_A, prob_B of whole grid rows.
-
-    A row without a valid beam pair gets NaN amplitudes, so its points go to
-    the scalar path.
-    """
-    beams = []
+    beams, failures = [], []
     for y in ys:
         try:
             pol = _polarization(spec, float(y))
             beams.append((pol.left, pol.right))
-        except (ValueError, ZeroDivisionError):
+            failures.append("failed_ValueError")
+        except (ValueError, ZeroDivisionError) as exc:
             beams.append((_NAN_BEAM, _NAN_BEAM))
+            failures.append(f"failed_{type(exc).__name__}")
     left, right = (np.repeat(side, len(xs), axis=0) for side in zip(*beams))
     across = np.tile(xs, len(ys))
     if spec.x_name == "q2":
         q2, q3 = across, np.repeat(ys, len(xs))
     else:
         q2, q3 = np.full_like(across, spec.fixed.q2), across
-    with np.errstate(invalid="ignore", over="ignore"):
-        res = minimize_contrast_batch(spin_matrix_batch(spec.fixed.q_l, q2, q3, left, right))
+    res = minimize_contrast_batch(spin_matrix_batch(spec.fixed.q_l, q2, q3, left, right))
     fields = (res.value, res.alpha, res.phi, res.prob_a, res.prob_b)
-    return np.reshape(fields, (5, len(ys), len(xs)))
+    return np.reshape(fields, (5, len(ys), len(xs))), failures
 
 
 def run_sweep(spec: GridSpec, workers: int = 1) -> SweepTile:
@@ -202,22 +194,24 @@ def run_sweep(spec: GridSpec, workers: int = 1) -> SweepTile:
     Chunks of whole rows (fixed y) go through ``spin_matrix_batch`` and
     ``minimize_contrast_batch`` in this process.  Each point's result is
     independent of the chunk it lands in, so the tile is bit-identical for
-    any chunking.  Points the batch leaves NaN are re-run through the scalar
-    path, which records the failure as ``failed_<exception>``.  ``workers``
-    is accepted for compatibility and has no effect.
+    any chunking.  A point the batch leaves NaN gets the status
+    ``failed_<exception>``, the exception that ``ScatterConfig``, the row's
+    beam pair, ``spin_matrix`` and ``minimize_contrast`` raise for it, such
+    as ``failed_ZeroDivisionError`` on an ``inv_theta`` row at 0 and
+    ``failed_ValueError`` for q_l <= 0.  ``workers`` is accepted for
+    compatibility and has no effect.
     """
     xs = np.linspace(spec.x_range[0], spec.x_range[1], spec.nx)
     ys = np.linspace(spec.y_range[0], spec.y_range[1], spec.ny)
     fields = np.full((5, spec.ny, spec.nx), math.nan)
-    q_l = spec.fixed.q_l
-    if math.isfinite(q_l) and q_l > 0.0:  # else no point is valid: all go to the scalar path
+    failures = np.full(spec.ny, "failed_ValueError", dtype=object)
+    if spec.fixed.q_l > 0.0:  # else ScatterConfig rejects every point
         rows = max(1, SWEEP_CHUNK_POINTS // spec.nx)
         for start in range(0, spec.ny, rows):
             chunk = slice(start, start + rows)
-            fields[:, chunk] = _batch_rows(spec, xs, ys[chunk])
-    status = np.full((spec.ny, spec.nx), _CONVERGED, dtype=object)
-    for j, i in np.argwhere(np.isnan(fields[0])):
-        *fields[:, j, i], status[j, i] = _scalar_point(spec, float(xs[i]), float(ys[j]))
+            fields[:, chunk], failures[chunk] = _batch_rows(spec, xs, ys[chunk])
+    # an object-dtype _CONVERGED keeps one shared str instead of one per point
+    status = np.where(np.isnan(fields[0]), failures[:, None], np.array(_CONVERGED, dtype=object))
     contrast, alpha, phi, prob_a, prob_b = fields
     return SweepTile(
         spec=spec,
@@ -261,11 +255,11 @@ def _elliptic_minima(fixed: FixedParams, q3, inv_theta) -> ContrastBatch:
     from ``fixed``.  Raises ValueError if a point has no minimum.
     """
     q3, inv_theta = np.broadcast_arrays(np.asarray(q3, dtype=float), np.asarray(inv_theta, dtype=float))
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):  # 1/theta = 0 gives a NaN beam
         left = elliptic_left(1.0 / inv_theta)
-        res = minimize_contrast_batch(
-            spin_matrix_batch(fixed.q_l, np.full(q3.shape, fixed.q2), q3, left, _RIGHT_Z)
-        )
+    res = minimize_contrast_batch(
+        spin_matrix_batch(fixed.q_l, np.full(q3.shape, fixed.q2), q3, left, _RIGHT_Z)
+    )
     failed = np.flatnonzero(np.isnan(res.value))
     if failed.size:
         i = failed[0]

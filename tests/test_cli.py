@@ -324,6 +324,38 @@ def test_locus_fit_nonfinite_momentum_exits_2(flags, tmp_path, capsys):
     assert "must be finite" in err
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--x-range", "0,inf"],
+        ["--y-range", "nan,1"],
+        ["--x-range", "-1e308,1e308"],  # finite ends, but the width overflows
+        ["--ql", "nan"],
+        ["--q2", "nan"],
+        ["--theta", "nan"],
+    ],
+)
+def test_sweep_nonfinite_input_exits_2(flags, tmp_path, capsys):
+    out = tmp_path / "tile.csv"
+    argv = ["sweep", "--axes", "q2,q3", "--x-range", "0,1", "--y-range", "0,1", "--nx", "2", "--ny", "2"]
+    code = main([*argv, "--out", str(out), *flags])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "finite" in err
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("flags", [["--ql", "1e200"], ["--q3", "1e160"]])
+def test_point_huge_momentum_exits_2(flags, capsys):
+    code = main(["point", *flags])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_taylor_check_default_ladder(capsys):
     code = main(["taylor-check", "--scale", "1e-2", "--halvings", "3"])
     out = parse_kv(capsys.readouterr().out)

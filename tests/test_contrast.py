@@ -360,12 +360,24 @@ def test_batch_minimizer_matches_scalar():
 
 def test_batch_minimizer_marks_zero_and_nonfinite_matrices():
     # NaN exactly where the scalar form rejects the matrix
-    rejected = [np.zeros((2, 2)), 1e-305 * np.eye(2), np.full((2, 2), np.nan)]
+    rejected = [
+        np.zeros((2, 2)),
+        1e-305 * np.eye(2),
+        np.full((2, 2), np.nan),
+        np.array([[np.inf, 0.0], [0.0, 1.0]]),
+        np.array([[1.0, 0.0], [0.0, complex(0.0, -np.inf)]]),
+    ]
     for m in rejected:
         with pytest.raises(ValueError):
             minimize_contrast(m)
     batch = minimize_contrast_batch(np.array(rejected + [np.eye(2)], dtype=complex))
     for field in (batch.value, batch.alpha, batch.phi, batch.prob_a, batch.prob_b):
-        assert np.isnan(field[:3]).all() and not np.isnan(field[3])
+        assert np.isnan(field[:-1]).all() and not np.isnan(field[-1])
     with pytest.raises(ValueError):
         minimize_contrast_batch(np.eye(2))
+
+
+@pytest.mark.parametrize("entry", [np.nan, np.inf, complex(0.0, -np.inf)])
+def test_minimize_contrast_names_nonfinite_matrix(entry):
+    with pytest.raises(ValueError, match="non-finite"):
+        minimize_contrast(np.array([[entry, 0.0], [0.0, 1.0]]))

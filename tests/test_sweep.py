@@ -10,6 +10,7 @@ from kdspin.compton import (
     contract_polarization,
     elliptic_left,
     elliptic_polarization,
+    spin_matrix,
     spin_matrix_batch,
 )
 from kdspin.contrast import BlochPair, canonicalize, minimize_contrast
@@ -48,6 +49,12 @@ def test_grid_spec_validation():
         GridSpec("q2", "q3", (0, 1), (0, 1), 1, 5)
     with pytest.raises(ValueError):
         GridSpec("q2", "q3", (1, 0), (0, 1), 5, 5)
+    for x_range, y_range in (((0, math.inf), (0, 1)), ((0, 1), (math.nan, 1)), ((-1e308, 1e308), (0, 1))):
+        with pytest.raises(ValueError, match="finite"):
+            GridSpec("q2", "q3", x_range, y_range, 5, 5)
+    for name in ("q_l", "q2", "q3", "theta"):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            GridSpec("q3", "theta", (0, 1), (0, 1), 5, 5, fixed=FixedParams(**{name: math.nan}))
 
 
 def test_momentum_sweep_around_reference_point():
@@ -120,6 +127,50 @@ def test_sweep_records_failed_points(fixed):
     tile = run_sweep(GridSpec("q2", "q3", (-0.01, 0.01), (0.99, 1.01), 3, 2, fixed=fixed))
     assert list(tile.status.flat) == ["failed_ValueError"] * 6
     assert np.isnan(tile.contrast).all() and np.isnan(tile.prob_b).all()
+
+
+def scalar_status(spec, x, y):
+    """Status of one grid point from the scalar forms: the exception they raise, if any."""
+    fixed = spec.fixed
+    q2, q3 = (x, y) if spec.x_name == "q2" else (fixed.q2, x)
+    try:
+        cfg = ScatterConfig(q_l=fixed.q_l, q2=q2, q3=q3)
+        if spec.y_name == "theta":
+            pol = elliptic_polarization(y)
+        elif spec.y_name == "inv_theta":
+            pol = elliptic_polarization(1.0 / y)
+        else:
+            pol = fixed.pol or elliptic_polarization(fixed.theta)
+        minimize_contrast(spin_matrix(cfg, pol))
+    except (ValueError, ZeroDivisionError) as exc:
+        return f"failed_{type(exc).__name__}"
+    return "converged_gradient"
+
+
+@pytest.mark.parametrize(
+    ("spec", "statuses"),
+    [
+        # 1/theta = 0 has no beam pair
+        (GridSpec("q3", "inv_theta", (0.0, 1.0), (0.0, 50.0), 3, 3), {"failed_ZeroDivisionError", "converged_gradient"}),
+        (
+            GridSpec(
+                "q2", "q3", (-0.01, 0.01), (0.99, 1.01), 3, 2,
+                fixed=FixedParams(pol=PolarizationPair(left=np.zeros(3), right=np.array([0.0, 0.0, 1.0]))),
+            ),
+            {"failed_ValueError"},
+        ),
+        (GridSpec("q2", "q3", (-0.01, 0.01), (0.99, 1.01), 3, 2, fixed=FixedParams(q_l=-0.02)), {"failed_ValueError"}),
+        # every point past q3 = 0 overflows the kernel
+        (GridSpec("q3", "theta", (0.0, 1e160), (0.0, 1.5), 5, 3), {"failed_ValueError", "converged_gradient"}),
+    ],
+)
+def test_sweep_status_names_scalar_exception(spec, statuses):
+    tile = run_sweep(spec)
+    assert set(tile.status.flat) == statuses
+    for j, y in enumerate(tile.y.tolist()):
+        for i, x in enumerate(tile.x.tolist()):
+            assert tile.status[j, i] == scalar_status(spec, x, y)
+            assert np.isnan(tile.contrast[j, i]) == tile.status[j, i].startswith("failed_")
 
 
 def test_refinement_never_raises_minimum():
