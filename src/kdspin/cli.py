@@ -9,6 +9,7 @@ parameters, 3 locus bracketing failure, 4 unwritable output.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import re
@@ -298,7 +299,10 @@ def cmd_taylor_check(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The kdspin parser, built once per process and shared by every ``main()``
+    call (each ``parse_args`` returns a fresh namespace); callers must not mutate it."""
     parser = argparse.ArgumentParser(
         prog="kdspin",
         description="Spin-dependent two-photon Bragg diffraction: contrast maps and fits.",

@@ -173,7 +173,7 @@ def minimize_contrast(m: np.ndarray) -> ContrastResult:
     The angles put the Bloch vector along -(v, a, -b)/r, read off the matrix
     scaled to unit largest entry; when r = 0 every pair is optimal and (0, 0)
     is returned.  The minimum is exact: ``iterations`` is 0 and the status
-    ``CONVERGED_GRADIENT``.
+    ``CONVERGED_GRADIENT``.  A matrix whose |M|_F^2 = prob_A + prob_B overflows is rejected.
     """
     m = np.asarray(m, dtype=complex)
     if m.shape != (2, 2):
@@ -186,6 +186,8 @@ def minimize_contrast(m: np.ndarray) -> ContrastResult:
 
     unit = m / scale
     t, v, a, b = _quadratic_form(unit)
+    if not math.isfinite(scale * scale * float(t)):  # t = |unit|_F^2 >= 1
+        raise ValueError("spin-propagation matrix overflows: |M psi_A|^2 + |M psi_B|^2 is not finite")
     r = math.sqrt(v * v + a * a + b * b)
     if r == 0.0:
         pair = BlochPair(alpha=0.0, phi=0.0)  # C' == 1 everywhere
@@ -224,14 +226,14 @@ def minimize_contrast_batch(m: np.ndarray) -> ContrastBatch:
 
     Uses elementwise operations only, so each matrix's result does not depend
     on the batch it is part of.  Matrices that ``minimize_contrast`` may
-    reject (numerically zero, non-finite or degenerate) get NaN in every field;
+    reject (numerically zero, non-finite, overflowing or degenerate) get NaN in every field;
     the scale is the largest real or imaginary part, within sqrt(2) of the
     largest modulus, so every matrix the scalar form calls zero is caught.
     """
     m = np.asarray(m, dtype=complex)
     if m.ndim != 3 or m.shape[1:] != (2, 2):
         raise ValueError(f"expected a stack of 2x2 matrices, got shape {m.shape}")
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         scale = np.maximum(np.abs(m.real), np.abs(m.imag)).max(axis=(1, 2))
         unit = m / scale[:, None, None]
         u00, u01, u10, u11 = unit[:, 0, 0], unit[:, 0, 1], unit[:, 1, 0], unit[:, 1, 1]
@@ -256,8 +258,8 @@ def minimize_contrast_batch(m: np.ndarray) -> ContrastBatch:
         psi_a1, psi_b0 = s * phase, s * np.conj(phase)
         ratio_a = _norm2(u00 * c + u01 * psi_a1, u10 * c + u11 * psi_a1)
         ratio_b = _norm2(u00 * psi_b0 - u01 * c, u10 * psi_b0 - u11 * c)
-        ok = (scale > DEGENERATE_FLOOR) & (ratio_b >= DEGENERATE_FLOOR)
         s2 = scale * scale  # the probabilities are |M psi|^2 = scale^2 |unit psi|^2
+        ok = (scale > DEGENERATE_FLOOR) & (ratio_b >= DEGENERATE_FLOOR) & np.isfinite(s2 * (p00 + p11))
         # identical rounding can push the ratio one ulp past the analytic bound
         fields = (np.minimum(ratio_a / ratio_b, 1.0), alpha, phi, ratio_a * s2, ratio_b * s2)
     return ContrastBatch(*(np.where(ok, f, math.nan) for f in fields))

@@ -48,7 +48,7 @@ LOCUS_TOLERANCE = 1e-4
 #: as rounding of zero; at q2 = 0 they come out 0 or ~1e-16 of their scale
 ROOT_RTOL = 1e-12
 
-#: grid points per batched sweep chunk (whole rows, at least one)
+#: points per batched chunk of a sweep or locus scan (whole rows, at least one)
 SWEEP_CHUNK_POINTS = 4096
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -298,8 +298,12 @@ def _locus_roots(fixed: FixedParams, q3: np.ndarray) -> np.ndarray:
 
 def _scan_minima(fixed: FixedParams, q3: np.ndarray, grid: np.ndarray, tol: float) -> np.ndarray:
     """1/theta of the contrast minimum at each q3, NaN where the coarse scan
-    over ``grid`` puts it on the boundary; all brackets refine together."""
-    idx = np.array([np.argmin(_elliptic_minima(fixed, v, grid).value) for v in q3])
+    over ``grid`` puts it on the boundary.  The scan takes chunks of whole q3
+    rows of the (q3, grid) product at once; all brackets refine together."""
+    rows = max(1, SWEEP_CHUNK_POINTS // len(grid))
+    chunks = (q3[start:start + rows] for start in range(0, len(q3), rows))
+    values = (_elliptic_minima(fixed, np.repeat(v, len(grid)), np.tile(grid, len(v))).value for v in chunks)
+    idx = np.concatenate([np.reshape(v, (-1, len(grid))).argmin(axis=1) for v in values])
     inner = (idx > 0) & (idx < len(grid) - 1)
     found = np.full(len(q3), math.nan)
     found[inner] = _golden_section(

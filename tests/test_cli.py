@@ -1,8 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import kdspin
+from kdspin import cli
 from kdspin.cli import main, parse_angle, parse_polarization
 from kdspin.sweep import FitConvergenceError
 
@@ -354,6 +360,35 @@ def test_point_huge_momentum_exits_2(flags, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_one_parser_serves_many_calls(tmp_path, capsys, monkeypatch):
+    # each call must act as the same command run alone in a fresh process
+    sweep = ["sweep", "--axes", "q2,q3", "--x-range", "-0.05,0.05", "--y-range", "0.95,1.05",
+             "--nx", "4", "--ny", "3", "--out", "tile.csv"]
+    calls = [
+        [*sweep, "--pol-l", "0,0,1,0,0,1", "--heatmap-column", "contrast", "--log-scale"],
+        [*sweep, "--workers", "0"],
+        sweep,
+        ["locus-fit", "--q2", "0.01", "--q3-points", "41", "--out", "run"],
+    ]
+    env = {**os.environ, "PYTHONPATH": str(Path(kdspin.__file__).parents[1])}
+    assert cli.build_parser() is cli.build_parser()
+    for k, argv in enumerate(calls):
+        here, alone = tmp_path / f"here{k}", tmp_path / f"alone{k}"
+        here.mkdir()
+        alone.mkdir()
+        monkeypatch.chdir(here)
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        ref = subprocess.run([sys.executable, "-m", "kdspin.cli", *argv], cwd=alone, env=env,
+                             capture_output=True, text=True)
+        assert (code, capsys.readouterr().out) == (ref.returncode, ref.stdout)
+        files = [sorted((p.name, p.read_bytes()) for p in d.iterdir()) for d in (here, alone)]
+        assert files[0] == files[1]
+    assert sorted(p.name for p in (tmp_path / "here2").iterdir()) == ["tile.csv"]
 
 
 def test_taylor_check_default_ladder(capsys):

@@ -366,6 +366,8 @@ def test_batch_minimizer_marks_zero_and_nonfinite_matrices():
         np.full((2, 2), np.nan),
         np.array([[np.inf, 0.0], [0.0, 1.0]]),
         np.array([[1.0, 0.0], [0.0, complex(0.0, -np.inf)]]),
+        np.array([[1e200, 0.0], [0.0, 1.0]]),
+        np.array([[1.2e154, 1.2e154], [0.0, 0.0]]),  # finite scale^2, but |M|_F^2 overflows
     ]
     for m in rejected:
         with pytest.raises(ValueError):
@@ -381,3 +383,18 @@ def test_batch_minimizer_marks_zero_and_nonfinite_matrices():
 def test_minimize_contrast_names_nonfinite_matrix(entry):
     with pytest.raises(ValueError, match="non-finite"):
         minimize_contrast(np.array([[entry, 0.0], [0.0, 1.0]]))
+
+
+@pytest.mark.filterwarnings("error")
+def test_minimize_contrast_rejects_overflowing_probability():
+    # the true prob_A of diag(1e200, 1) is 1, but prob_A + prob_B = |M|_F^2 has no float
+    for m in (np.array([[1e200, 0.0], [0.0, 1.0]]), np.array([[1.2e154, 1.2e154], [0.0, 0.0]])):
+        with pytest.raises(ValueError, match="overflows"):
+            minimize_contrast(m)
+        assert np.isnan(minimize_contrast_batch(m[None]).prob_b).all()
+    m = 1e150 * random_matrix(np.random.RandomState(47))
+    low, high = np.linalg.eigvalsh(m.conj().T @ m)
+    scalar, batch = minimize_contrast(m), minimize_contrast_batch(m[None])
+    for value, prob_a, prob_b in ((scalar.value, scalar.prob_a, scalar.prob_b), (batch.value[0], batch.prob_a[0], batch.prob_b[0])):
+        assert value == pytest.approx(low / high, rel=1e-10)
+        assert prob_a == pytest.approx(low, rel=1e-10) and prob_b == pytest.approx(high, rel=1e-10)

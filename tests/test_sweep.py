@@ -17,6 +17,7 @@ from kdspin.contrast import BlochPair, canonicalize, minimize_contrast
 from kdspin.kinematics import ScatterConfig
 from kdspin.sweep import (
     LOCUS_TOLERANCE,
+    SWEEP_CHUNK_POINTS,
     FitModel,
     FixedParams,
     GridSpec,
@@ -162,6 +163,14 @@ def scalar_status(spec, x, y):
         (GridSpec("q2", "q3", (-0.01, 0.01), (0.99, 1.01), 3, 2, fixed=FixedParams(q_l=-0.02)), {"failed_ValueError"}),
         # every point past q3 = 0 overflows the kernel
         (GridSpec("q3", "theta", (0.0, 1e160), (0.0, 1.5), 5, 3), {"failed_ValueError", "converged_gradient"}),
+        # a finite matrix of ~1e198 whose probabilities overflow
+        (
+            GridSpec(
+                "q2", "q3", (-0.01, 0.01), (0.99, 1.01), 3, 2,
+                fixed=FixedParams(pol=PolarizationPair(left=np.array([0.0, 1e200, 0.0]), right=np.array([0.0, 0.0, 1.0]))),
+            ),
+            {"failed_ValueError"},
+        ),
     ],
 )
 def test_sweep_status_names_scalar_exception(spec, statuses):
@@ -268,6 +277,30 @@ def test_minimum_locus_scans_where_cross_term_survives(monkeypatch):
         found = _elliptic_minima(fixed, p.q3, [p.inv_theta]).value[0]
         # the golden-section midpoint sits within LOCUS_TOLERANCE of the minimum
         assert found <= _elliptic_minima(fixed, p.q3, fine).value.min() * (1.0 + 1e-9)
+
+
+def test_scan_minima_chunks_match_per_q3_scan():
+    fixed = FixedParams(q2=0.01)
+    grid = np.linspace(1.0, 100.0, 400)
+    q3 = np.linspace(0.0, 1.0, 41)
+    rows = SWEEP_CHUNK_POINTS // len(grid)
+    assert len(q3) > 3 * rows and len(q3) % rows  # whole chunks plus a partial one
+    idx = np.array([np.argmin(_elliptic_minima(fixed, v, grid).value) for v in q3])
+    inner = (idx > 0) & (idx < len(grid) - 1)
+    expected = np.full(len(q3), math.nan)
+    expected[inner] = _golden_section(
+        lambda v: _elliptic_minima(fixed, q3[inner], v).value, grid[idx[inner] - 1], grid[idx[inner] + 1], LOCUS_TOLERANCE
+    )
+    assert _scan_minima(fixed, q3, grid, LOCUS_TOLERANCE).tobytes() == expected.tobytes()
+
+    # the kernel overflows at q3 = 1e160: the same error as the first failing per-q3 scan
+    failing = np.concatenate([q3[: rows + 3], [1e160], q3[rows + 3 :]])
+    with pytest.raises(ValueError) as per_q3:
+        for v in failing:
+            _elliptic_minima(fixed, v, grid)
+    with pytest.raises(ValueError) as chunked:
+        _scan_minima(fixed, failing, grid, LOCUS_TOLERANCE)
+    assert str(chunked.value) == str(per_q3.value)
 
 
 def test_minimum_locus_root_at_zero_q3_for_any_q2(monkeypatch):
