@@ -8,9 +8,10 @@ The minimum locus traces, for each transverse momentum q3, the inverse
 ellipticity 1/theta at which the contrast valley bottoms out.  The elliptic
 beam gives M(theta) = cos(theta) M_y - i sin(theta) M_z; where the cross
 term of det M(theta) vanishes (q2 = 0, and q3 = 0 at any q2) the bottom is
-the closed-form zero tan^2(theta) = det M_y / det M_z.  Elsewhere a batched
-coarse scan over 1/theta brackets it per q3, and one elementwise golden
-section refines all brackets together on the same kernel.  The locus is
+the closed-form zero tan^2(theta) = det M_y / det M_z.  Elsewhere a coarse
+scan over 1/theta brackets it per q3 and one elementwise golden section
+refines all brackets together, a point costing one 2x2 superposition of
+M_y and M_z plus the minimizer.  The locus is
 fitted per branch by damped Gauss-Newton least squares against
 1/theta = c1 + c2 sqrt((q3 - q0)^2 + c3) with q0 = 0 on the left branch and
 q0 = 1 on the right.
@@ -23,12 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .compton import (
-    PolarizationPair,
-    elliptic_left,
-    elliptic_polarization,
-    spin_matrix_batch,
-)
+from .compton import PolarizationPair, elliptic_polarization, spin_matrix_batch
 from .contrast import (
     ContrastBatch,
     NewtonStatus,
@@ -55,12 +51,9 @@ _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 _CONVERGED = NewtonStatus.CONVERGED_GRADIENT.value
 
-#: absorption-beam amplitude of ``elliptic_polarization``: linear along z
-_RIGHT_Z = np.array([0.0, 0.0, 1.0 + 0.0j])
-
-#: emission-beam amplitudes whose spin matrices M_y, M_z span the elliptic beam
-_LEFT_Y = np.array([0.0, 1.0 + 0.0j, 0.0])
-_LEFT_Z = _RIGHT_Z
+#: unit amplitudes along y and z: the emission beams whose spin matrices
+#: M_y, M_z span the elliptic beam, and (z) its linear absorption beam
+_UNIT_Y, _UNIT_Z = np.eye(3, dtype=complex)[1:]
 
 _NAN_BEAM = np.full(3, math.nan + 0j)
 
@@ -248,31 +241,40 @@ def _golden_section(func, lo, hi, tol: float):
     return 0.5 * (lo + hi)
 
 
-def _elliptic_minima(fixed: FixedParams, q3, inv_theta) -> ContrastBatch:
-    """Batched contrast minima of the elliptic beam pair at 1/theta = inv_theta.
+def _beam_matrices(fixed: FixedParams, q3: np.ndarray) -> np.ndarray:
+    """Spin matrices M_y, M_z of the emission beams along y and z at each q3,
+    shape (2, N, 2, 2); q2 and q_l come from ``fixed``.
 
-    ``q3`` and ``inv_theta`` broadcast against each other; q2 and q_l come
-    from ``fixed``.  Raises ValueError if a point has no minimum.
+    The kernel is linear in the conjugated emission amplitude, so the
+    elliptic beam (0, cos theta, i sin theta) gives every matrix of the locus
+    as M(theta) = cos(theta) M_y - i sin(theta) M_z.
     """
-    q3, inv_theta = np.broadcast_arrays(np.asarray(q3, dtype=float), np.asarray(inv_theta, dtype=float))
-    with np.errstate(divide="ignore", invalid="ignore"):  # 1/theta = 0 gives a NaN beam
-        left = elliptic_left(1.0 / inv_theta)
-    res = minimize_contrast_batch(
-        spin_matrix_batch(fixed.q_l, np.full(q3.shape, fixed.q2), q3, left, _RIGHT_Z)
-    )
+    return np.stack([spin_matrix_batch(fixed.q_l, fixed.q2, q3, left, _UNIT_Z) for left in (_UNIT_Y, _UNIT_Z)])
+
+
+def _elliptic_minima(q3: np.ndarray, beams: np.ndarray, inv_theta) -> ContrastBatch:
+    """Batched contrast minima of cos(theta) M_y - i sin(theta) M_z, with
+    ``beams`` = (M_y, M_z) at ``q3``, at 1/theta = inv_theta of shape (N,)
+    or (N, K), flattened row by row.  The superposition is formed in real
+    arithmetic, elementwise, so a point's bits do not depend on its batch.
+    Raises ValueError if a point has no minimum.
+    """
+    inv_theta = np.asarray(inv_theta, dtype=float)
+    m_y, m_z = beams if inv_theta.ndim == 1 else beams[:, :, None]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # 1/theta = 0 gives NaN
+        theta = (1.0 / inv_theta)[..., None, None]
+        cos, sin = np.cos(theta), np.sin(theta)
+        m = (cos * m_y.real + sin * m_z.imag).astype(complex)
+        m.imag = cos * m_y.imag - sin * m_z.real
+    res = minimize_contrast_batch(m.reshape(-1, 2, 2))
     failed = np.flatnonzero(np.isnan(res.value))
     if failed.size:
-        i = failed[0]
-        raise ValueError(f"no contrast minimum at q3={float(q3[i])!r}, 1/theta={float(inv_theta[i])!r}")
+        at = np.unravel_index(failed[0], inv_theta.shape)
+        raise ValueError(f"no contrast minimum at q3={float(q3[at[0]])!r}, 1/theta={float(inv_theta[at])!r}")
     return res
 
 
-def _det(m: np.ndarray) -> np.ndarray:
-    """Determinants of stacked 2x2 matrices, shape (N,)."""
-    return m[:, 0, 0] * m[:, 1, 1] - m[:, 0, 1] * m[:, 1, 0]
-
-
-def _locus_roots(fixed: FixedParams, q3: np.ndarray) -> np.ndarray:
+def _locus_roots(beams: np.ndarray) -> np.ndarray:
     """1/theta where det M(theta) = 0 at each q3; NaN where that root does not exist.
 
     M(theta) = cos(theta) M_y - i sin(theta) M_z, so with t = tan(theta)
@@ -280,10 +282,8 @@ def _locus_roots(fixed: FixedParams, q3: np.ndarray) -> np.ndarray:
     When X and Im(det M_y / det M_z) vanish (to ``ROOT_RTOL``) and the ratio
     is positive, t = sqrt(det M_y / det M_z).
     """
-    q2 = np.full(q3.shape, fixed.q2)
-    m_y = spin_matrix_batch(fixed.q_l, q2, q3, _LEFT_Y, _RIGHT_Z)
-    m_z = spin_matrix_batch(fixed.q_l, q2, q3, _LEFT_Z, _RIGHT_Z)
-    det_y, det_z = _det(m_y), _det(m_z)
+    m_y, m_z = beams
+    det_y, det_z = beams[:, :, 0, 0] * beams[:, :, 1, 1] - beams[:, :, 0, 1] * beams[:, :, 1, 0]
     cross = (
         m_y[:, 1, 1] * m_z[:, 0, 0] - m_y[:, 0, 1] * m_z[:, 1, 0]
         - m_y[:, 1, 0] * m_z[:, 0, 1] + m_y[:, 0, 0] * m_z[:, 1, 1]
@@ -296,18 +296,20 @@ def _locus_roots(fixed: FixedParams, q3: np.ndarray) -> np.ndarray:
         return np.where(exact & (ratio.real > 0.0), 1.0 / np.arctan(np.sqrt(ratio.real)), math.nan)
 
 
-def _scan_minima(fixed: FixedParams, q3: np.ndarray, grid: np.ndarray, tol: float) -> np.ndarray:
+def _scan_minima(q3: np.ndarray, beams: np.ndarray, grid: np.ndarray, tol: float) -> np.ndarray:
     """1/theta of the contrast minimum at each q3, NaN where the coarse scan
     over ``grid`` puts it on the boundary.  The scan takes chunks of whole q3
     rows of the (q3, grid) product at once; all brackets refine together."""
     rows = max(1, SWEEP_CHUNK_POINTS // len(grid))
-    chunks = (q3[start:start + rows] for start in range(0, len(q3), rows))
-    values = (_elliptic_minima(fixed, np.repeat(v, len(grid)), np.tile(grid, len(v))).value for v in chunks)
+    chunks = (slice(start, start + rows) for start in range(0, len(q3), rows))
+    values = (
+        _elliptic_minima(q3[c], beams[:, c], np.broadcast_to(grid, (len(q3[c]), len(grid)))).value for c in chunks
+    )
     idx = np.concatenate([np.reshape(v, (-1, len(grid))).argmin(axis=1) for v in values])
     inner = (idx > 0) & (idx < len(grid) - 1)
     found = np.full(len(q3), math.nan)
     found[inner] = _golden_section(
-        lambda v: _elliptic_minima(fixed, q3[inner], v).value, grid[idx[inner] - 1], grid[idx[inner] + 1], tol
+        lambda v: _elliptic_minima(q3[inner], beams[:, inner], v).value, grid[idx[inner] - 1], grid[idx[inner] + 1], tol
     )
     return found
 
@@ -344,13 +346,14 @@ def minimum_locus(
     q3 = np.array([float(v) for v in q3_values])
     if not np.isfinite(q3).all():
         raise ValueError(f"q3 must be finite, got {float(q3[~np.isfinite(q3)][0])!r}")
-    roots = _locus_roots(fixed, q3)
+    beams = _beam_matrices(fixed, q3)
+    roots = _locus_roots(beams)
     inv_theta = np.where((roots > lo) & (roots < hi), roots, math.nan)
     scan = np.isnan(inv_theta)
     if scan.any():
-        inv_theta[scan] = _scan_minima(fixed, q3[scan], np.linspace(lo, hi, inv_theta_points), tol)
+        inv_theta[scan] = _scan_minima(q3[scan], beams[:, scan], np.linspace(lo, hi, inv_theta_points), tol)
     bracketed = ~np.isnan(inv_theta)
-    res = _elliptic_minima(fixed, q3[bracketed], inv_theta[bracketed])
+    res = _elliptic_minima(q3[bracketed], beams[:, bracketed], inv_theta[bracketed])
     fields = np.full((4, len(q3)), math.nan)
     fields[:, bracketed] = res.alpha, res.phi, res.prob_a, res.prob_b
     rows = zip(q3.tolist(), inv_theta.tolist(), *fields.tolist(), bracketed.tolist())
@@ -443,14 +446,17 @@ def _fit_branch(q3: np.ndarray, inv_theta: np.ndarray, branch: str, domain) -> F
 def fit_locus(locus) -> tuple[FitModel, FitModel]:
     """Fit both locus branches; the split point belongs to both.
 
-    ``locus`` is a sequence of (q3, inv_theta) pairs covering [0, 1].  Each
-    branch needs at least 4 points to overdetermine its 3 parameters;
-    around 30 per branch is needed for coefficients stable at the few
-    percent level.
+    ``locus`` is a sequence of (q3, inv_theta) pairs covering [0, 1]; a q3
+    outside that domain raises ValueError.  Each branch needs at least 4
+    points to overdetermine its 3 parameters; around 30 per branch is needed
+    for coefficients stable at the few percent level.
     """
     data = np.asarray([(float(a), float(b)) for a, b in locus])
     if data.size == 0:
         raise ValueError("empty locus")
+    outside = ~((data[:, 0] >= -1e-12) & (data[:, 0] <= 1.0 + 1e-12))
+    if outside.any():
+        raise ValueError(f"q3={float(data[outside, 0][0])!r} outside fit domain [0, 1]")
     finite = np.isfinite(data[:, 1])
     q3, inv_theta = data[finite, 0], data[finite, 1]
     left_mask = q3 <= BRANCH_SPLIT + 1e-12
@@ -485,20 +491,11 @@ def locus_probabilities(
 ) -> list[ProbabilityPoint]:
     """Evaluate |M psi_A|^2, |M psi_B|^2 and the optimal angles along the fit.
 
-    All q3 values go through one batched kernel and minimizer call.
+    All q3 values share one ``_beam_matrices`` call and one minimizer call.
     """
     fixed = fixed or FixedParams()
-    q3 = [float(v) for v in q3_values]
-    inv_theta = [evaluate_fit(left if v <= BRANCH_SPLIT else right, v) for v in q3]
-    res = _elliptic_minima(fixed, q3, inv_theta)
-    return [
-        ProbabilityPoint(
-            q3=v,
-            prob_a=float(res.prob_a[i]),
-            prob_b=float(res.prob_b[i]),
-            alpha=float(res.alpha[i]),
-            phi=float(res.phi[i]),
-            status=_CONVERGED,
-        )
-        for i, v in enumerate(q3)
-    ]
+    q3 = np.array([float(v) for v in q3_values])
+    inv_theta = [evaluate_fit(left if v <= BRANCH_SPLIT else right, v) for v in q3.tolist()]
+    res = _elliptic_minima(q3, _beam_matrices(fixed, q3), inv_theta)
+    rows = zip(q3.tolist(), res.prob_a.tolist(), res.prob_b.tolist(), res.alpha.tolist(), res.phi.tolist())
+    return [ProbabilityPoint(*row, status=_CONVERGED) for row in rows]

@@ -290,6 +290,20 @@ def test_locus_fit_minimal_skips_fit(tmp_path, capsys):
     assert len(lines) == 4  # header + 3 rows
 
 
+@pytest.mark.parametrize("flags", [["--q3-max", "1.05"], ["--q3-min", "-0.2"]])
+def test_locus_fit_outside_fit_domain_skips_fit(flags, tmp_path, capsys):
+    code = main(["locus-fit", "--q3-points", "41", "--out", str(tmp_path / "run"), *flags])
+    captured = capsys.readouterr()
+    assert "fit skipped: q3=" in captured.out and "outside fit domain [0, 1]" in captured.out
+    assert "Traceback" not in captured.err
+    rows = (tmp_path / "run_locus.csv").read_text().strip().splitlines()[1:]
+    assert len(rows) == 41
+    unbracketed = sum(row.split(",")[1] == "nan" for row in rows)
+    assert code == (0 if unbracketed <= 0.05 * len(rows) else 3)
+    assert not (tmp_path / "run_fit.txt").exists()
+    assert not (tmp_path / "run_probabilities.csv").exists()
+
+
 def test_locus_fit_unconverged_fit_exits_3(tmp_path, capsys, monkeypatch):
     def unconverged(locus):
         raise FitConvergenceError("left branch not converged after 200 damped iterations")

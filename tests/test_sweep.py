@@ -13,7 +13,7 @@ from kdspin.compton import (
     spin_matrix,
     spin_matrix_batch,
 )
-from kdspin.contrast import BlochPair, canonicalize, minimize_contrast
+from kdspin.contrast import BlochPair, canonicalize, minimize_contrast, minimize_contrast_batch
 from kdspin.kinematics import ScatterConfig
 from kdspin.sweep import (
     LOCUS_TOLERANCE,
@@ -21,6 +21,7 @@ from kdspin.sweep import (
     FitModel,
     FixedParams,
     GridSpec,
+    _beam_matrices,
     _elliptic_minima,
     _golden_section,
     _scan_minima,
@@ -221,8 +222,17 @@ def reference_contrast(fixed, q3):
     return value
 
 
+def direct_minima(fixed, q3, inv_theta):
+    """Contrast minima through the kernel at each (q3, 1/theta) point, without the M_y, M_z superposition."""
+    q3, inv_theta = np.broadcast_arrays(np.asarray(q3, dtype=float), np.asarray(inv_theta, dtype=float))
+    left = elliptic_left(1.0 / inv_theta)
+    return minimize_contrast_batch(
+        spin_matrix_batch(fixed.q_l, np.full(q3.shape, fixed.q2), q3, left, np.array([0.0, 0.0, 1.0]))
+    )
+
+
 def forbid_scan(mp):
-    def scan(fixed, q3, grid, tol):
+    def scan(q3, beams, grid, tol):
         raise AssertionError(f"scan path taken at q3={q3.tolist()!r}")
 
     mp.setattr("kdspin.sweep._scan_minima", scan)
@@ -264,9 +274,9 @@ def test_minimum_locus_scans_where_cross_term_survives(monkeypatch):
     q3_values = [0.3, 0.7, 0.95, 1.0]
     scanned = []
 
-    def counting_scan(fixed, q3, grid, tol):
+    def counting_scan(q3, beams, grid, tol):
         scanned.extend(q3.tolist())
-        return _scan_minima(fixed, q3, grid, tol)
+        return _scan_minima(q3, beams, grid, tol)
 
     monkeypatch.setattr("kdspin.sweep._scan_minima", counting_scan)
     points = minimum_locus(q3_values, fixed=fixed)
@@ -274,9 +284,13 @@ def test_minimum_locus_scans_where_cross_term_survives(monkeypatch):
     fine = np.linspace(1.0, 100.0, 19801)
     for p in points:
         assert p.bracketed
-        found = _elliptic_minima(fixed, p.q3, [p.inv_theta]).value[0]
+        direct = direct_minima(fixed, p.q3, [p.inv_theta])
         # the golden-section midpoint sits within LOCUS_TOLERANCE of the minimum
-        assert found <= _elliptic_minima(fixed, p.q3, fine).value.min() * (1.0 + 1e-9)
+        assert direct.value[0] <= direct_minima(fixed, p.q3, fine).value.min() * (1.0 + 1e-9)
+        # the superposition of M_y and M_z reproduces the kernel at the reported 1/theta
+        assert abs(p.alpha - direct.alpha[0]) <= 1e-12 and abs(p.phi - direct.phi[0]) <= 1e-12
+        assert abs(p.prob_a - direct.prob_a[0]) <= 1e-12 * direct.prob_b[0]
+        assert abs(p.prob_b - direct.prob_b[0]) <= 1e-12 * direct.prob_b[0]
 
 
 def test_scan_minima_chunks_match_per_q3_scan():
@@ -285,22 +299,48 @@ def test_scan_minima_chunks_match_per_q3_scan():
     q3 = np.linspace(0.0, 1.0, 41)
     rows = SWEEP_CHUNK_POINTS // len(grid)
     assert len(q3) > 3 * rows and len(q3) % rows  # whole chunks plus a partial one
-    idx = np.array([np.argmin(_elliptic_minima(fixed, v, grid).value) for v in q3])
+    beams = _beam_matrices(fixed, q3)
+    idx = np.array(
+        [np.argmin(_elliptic_minima(q3[i:i + 1], beams[:, i:i + 1], grid[None]).value) for i in range(len(q3))]
+    )
     inner = (idx > 0) & (idx < len(grid) - 1)
     expected = np.full(len(q3), math.nan)
     expected[inner] = _golden_section(
-        lambda v: _elliptic_minima(fixed, q3[inner], v).value, grid[idx[inner] - 1], grid[idx[inner] + 1], LOCUS_TOLERANCE
+        lambda v: _elliptic_minima(q3[inner], beams[:, inner], v).value,
+        grid[idx[inner] - 1], grid[idx[inner] + 1], LOCUS_TOLERANCE,
     )
-    assert _scan_minima(fixed, q3, grid, LOCUS_TOLERANCE).tobytes() == expected.tobytes()
+    assert _scan_minima(q3, beams, grid, LOCUS_TOLERANCE).tobytes() == expected.tobytes()
 
     # the kernel overflows at q3 = 1e160: the same error as the first failing per-q3 scan
     failing = np.concatenate([q3[: rows + 3], [1e160], q3[rows + 3 :]])
+    beams = _beam_matrices(fixed, failing)
     with pytest.raises(ValueError) as per_q3:
-        for v in failing:
-            _elliptic_minima(fixed, v, grid)
+        for i in range(len(failing)):
+            _elliptic_minima(failing[i:i + 1], beams[:, i:i + 1], grid[None])
     with pytest.raises(ValueError) as chunked:
-        _scan_minima(fixed, failing, grid, LOCUS_TOLERANCE)
+        _scan_minima(failing, beams, grid, LOCUS_TOLERANCE)
     assert str(chunked.value) == str(per_q3.value)
+    assert str(chunked.value) == "no contrast minimum at q3=1e+160, 1/theta=1.0"
+
+
+def test_locus_builds_two_matrices_per_q3(monkeypatch):
+    # every locus matrix is a superposition of M_y and M_z, so the kernel
+    # runs on exactly two matrices per q3, also on the scan path
+    built = []
+
+    def counting_kernel(q_l, q2, q3, left, right):
+        m = spin_matrix_batch(q_l, q2, q3, left, right)
+        built.append(len(m))
+        return m
+
+    monkeypatch.setattr("kdspin.sweep.spin_matrix_batch", counting_kernel)
+    fixed = FixedParams(q2=0.01)
+    q3 = np.linspace(0.0, 1.0, 41)
+    assert all(p.bracketed for p in minimum_locus(q3, fixed=fixed))
+    assert sum(built) == 2 * len(q3)
+    built.clear()
+    locus_probabilities(left_model(PAPER_LEFT), right_model(PAPER_RIGHT), q3, fixed=fixed)
+    assert sum(built) == 2 * len(q3)
 
 
 def test_minimum_locus_root_at_zero_q3_for_any_q2(monkeypatch):
@@ -388,6 +428,13 @@ def test_fit_round_trip_right():
 def test_fit_requires_minimum_points():
     data = [(0.0, 50.0), (0.5, 10.0), (1.0, 1.3)]
     with pytest.raises(ValueError):
+        fit_locus(data)
+
+
+@pytest.mark.parametrize("q3", [-0.2, 1.05, math.nan])
+def test_fit_rejects_q3_outside_domain(q3):
+    data = [(q, 10.0 - 5.0 * q) for q in np.linspace(0.0, 1.0, 41)] + [(q3, 5.0)]
+    with pytest.raises(ValueError, match=r"outside fit domain \[0, 1\]"):
         fit_locus(data)
 
 
