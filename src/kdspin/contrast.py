@@ -23,7 +23,8 @@ domain alpha in [0, 2pi], phi in [0, pi].  The numerator is t/2 plus
 (v, a, -b) dotted into the Bloch vector of (alpha, phi), so C' is smallest
 with that vector along -(v, a, -b), where it equals lambda_min/lambda_max of
 P: the exact minimum that a Newton iteration on C' reaches when it converges.
-``minimize_contrast_batch`` takes the same minimum for a stack of matrices.
+With r = |(v, a, -b)|, lambda_max = t/2 + r and lambda_min = |det M|^2 / lambda_max.
+One elementwise closed form takes this minimum for one matrix or a stack.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from enum import Enum
 
 import numpy as np
 
-#: below this the denominator |M psi_B|^2 counts as degenerate
+#: below this |M psi_B|^2, or a matrix's largest real or imaginary part, counts as zero
 DEGENERATE_FLOOR = 1e-300
 
 TWO_PI = 2.0 * math.pi
@@ -167,53 +168,41 @@ def contrast_derivatives(m: np.ndarray, pair: BlochPair) -> tuple[np.ndarray, np
     return grad, hess
 
 
-def minimize_contrast(m: np.ndarray) -> ContrastResult:
-    """Global contrast of a nonzero finite 2x2 matrix: lambda_min/lambda_max of M^dag M.
+def _closed_form(m: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(scale, ok, value, alpha, phi, prob_a, prob_b) of each (2, 2) matrix in m, elementwise.
 
-    The angles put the Bloch vector along -(v, a, -b)/r, read off the matrix
-    scaled to unit largest entry; when r = 0 every pair is optimal and (0, 0)
-    is returned.  The minimum is exact: ``iterations`` is 0 and the status
-    ``CONVERGED_GRADIENT``.  A matrix whose |M|_F^2 = prob_A + prob_B overflows is rejected.
-    """
-    m = np.asarray(m, dtype=complex)
-    if m.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 matrix, got shape {m.shape}")
-    scale = float(np.max(np.abs(m)))
-    if not math.isfinite(scale):  # max propagates NaN, and |inf| is inf
-        raise ValueError("spin-propagation matrix has non-finite entries")
-    if not scale > DEGENERATE_FLOOR:
-        raise ValueError("spin-propagation matrix is numerically zero")
-
-    unit = m / scale
-    t, v, a, b = _quadratic_form(unit)
-    if not math.isfinite(scale * scale * float(t)):  # t = |unit|_F^2 >= 1
-        raise ValueError("spin-propagation matrix overflows: |M psi_A|^2 + |M psi_B|^2 is not finite")
-    r = math.sqrt(v * v + a * a + b * b)
-    if r == 0.0:
-        pair = BlochPair(alpha=0.0, phi=0.0)  # C' == 1 everywhere
-    else:
-        cos_alpha = min(max(-v / r, -1.0), 1.0)
-        pair = canonicalize(BlochPair(alpha=math.acos(cos_alpha), phi=math.atan2(b, -a)))
-    psi_a, psi_b = bloch_spinors(pair)
-    # the ratio comes from the normalized matrix so extreme scales cannot
-    # underflow it; the reported probabilities stay physical (|M psi|^2)
-    ratio_a = float(np.sum(np.abs(unit @ psi_a) ** 2))
-    ratio_b = float(np.sum(np.abs(unit @ psi_b) ** 2))
-    if ratio_b < DEGENERATE_FLOOR:
-        raise DegenerateDenominatorError("minimizer left psi_B in the kernel")
-    prob_a = float(np.sum(np.abs(m @ psi_a) ** 2))
-    prob_b = float(np.sum(np.abs(m @ psi_b) ** 2))
-    # identical rounding can push the ratio one ulp past the analytic bound
-    value = min(ratio_a / ratio_b, 1.0)
-    return ContrastResult(
-        value=value,
-        alpha=pair.alpha,
-        phi=pair.phi,
-        iterations=0,
-        status=NewtonStatus.CONVERGED_GRADIENT,
-        prob_a=prob_a,
-        prob_b=prob_b,
-    )
+    ``scale`` is the largest real or imaginary part, so t >= 1 and lambda_max >= 1/2 after
+    unit scaling; the fields mean nothing where ``ok`` is False (scale 0 or not finite,
+    |M|_F^2 overflowing)."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        scale = np.maximum(np.abs(m.real), np.abs(m.imag)).max(axis=(-2, -1))
+        (u00, u10), (u01, u11) = (m / scale[..., None, None]).T
+        p00, p11 = _norm2(u00, u10), _norm2(u01, u11)
+        t, v = p00 + p11, 0.5 * (p00 - p11)
+        # (a, b) = p01 = conj(u00) u01 + conj(u10) u11, in real arithmetic: a
+        # complex product may be fused or not depending on numpy's inner loop
+        a = u00.real * u01.real + u00.imag * u01.imag + (u10.real * u11.real + u10.imag * u11.imag)
+        b = u00.real * u01.imag - u00.imag * u01.real + (u10.real * u11.imag - u10.imag * u11.real)
+        r = np.sqrt(v * v + a * a + b * b)
+        # r == 0: C' == 1 everywhere and (0, 0) is returned; fmin takes the 0/0
+        # there to cos(alpha) = 1, and the factor (r > 0) zeroes phi
+        alpha = np.arccos(np.fmax(np.fmin(-v / r, 1.0), -1.0))  # in [0, pi]
+        phi = np.arctan2(b, -a) * (r > 0.0) % TWO_PI
+        # canonicalize(): fold phi into [0, pi) with alpha -> 2 pi - alpha
+        upper = phi >= math.pi
+        phi = np.where(upper, phi - math.pi, phi)
+        alpha = np.where(upper, (TWO_PI - alpha) % TWO_PI, alpha)
+        det_re = u00.real * u11.real - u00.imag * u11.imag - (u01.real * u10.real - u01.imag * u10.imag)
+        det_im = u00.real * u11.imag + u00.imag * u11.real - (u01.real * u10.imag + u01.imag * u10.real)
+        ratio_b = 0.5 * t + r
+        ratio_a = (det_re * det_re + det_im * det_im) / ratio_b
+        # the ratio comes from the normalized matrix so extreme scales cannot
+        # underflow it; the reported probabilities stay physical (|M psi|^2)
+        s2 = scale * scale
+        ok = (scale > DEGENERATE_FLOOR) & np.isfinite(s2 * t)
+        # identical rounding can push the ratio one ulp past the analytic bound
+        value = np.minimum(ratio_a / ratio_b, 1.0)
+        return scale, ok, value, alpha, phi, ratio_a * s2, ratio_b * s2
 
 
 def _norm2(x0: np.ndarray, x1: np.ndarray) -> np.ndarray:
@@ -221,45 +210,34 @@ def _norm2(x0: np.ndarray, x1: np.ndarray) -> np.ndarray:
     return x0.real * x0.real + x0.imag * x0.imag + (x1.real * x1.real + x1.imag * x1.imag)
 
 
-def minimize_contrast_batch(m: np.ndarray) -> ContrastBatch:
-    """``minimize_contrast`` for a stack of N matrices of shape (N, 2, 2).
+def minimize_contrast(m: np.ndarray) -> ContrastResult:
+    """Global contrast of a nonzero finite 2x2 matrix: lambda_min/lambda_max of M^dag M.
 
-    Uses elementwise operations only, so each matrix's result does not depend
-    on the batch it is part of.  Matrices that ``minimize_contrast`` may
-    reject (numerically zero, non-finite, overflowing or degenerate) get NaN in every field;
-    the scale is the largest real or imaginary part, within sqrt(2) of the
-    largest modulus, so every matrix the scalar form calls zero is caught.
+    Bit for bit the result of ``minimize_contrast_batch``, with prob_A = lambda_min,
+    prob_B = lambda_max, ``iterations`` 0 and the status ``CONVERGED_GRADIENT``.
+    Raises ValueError for a non-finite matrix, a numerically zero one (no real or
+    imaginary part above ``DEGENERATE_FLOOR``) and one whose |M|_F^2 overflows.
+    """
+    m = np.asarray(m, dtype=complex)
+    if m.shape != (2, 2):
+        raise ValueError(f"expected a 2x2 matrix, got shape {m.shape}")
+    scale, ok, *fields = _closed_form(m)
+    if not math.isfinite(scale):  # max propagates NaN, and |inf| is inf
+        raise ValueError("spin-propagation matrix has non-finite entries")
+    if not scale > DEGENERATE_FLOOR:
+        raise ValueError("spin-propagation matrix is numerically zero")
+    if not ok:
+        raise ValueError("spin-propagation matrix overflows: |M psi_A|^2 + |M psi_B|^2 is not finite")
+    value, alpha, phi, prob_a, prob_b = map(float, fields)
+    return ContrastResult(value, alpha, phi, 0, NewtonStatus.CONVERGED_GRADIENT, prob_a, prob_b)
+
+
+def minimize_contrast_batch(m: np.ndarray) -> ContrastBatch:
+    """``minimize_contrast`` for a stack of N matrices of shape (N, 2, 2), NaN in every
+    field where it raises.  The closed form is elementwise: no result depends on its batch.
     """
     m = np.asarray(m, dtype=complex)
     if m.ndim != 3 or m.shape[1:] != (2, 2):
         raise ValueError(f"expected a stack of 2x2 matrices, got shape {m.shape}")
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        scale = np.maximum(np.abs(m.real), np.abs(m.imag)).max(axis=(1, 2))
-        unit = m / scale[:, None, None]
-        u00, u01, u10, u11 = unit[:, 0, 0], unit[:, 0, 1], unit[:, 1, 0], unit[:, 1, 1]
-        p00, p11 = _norm2(u00, u10), _norm2(u01, u11)
-        v = 0.5 * (p00 - p11)
-        # (a, b) = p01 = conj(u00) u01 + conj(u10) u11, in real arithmetic: a
-        # complex product may be fused or not depending on numpy's inner loop
-        a = u00.real * u01.real + u00.imag * u01.imag + (u10.real * u11.real + u10.imag * u11.imag)
-        b = u00.real * u01.imag - u00.imag * u01.real + (u10.real * u11.imag - u10.imag * u11.real)
-        r = np.sqrt(v * v + a * a + b * b)
-        flat = r == 0.0  # C' == 1 everywhere: (0, 0) as in the scalar form
-        alpha = np.where(flat, 0.0, np.arccos(np.clip(-v / r, -1.0, 1.0)))
-        phi = np.where(flat, 0.0, np.arctan2(b, -a))
-        # canonicalize(): fold phi into [0, pi) with alpha -> 2 pi - alpha
-        alpha, phi = np.mod(alpha, TWO_PI), np.mod(phi, TWO_PI)
-        upper = phi >= math.pi
-        phi = np.where(upper, phi - math.pi, phi)
-        alpha = np.where(upper, np.mod(TWO_PI - alpha, TWO_PI), alpha)
-
-        c, s = np.cos(0.5 * alpha), np.sin(0.5 * alpha)
-        phase = np.cos(phi) + 1j * np.sin(phi)
-        psi_a1, psi_b0 = s * phase, s * np.conj(phase)
-        ratio_a = _norm2(u00 * c + u01 * psi_a1, u10 * c + u11 * psi_a1)
-        ratio_b = _norm2(u00 * psi_b0 - u01 * c, u10 * psi_b0 - u11 * c)
-        s2 = scale * scale  # the probabilities are |M psi|^2 = scale^2 |unit psi|^2
-        ok = (scale > DEGENERATE_FLOOR) & (ratio_b >= DEGENERATE_FLOOR) & np.isfinite(s2 * (p00 + p11))
-        # identical rounding can push the ratio one ulp past the analytic bound
-        fields = (np.minimum(ratio_a / ratio_b, 1.0), alpha, phi, ratio_a * s2, ratio_b * s2)
+    _, ok, *fields = _closed_form(m)
     return ContrastBatch(*(np.where(ok, f, math.nan) for f in fields))

@@ -283,12 +283,12 @@ def _locus_roots(beams: np.ndarray) -> np.ndarray:
     is positive, t = sqrt(det M_y / det M_z).
     """
     m_y, m_z = beams
-    det_y, det_z = beams[:, :, 0, 0] * beams[:, :, 1, 1] - beams[:, :, 0, 1] * beams[:, :, 1, 0]
-    cross = (
-        m_y[:, 1, 1] * m_z[:, 0, 0] - m_y[:, 0, 1] * m_z[:, 1, 0]
-        - m_y[:, 1, 0] * m_z[:, 0, 1] + m_y[:, 0, 0] * m_z[:, 1, 1]
-    )
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        det_y, det_z = beams[:, :, 0, 0] * beams[:, :, 1, 1] - beams[:, :, 0, 1] * beams[:, :, 1, 0]
+        cross = (
+            m_y[:, 1, 1] * m_z[:, 0, 0] - m_y[:, 0, 1] * m_z[:, 1, 0]
+            - m_y[:, 1, 0] * m_z[:, 0, 1] + m_y[:, 0, 0] * m_z[:, 1, 1]
+        )
         ratio = det_y / det_z
         exact = (np.abs(cross) <= ROOT_RTOL * np.sqrt(np.abs(det_y * det_z))) & (
             np.abs(ratio.imag) <= ROOT_RTOL * np.abs(ratio)

@@ -345,6 +345,16 @@ def test_locus_fit_nonfinite_momentum_exits_2(flags, tmp_path, capsys):
 
 
 @pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("flags", [["--ql", "1e-200"], ["--ql", "1e200"], ["--q2", "1e200"]])
+def test_locus_fit_extreme_momentum_exits_2(flags, tmp_path, capsys):
+    # the beam matrices or their determinants overflow; no numpy warning may leak out
+    code = main(["locus-fit", "--q3-points", "3", "--out", str(tmp_path / "run"), *flags])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize(
     "flags",
     [
@@ -424,3 +434,14 @@ def test_taylor_check_out_of_domain_warns(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "warning" in out
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale", ["1e-320", "1e300"])
+def test_taylor_check_nonfinite_spin_matrix_exits_2(scale, capsys):
+    # a subnormal q_l leaves every entry of the spin matrix NaN; 1e300 overflows it
+    code = main(["taylor-check", "--scale", scale, "--halvings", "1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert "error=" not in captured.out

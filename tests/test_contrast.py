@@ -1,9 +1,10 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from kdspin.compton import elliptic_polarization, spin_matrix
+from kdspin.compton import elliptic_polarization, spin_matrix, spin_matrix_batch
 from kdspin.contrast import (
     BlochPair,
     DegenerateDenominatorError,
@@ -327,13 +328,8 @@ def test_minimize_unitary_invariance():
         assert rotated.value == pytest.approx(base.value, abs=1e-10)
 
 
-# output tolerances of the benchmark's closed-form check (bench/oracle.py)
-CONTRAST_RTOL = 1e-8
-CONTRAST_ATOL = 1e-12
-PROB_RTOL = 1e-8
-
-
-def test_batch_minimizer_matches_scalar():
+def minimizer_stacks():
+    """Named stacks of 2x2 matrices: random, rank one, diagonal P, README-tile points."""
     rng = np.random.RandomState(43)
     generic = rng.randn(300, 2, 2) + 1j * rng.randn(300, 2, 2)
     singular = generic[:50].copy()
@@ -347,15 +343,64 @@ def test_batch_minimizer_matches_scalar():
             for q3 in (0.0, 0.5, 1.0, 1.014, 1.0145)
         ]
     )
-    stack = np.concatenate([generic, singular, pole, tile, np.eye(2)[None], 1e-3 * generic[:5]])
+    other = np.concatenate([tile, np.eye(2)[None], 1e-3 * generic[:5]])
+    return {"generic": generic, "singular": singular, "pole": pole, "other": other}
+
+
+def test_batch_minimizer_matches_scalar():
+    # one closed form serves both: every field agrees bit for bit
+    stack = np.concatenate(list(minimizer_stacks().values()))
     batch = minimize_contrast_batch(stack)
     for i, m in enumerate(stack):
         ref = minimize_contrast(m)
-        assert abs(batch.value[i] - ref.value) <= CONTRAST_RTOL * ref.value + CONTRAST_ATOL
-        assert abs(batch.prob_a[i] - ref.prob_a) <= PROB_RTOL * ref.prob_b
-        assert abs(batch.prob_b[i] - ref.prob_b) <= PROB_RTOL * ref.prob_b
-        assert batch.alpha[i] == pytest.approx(ref.alpha, abs=1e-9)
-        assert batch.phi[i] == pytest.approx(ref.phi, abs=1e-9)
+        expected = [x.hex() for x in (ref.value, ref.alpha, ref.phi, ref.prob_a, ref.prob_b)]
+        got = [float(f[i]).hex() for f in (batch.value, batch.alpha, batch.phi, batch.prob_a, batch.prob_b)]
+        assert got == expected, f"matrix {i}"
+
+
+def exact_ratio(m):
+    """|det M|^2 / (tr M^dag M)^2 of a float matrix, in exact rational arithmetic."""
+    (m00, m01), (m10, m11) = [[(Fraction(z.real), Fraction(z.imag)) for z in row] for row in m]
+
+    def mul(x, y):
+        return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+    p, q = mul(m00, m11), mul(m01, m10)
+    det2 = (p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2
+    trace = sum(x * x + y * y for x, y in (m00, m01, m10, m11))
+    return det2 / trace**2
+
+
+def g_errors(stack):
+    """(exact |det M|^2/(tr M^dag M)^2, |g(c) - exact|) of each matrix, g(c) = c/(1+c)^2."""
+    out = []
+    for m, c in zip(stack, minimize_contrast_batch(stack).value):
+        exact, c = exact_ratio(m), Fraction(float(c))
+        out.append((exact, abs(c / (1 + c) ** 2 - exact)))
+    return out
+
+
+def test_contrast_matches_exact_rational_oracle():
+    # with c = lambda_min/lambda_max, c/(1+c)^2 = det P/(tr P)^2 = |det M|^2/(tr M^dag M)^2
+    # holds exactly for the float matrix, so the float contrast is checked
+    # without trusting any floating-point eigensolver
+    q2 = np.linspace(-0.05, 0.05, 201)[::20]
+    q3 = np.linspace(0.95, 1.05, 201)[::10]  # README tile columns and rows, q3 = 1 among them
+    assert 1.0 in q3
+    x, y = np.meshgrid(q2, q3)
+    pol = elliptic_polarization(math.pi / 4.0)
+    stacks = minimizer_stacks()
+    tile = spin_matrix_batch(0.02, x.ravel(), y.ravel(), pol.left, pol.right)
+    checked = g_errors(np.concatenate([tile, stacks["generic"], stacks["pole"]]))
+    floor = [err / exact for exact, err in checked if exact <= Fraction(1e-20)]
+    assert len(floor) >= 1  # the README tile's noise floor, contrast ~3e-26, at q2 = 0, q3 = 1
+    assert max(floor) <= 1e-4
+    assert all(err <= Fraction(1e-12) * exact for exact, err in checked if exact > Fraction(1e-20))
+    # a rank-one matrix rounded to floats keeps |det M|^2/(tr P)^2 ~ 1e-37; the
+    # determinant of O(1) entries is only good to a few eps, so check absolutely
+    eps = np.finfo(float).eps
+    singular = g_errors(stacks["singular"])
+    assert all(exact <= Fraction(1e-20) and err <= Fraction((16 * eps) ** 2) for exact, err in singular)
 
 
 def test_batch_minimizer_marks_zero_and_nonfinite_matrices():

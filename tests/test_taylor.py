@@ -65,3 +65,9 @@ def test_error_vanishes_toward_origin():
     # double precision floors the gap at ~eps/q_l; 1e-4 sits near the optimum
     pol = elliptic_polarization(math.pi / 4.0)
     assert taylor_error(ScatterConfig(q_l=1e-4, q2=1e-4, q3=1e-4), pol) <= 1e-12
+
+
+def test_error_rejects_nonfinite_spin_matrix():
+    pol = elliptic_polarization(math.pi / 4.0)
+    with pytest.raises(ValueError, match="not finite"):
+        taylor_error(ScatterConfig(q_l=1e-320, q2=1e-320, q3=1e-320), pol)
