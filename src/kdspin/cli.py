@@ -287,12 +287,15 @@ def cmd_taylor_check(args) -> int:
     pol = _polarization_from_args(args)
     if args.scale > DOMAIN_LIMIT:
         print(f"warning: scale {args.scale} exceeds the expansion domain ({DOMAIN_LIMIT})")
-    scales, errors = [], []
-    for k in range(args.halvings + 1):
-        h = args.scale / 2.0**k
-        err = taylor_error(ScatterConfig(q_l=h, q2=h, q3=h), pol)
-        scales.append(h)
-        errors.append(err)
+    scales = [args.scale / 2.0**k for k in range(args.halvings + 1)]
+    configs = [ScatterConfig(q_l=h, q2=h, q3=h) for h in scales]
+    errors = [taylor_error(cfg, pol) for cfg in configs]
+    for h, cfg, err in zip(scales, configs, errors):  # check every rung before printing any
+        floor = 8.0 * np.finfo(float).eps * float(np.abs(spin_matrix(cfg, pol)).max())
+        if err <= floor:
+            raise ValueError(f"the expansion's error {_format(err)} at scale {_format(h)} is at the rounding "
+                             f"floor 8 eps max|M| = {_format(floor)}, where no convergence order can be read")
+    for h, err in zip(scales, errors):
         print(f"scale={_format(h)} error={_format(err)}")
     order = float(np.polyfit(np.log(scales), np.log(errors), 1)[0])
     print(f"order={_format(order)}")

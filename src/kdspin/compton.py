@@ -6,10 +6,10 @@ amplitude of the emission beam and the plain amplitude of the absorption
 beam yields the complex 2x2 matrix that maps initial to final spin
 coefficients of the diffracted electron (rows index the final spin).
 
-``spin_matrix_batch`` computes that matrix for many configurations at once
-without the tensor: it contracts the polarizations first and reduces the
-spinor sandwich to 2x2 blocks, using only elementwise numpy operations, so
-each configuration's result does not depend on the batch it is part of.
+``spin_matrix_batch`` computes that matrix for one configuration or many without
+the tensor, in a closed form of ten real coefficients and four beam bilinears with
+no cancelling diagrams, by elementwise real numpy operations only: one matrix
+computed on numpy scalars equals its row of any batch bit for bit.
 ``compton_tensor`` and ``contract_polarization`` stay as its reference.
 """
 
@@ -20,10 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dirac import GAMMA_MATRICES, IDENTITY_4, PAULI_MATRICES, bispinor_u, dirac_adjoint, slash
+from .dirac import GAMMA_MATRICES, IDENTITY_4, bispinor_u, dirac_adjoint, slash
 from .kinematics import ScatterConfig, build_kinematics, minkowski_dot
-
-_SIGMA_1 = PAULI_MATRICES[0]
 
 
 @dataclass(frozen=True)
@@ -111,76 +109,63 @@ def elliptic_left(theta) -> np.ndarray:
     return np.stack([np.zeros_like(theta), np.cos(theta), 1j * np.sin(theta)], axis=-1)
 
 
-def _pauli_dot(v: np.ndarray) -> np.ndarray:
-    """sigma . v for (..., 3) vectors, shape (..., 2, 2).
-
-    Every product with a Pauli entry (0, +-1, +-i) is exact and each entry
-    sums at most two nonzero terms, so the result does not depend on the
-    order einsum picks.
-    """
-    return np.einsum("...i,iab->...ab", v, PAULI_MATRICES)
-
-
-def _mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Product of stacked 2x2 matrices, written out so every batch size rounds alike."""
-    return x[..., :, :1] * y[..., :1, :] + x[..., :, 1:] * y[..., 1:, :]
-
-
 @np.errstate(over="ignore", invalid="ignore")
 def spin_matrix_batch(q_l: float, q2, q3, left, right) -> np.ndarray:
     """Spin-propagation matrices of N configurations at once, shape (N, 2, 2).
 
-    ``q2`` and ``q3`` are (N,) arrays of transverse momenta at the common
-    photon momentum ``q_l``; ``left`` and ``right`` are (N, 3) or (3,)
-    complex beam amplitudes.  Entries that cannot be evaluated (non-finite
-    momenta or amplitudes, or momenta whose squares overflow) come out NaN
-    or infinite, without a floating-point warning.
+    ``q2`` and ``q3`` are (N,) arrays of transverse momenta at the photon momentum ``q_l``;
+    ``left`` and ``right`` are (N, 3) or (3,) complex beam amplitudes (x components unread,
+    as transversality makes them 0).  Scalar momenta with (3,) beams give one (2, 2) matrix
+    from numpy scalars, by the same operations: bit for bit its row of any batch.  Entries
+    are NaN or infinite, without a floating-point warning, for non-finite inputs, and all
+    NaN where a momentum's square overflows (above ~1.3e154).
 
-    With eps_L = conj(left) . gamma and eps_R = right . gamma the amplitude is
-    ubar(p_f) [eps_L A eps_R - eps_R B eps_L] u(p_i), A and B the two
-    propagators of ``compton_tensor``.  In 2x2 blocks, with a = sigma . conj(left),
-    b = sigma . right and S = sigma . (0, q2, q3), the middle operator is
+    With a = sigma . conj(left), b = sigma . right, S = sigma . (0, q2, q3), S_i, S_f =
+    S -+ q_l sigma_1, d_A = 1/(2 q_l (E + q_l)) and d_B = 1/(2 q_l (E - q_l)), the spinor
+    sandwich of ``compton_tensor`` reduces to the block formula
 
-        [[(1 - E + q_l) d_B ba - (1 - E - q_l) d_A ab,   d_A aSb - d_B bSa],
-         [-(d_A aSb - d_B bSa),   (E - q_l + 1) d_B ba - (E + q_l + 1) d_A ab]]
+        M = (E + 1)/2 m11 + (m12 S_i + S_f m12)/2 - S_f m22 S_i / (2 (E + 1)),
+        m11 = (1 - E + q_l) d_B ba - (1 - E - q_l) d_A ab,   m12 = d_A aSb - d_B bSa,
+        m22 = (E - q_l + 1) d_B ba - (E + q_l + 1) d_A ab,
 
-    with d_A = 1/(2 p_i.k) = 1/(2 q_l (E + q_l)) and d_B = 1/(2 q_l (E - q_l)),
-    and the bispinors turn [[m11, m12], [-m12, m22]] into
+    whose O(q^2/q_l) terms cancel.  Expanding its Pauli products (checked with sympy)
+    leaves ten real coefficients in which nothing cancels: with a = conj(left), r = right,
+    yy = a_y r_y, zz = a_z r_z, s = a_y r_z + a_z r_y and w = a_y r_z - a_z r_y,
 
-        (E + 1)/2 m11 + (m12 S_i + S_f m12)/2 - S_f m22 S_i / (2 (E + 1)),
+        D = 1 + q2^2 + q3^2 = E^2 - q_l^2,   k = 1/D,   h = k/(E + 1),   g = q_l^2 h,
+        X = (((1 - q2)(1 + q2) + q3^2) k + g) yy + (((1 - q3)(1 + q3) + q2^2) k + g) zz - 2 q2 q3 k s,
+        Y = q_l q2 h ((E + 2) yy - E zz) + q_l q3 k s,   U = q_l q3 h ((E + 2) zz - E yy) + q_l q2 k s,
+        M = [[X - iY, U + V], [V - U, X + iY]],   V = -i q_l k w,
 
-    where S_i, S_f = S -+ q_l sigma_1 are sigma . p for the incoming and
-    outgoing momenta.
-    """
+    good to a few eps of max|M| at any q_l.  It runs in real arithmetic, as re/im pairs:
+    numpy's array loops may fuse a complex multiply where its scalar path does not."""
     if not (math.isfinite(q_l) and q_l > 0.0):
         raise ValueError(f"q_l must be positive, got {q_l!r}")
-    q2 = np.asarray(q2, dtype=float)
-    q3 = np.asarray(q3, dtype=float)
-    a = _pauli_dot(np.conj(np.asarray(left, dtype=complex)))
-    b = _pauli_dot(np.asarray(right, dtype=complex))
-    s = _pauli_dot(np.stack(np.broadcast_arrays(0.0, q2, q3), axis=-1))
-    s_i = s - q_l * _SIGMA_1
-    s_f = s + q_l * _SIGMA_1
-
-    e = np.sqrt(1.0 + q_l * q_l + q2 * q2 + q3 * q3)[..., None, None]
-    d_a = 1.0 / (2.0 * q_l * (e + q_l))
-    d_b = 1.0 / (2.0 * q_l * (e - q_l))
-    ab, ba = _mul(a, b), _mul(b, a)
-    m11 = ((1.0 - e + q_l) * d_b) * ba - ((1.0 - e - q_l) * d_a) * ab
-    m22 = ((e - q_l + 1.0) * d_b) * ba - ((e + q_l + 1.0) * d_a) * ab
-    m12 = d_a * _mul(_mul(a, s), b) - d_b * _mul(_mul(b, s), a)
-    return (
-        (0.5 * (e + 1.0)) * m11
-        + 0.5 * (_mul(m12, s_i) + _mul(s_f, m12))
-        - _mul(_mul(s_f, m22), s_i) / (2.0 * (e + 1.0))
-    )
+    q2, q3 = (np.asarray(q, dtype=float)[()] for q in (q2, q3))
+    # (re, im) of the y and z amplitudes; a (3,) beam unpacks into numpy scalars
+    _, _, ly, ly_i, lz, lz_i = np.ascontiguousarray(left, dtype=complex).view(float).T
+    _, _, ry, ry_i, rz, rz_i = np.ascontiguousarray(right, dtype=complex).view(float).T
+    yy, yy_i = ly * ry + ly_i * ry_i, ly * ry_i - ly_i * ry
+    zz, zz_i = lz * rz + lz_i * rz_i, lz * rz_i - lz_i * rz
+    yz, yz_i = ly * rz + ly_i * rz_i, ly * rz_i - ly_i * rz
+    zy, zy_i = lz * ry + lz_i * ry_i, lz * ry_i - lz_i * ry
+    s, s_i, w, w_i = yz + zy, yz_i + zy_i, yz - zy, yz_i - zy_i
+    d = 1.0 + q2 * q2 + q3 * q3
+    e, k = np.sqrt(d + q_l * q_l), 1.0 / d
+    h = k / (e + 1.0)
+    c_yy = ((1.0 - q2) * (1.0 + q2) + q3 * q3) * k + q_l * q_l * h
+    c_zz = ((1.0 - q3) * (1.0 + q3) + q2 * q2) * k + q_l * q_l * h
+    c_s, e_2 = 2.0 * q2 * q3 * k, e + 2.0
+    y_h, y_k, u_h, u_k, v_k = q_l * q2 * h, q_l * q3 * k, q_l * q3 * h, q_l * q2 * k, q_l * k
+    x, x_i = c_yy * yy + c_zz * zz - c_s * s, c_yy * yy_i + c_zz * zz_i - c_s * s_i
+    y, y_i = y_h * (e_2 * yy - e * zz) + y_k * s, y_h * (e_2 * yy_i - e * zz_i) + y_k * s_i
+    u, u_i = u_h * (e_2 * zz - e * yy) + u_k * s, u_h * (e_2 * zz_i - e * yy_i) + u_k * s_i
+    v, v_i = v_k * w_i, -(v_k * w)
+    parts = np.array([x + y_i, x_i - y, u + v, u_i + v_i, v - u, v_i - u_i, x - y_i, x_i + y])
+    return np.ascontiguousarray(parts.T).view(complex).reshape(np.shape(x) + (2, 2))
 
 
 def spin_matrix(cfg: ScatterConfig, pol: PolarizationPair) -> np.ndarray:
-    """Complex 2x2 spin-propagation matrix for one configuration and beam pair.
-
-    This is ``spin_matrix_batch`` with N = 1.
-    """
-    return spin_matrix_batch(
-        cfg.q_l, np.array([cfg.q2]), np.array([cfg.q3]), pol.left[None], pol.right[None]
-    )[0]
+    """Complex 2x2 spin-propagation matrix for one configuration and beam pair:
+    ``spin_matrix_batch`` on scalars, so bit for bit its row of any batch."""
+    return spin_matrix_batch(cfg.q_l, cfg.q2, cfg.q3, pol.left, pol.right)

@@ -171,18 +171,21 @@ def contrast_derivatives(m: np.ndarray, pair: BlochPair) -> tuple[np.ndarray, np
 def _closed_form(m: np.ndarray) -> tuple[np.ndarray, ...]:
     """(scale, ok, value, alpha, phi, prob_a, prob_b) of each (2, 2) matrix in m, elementwise.
 
-    ``scale`` is the largest real or imaginary part, so t >= 1 and lambda_max >= 1/2 after
-    unit scaling; the fields mean nothing where ``ok`` is False (scale 0 or not finite,
-    |M|_F^2 overflowing)."""
+    ``scale`` is the largest real or imaginary part; the power of two that brings it into
+    [1/2, 1) scales the matrix exactly, so t >= 1/4 and lambda_max >= 1/8.  The fields mean
+    nothing where ``ok`` is False (scale 0 or not finite, |M|_F^2 overflowing)."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         scale = np.maximum(np.abs(m.real), np.abs(m.imag)).max(axis=(-2, -1))
-        (u00, u10), (u01, u11) = (m / scale[..., None, None]).T
-        p00, p11 = _norm2(u00, u10), _norm2(u01, u11)
+        exp = np.frexp(scale)[1]
+        (r00, r10), (r01, r11) = np.ldexp(m.real, -exp[..., None, None]).T
+        (i00, i10), (i01, i11) = np.ldexp(m.imag, -exp[..., None, None]).T
+        p00 = r00 * r00 + i00 * i00 + (r10 * r10 + i10 * i10)
+        p11 = r01 * r01 + i01 * i01 + (r11 * r11 + i11 * i11)
         t, v = p00 + p11, 0.5 * (p00 - p11)
         # (a, b) = p01 = conj(u00) u01 + conj(u10) u11, in real arithmetic: a
         # complex product may be fused or not depending on numpy's inner loop
-        a = u00.real * u01.real + u00.imag * u01.imag + (u10.real * u11.real + u10.imag * u11.imag)
-        b = u00.real * u01.imag - u00.imag * u01.real + (u10.real * u11.imag - u10.imag * u11.real)
+        a = r00 * r01 + i00 * i01 + (r10 * r11 + i10 * i11)
+        b = r00 * i01 - i00 * r01 + (r10 * i11 - i10 * r11)
         r = np.sqrt(v * v + a * a + b * b)
         # r == 0: C' == 1 everywhere and (0, 0) is returned; fmin takes the 0/0
         # there to cos(alpha) = 1, and the factor (r > 0) zeroes phi
@@ -192,22 +195,43 @@ def _closed_form(m: np.ndarray) -> tuple[np.ndarray, ...]:
         upper = phi >= math.pi
         phi = np.where(upper, phi - math.pi, phi)
         alpha = np.where(upper, (TWO_PI - alpha) % TWO_PI, alpha)
-        det_re = u00.real * u11.real - u00.imag * u11.imag - (u01.real * u10.real - u01.imag * u10.imag)
-        det_im = u00.real * u11.imag + u00.imag * u11.real - (u01.real * u10.imag + u01.imag * u10.real)
+        det_re = r00 * r11 - i00 * i11 - (r01 * r10 - i01 * i10)
+        det_im = r00 * i11 + i00 * r11 - (r01 * i10 + i01 * r10)
+        det2 = det_re * det_re + det_im * det_im
+        # where det u cancelled by more than 10 bits, recompute it error-free; the
+        # choice is per matrix, so a stack rounds each matrix as it rounds alone
+        low = det2 < 2.0**-20 * (t * t)
+        if low.any():  # from here on the parts are those of the matrices to redo
+            parts = [np.asarray(v)[low] for v in (r00, i00, r01, i01, r10, i10, r11, i11)]
+            r00, i00, r01, i01, r10, i10, r11, i11 = parts
+            x = np.array([[r00, r00], [-i00, i00], [-r01, -r01], [i01, -i01]])
+            y = np.array([[r11, i11], [i11, r11], [r10, i10], [i10, r10]])
+            det2 = np.array(det2)
+            det2[low] = np.square(_dot2(x, y)).sum(axis=0)
         ratio_b = 0.5 * t + r
-        ratio_a = (det_re * det_re + det_im * det_im) / ratio_b
-        # the ratio comes from the normalized matrix so extreme scales cannot
-        # underflow it; the reported probabilities stay physical (|M psi|^2)
-        s2 = scale * scale
-        ok = (scale > DEGENERATE_FLOOR) & np.isfinite(s2 * t)
+        ratio_a = det2 / ratio_b
+        # ratios of the scaled matrix cannot underflow; the probabilities are |M psi|^2 again
+        size = np.ldexp(1.0, exp)  # one factor at a time: size^2 may overflow alone
+        ok = (scale > DEGENERATE_FLOOR) & np.isfinite(t * size * size)
         # identical rounding can push the ratio one ulp past the analytic bound
         value = np.minimum(ratio_a / ratio_b, 1.0)
-        return scale, ok, value, alpha, phi, ratio_a * s2, ratio_b * s2
+        return scale, ok, value, alpha, phi, ratio_a * size * size, ratio_b * size * size
 
 
-def _norm2(x0: np.ndarray, x1: np.ndarray) -> np.ndarray:
-    """|x0|^2 + |x1|^2 of complex arrays, in real arithmetic."""
-    return x0.real * x0.real + x0.imag * x0.imag + (x1.real * x1.real + x1.imag * x1.imag)
+def _dot2(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Sum of x y over axis 0 as if in twice the working precision, then rounded: Dot2 of
+    Ogita, Rump and Oishi, "Accurate sum and dot product" (2005), for factors below ~1e300.
+    numpy has no fma, so TwoProduct splits each factor in halves (Veltkamp, by 2^27 + 1)."""
+    x_hi, y_hi = (134217729.0 * f - (134217729.0 * f - f) for f in (x, y))
+    x_lo, y_lo, prods = x - x_hi, y - y_hi, x * y
+    errs = x_lo * y_lo - (((prods - x_hi * y_hi) - x_lo * y_hi) - x_hi * y_lo)
+    total, err = prods[0], errs[0]
+    for prod, prod_err in zip(prods[1:], errs[1:]):
+        new = total + prod  # TwoSum(total, prod)
+        back = new - total
+        err = err + (((total - (new - back)) + (prod - back)) + prod_err)
+        total = new
+    return total + err
 
 
 def minimize_contrast(m: np.ndarray) -> ContrastResult:

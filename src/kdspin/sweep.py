@@ -47,6 +47,10 @@ ROOT_RTOL = 1e-12
 #: points per batched chunk of a sweep or locus scan (whole rows, at least one)
 SWEEP_CHUNK_POINTS = 4096
 
+#: max - min of a coarse-scan row, relative to its max, up to which the row is flat to rounding
+#: and has no minimum (at q_l ~ 1e-20 it is 1 to an ulp; at q_l >= 1e-12 it spreads by >= 4e-10)
+_FLAT_ROW = 8.0 * np.finfo(float).eps
+
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 _CONVERGED = NewtonStatus.CONVERGED_GRADIENT.value
@@ -247,9 +251,10 @@ def _beam_matrices(fixed: FixedParams, q3: np.ndarray) -> np.ndarray:
 
     The kernel is linear in the conjugated emission amplitude, so the
     elliptic beam (0, cos theta, i sin theta) gives every matrix of the locus
-    as M(theta) = cos(theta) M_y - i sin(theta) M_z.
+    as M(theta) = cos(theta) M_y - i sin(theta) M_z.  One kernel call on 2N rows.
     """
-    return np.stack([spin_matrix_batch(fixed.q_l, fixed.q2, q3, left, _UNIT_Z) for left in (_UNIT_Y, _UNIT_Z)])
+    left = np.repeat([_UNIT_Y, _UNIT_Z], len(q3), axis=0)
+    return spin_matrix_batch(fixed.q_l, fixed.q2, np.tile(q3, 2), left, _UNIT_Z).reshape(2, len(q3), 2, 2)
 
 
 def _elliptic_minima(q3: np.ndarray, beams: np.ndarray, inv_theta) -> ContrastBatch:
@@ -297,15 +302,16 @@ def _locus_roots(beams: np.ndarray) -> np.ndarray:
 
 
 def _scan_minima(q3: np.ndarray, beams: np.ndarray, grid: np.ndarray, tol: float) -> np.ndarray:
-    """1/theta of the contrast minimum at each q3, NaN where the coarse scan
-    over ``grid`` puts it on the boundary.  The scan takes chunks of whole q3
-    rows of the (q3, grid) product at once; all brackets refine together."""
+    """1/theta of the contrast minimum at each q3, NaN where the coarse scan over ``grid``
+    puts it on the boundary or finds the row flat to rounding.  The scan takes chunks of
+    whole q3 rows of the (q3, grid) product at once; all brackets refine together."""
     rows = max(1, SWEEP_CHUNK_POINTS // len(grid))
     chunks = (slice(start, start + rows) for start in range(0, len(q3), rows))
     values = (
         _elliptic_minima(q3[c], beams[:, c], np.broadcast_to(grid, (len(q3[c]), len(grid)))).value for c in chunks
     )
-    idx = np.concatenate([np.reshape(v, (-1, len(grid))).argmin(axis=1) for v in values])
+    scans = (np.reshape(v, (-1, len(grid))) for v in values)
+    idx = np.concatenate([np.where(np.ptp(s, 1) <= _FLAT_ROW * s.max(1), 0, s.argmin(1)) for s in scans])
     inner = (idx > 0) & (idx < len(grid) - 1)
     found = np.full(len(q3), math.nan)
     found[inner] = _golden_section(

@@ -78,7 +78,7 @@ def _contract_blocks(blocks: TaylorTensor, pol: PolarizationPair) -> np.ndarray:
 def taylor_error(cfg: ScatterConfig, pol: PolarizationPair) -> float:
     """Max elementwise gap between the full and the expanded spin matrix."""
     full = spin_matrix(cfg, pol)
-    if not np.isfinite(full).all():  # at a subnormal q_l every entry is NaN
+    if not np.isfinite(full).all():  # a momentum whose square overflows leaves every entry NaN
         raise ValueError(f"spin matrix is not finite at q_l={cfg.q_l!r}, q2={cfg.q2!r}, q3={cfg.q3!r}")
     approx = _contract_blocks(taylor_tensor(cfg), pol)
     return float(np.max(np.abs(full - approx)))

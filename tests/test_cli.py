@@ -10,7 +10,7 @@ import pytest
 import kdspin
 from kdspin import cli
 from kdspin.cli import main, parse_angle, parse_polarization
-from kdspin.sweep import FitConvergenceError
+from kdspin.sweep import LOCUS_TOLERANCE, FitConvergenceError
 
 
 def parse_kv(output):
@@ -345,13 +345,26 @@ def test_locus_fit_nonfinite_momentum_exits_2(flags, tmp_path, capsys):
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("flags", [["--ql", "1e-200"], ["--ql", "1e200"], ["--q2", "1e200"]])
+@pytest.mark.parametrize("flags", [["--ql", "1e200"], ["--q2", "1e200"]])
 def test_locus_fit_extreme_momentum_exits_2(flags, tmp_path, capsys):
-    # the beam matrices or their determinants overflow; no numpy warning may leak out
+    # the beam matrices overflow; no numpy warning may leak out
     code = main(["locus-fit", "--q3-points", "3", "--out", str(tmp_path / "run"), *flags])
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("ql", ["1e-200", "1e-20"])
+def test_locus_fit_tiny_momentum_is_unbracketed(ql, tmp_path, capsys):
+    # the contrast is 1 to an ulp along a scan row: no minimum to bracket there
+    code = main(["locus-fit", "--ql", ql, "--out", str(tmp_path / "run")])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "unbracketed: q3=0.5\n" in err
+    rows = [line.split(",") for line in (tmp_path / "run_locus.csv").read_text().splitlines()[1:]]
+    inv_theta = {float(row[0]): float(row[1]) for row in rows}
+    assert math.isnan(inv_theta[1.0]) or abs(inv_theta[1.0] - 4.0 / math.pi) <= LOCUS_TOLERANCE
 
 
 @pytest.mark.filterwarnings("error")
@@ -439,9 +452,21 @@ def test_taylor_check_out_of_domain_warns(capsys):
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("scale", ["1e-320", "1e300"])
 def test_taylor_check_nonfinite_spin_matrix_exits_2(scale, capsys):
-    # a subnormal q_l leaves every entry of the spin matrix NaN; 1e300 overflows it
+    # at a subnormal scale the expansion equals the spin matrix exactly (error 0,
+    # at the rounding floor); 1e300 overflows the matrix
     code = main(["taylor-check", "--scale", scale, "--halvings", "1"])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1
     assert "error=" not in captured.out
+
+
+@pytest.mark.filterwarnings("error")
+def test_taylor_check_rounding_floor_exits_2(capsys):
+    # the first rung's gap is the O(q^3) remainder, the second's is rounding
+    # (below 8 eps max|M|): no order is printed, and no rung either
+    code = main(["taylor-check", "--scale", "1e-5", "--halvings", "1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: the expansion's error") and captured.err.count("\n") == 1
+    assert "rounding floor" in captured.err and captured.out == ""

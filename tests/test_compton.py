@@ -1,5 +1,6 @@
 import math
 
+import decimal_kernel
 import numpy as np
 import pytest
 
@@ -19,6 +20,7 @@ from kdspin.kinematics import ScatterConfig
 E3 = np.array([0.0, 0.0, 1.0 + 0.0j])
 CIRCULAR = np.array([0.0, 1.0, 1.0j]) / math.sqrt(2.0)
 ID2 = np.eye(2)
+EPS = np.finfo(float).eps
 
 
 def pauli_coefficients(block):
@@ -202,11 +204,45 @@ def test_batch_result_independent_of_batch_size():
         assert np.array_equal(alone_fields, row_fields[:, i : i + 1])
 
 
+def random_configurations(count, seed):
+    """(q_l, q2, q3, left, right) over q_l in [1e-8, 0.1] (log-uniform), |q2| <= 1 and
+    q3 in [0, 100], half of them with q3 <= 1.5; complex y and z beam amplitudes."""
+    rng = np.random.default_rng(seed)
+    q_l = 10.0 ** rng.uniform(-8.0, -1.0, count)
+    q2 = rng.uniform(-1.0, 1.0, count)
+    q3 = np.where(np.arange(count) % 2, rng.uniform(0.0, 100.0, count), rng.uniform(0.0, 1.5, count))
+    beams = np.zeros((2, count, 3), dtype=complex)
+    beams[:, :, 1:] = rng.normal(size=(2, count, 2)) + 1j * rng.normal(size=(2, count, 2))
+    return q_l, q2, q3, beams[0], beams[1]
+
+
 def test_spin_matrix_is_batch_of_one():
     cfg = ScatterConfig(q_l=0.02, q2=0.01, q3=0.7)
     pol = PolarizationPair(left=CIRCULAR, right=E3)
     batch = spin_matrix_batch(cfg.q_l, np.array([0.01, cfg.q2]), np.array([0.2, cfg.q3]), CIRCULAR, E3)
-    assert np.array_equal(spin_matrix(cfg, pol), batch[1])
+    assert spin_matrix(cfg, pol).tobytes() == batch[1].tobytes()
+    # one matrix runs on numpy scalars, a batch on arrays: the same bits either way
+    q_l, q2, q3, left, right = random_configurations(200, seed=7)
+    for i in range(200):
+        batch = spin_matrix_batch(q_l[i], q2, q3, left, right)
+        cfg = ScatterConfig(q_l=q_l[i], q2=q2[i], q3=q3[i])
+        pol = PolarizationPair(left=left[i], right=right[i])
+        assert spin_matrix(cfg, pol).tobytes() == batch[i].tobytes()
+
+
+def test_batch_matches_decimal_block_formula():
+    # the closed form against the block formula it was derived from, evaluated
+    # with 50 digits to spare: nothing cancels, so the error stays near eps max|M|
+    q_l, q2, q3, left, right = random_configurations(300, seed=2026)
+    for i in range(300):
+        m = spin_matrix_batch(q_l[i], q2[i : i + 1], q3[i : i + 1], left[i], right[i])[0]
+        exact = decimal_kernel.spin_matrix(q_l[i], q2[i], q3[i], left[i], right[i])
+        assert decimal_kernel.relative_error(m, exact) <= 8.0 * EPS
+    for q3 in (1e6, 1e50, 1e150):  # q3^2 overflows only above ~1.3e154
+        m = spin_matrix_batch(0.02, 0.01, q3, CIRCULAR, E3)
+        exact = decimal_kernel.spin_matrix(0.02, 0.01, q3, CIRCULAR, E3)
+        assert decimal_kernel.relative_error(m, exact) <= 8.0 * EPS
+    assert np.isnan(spin_matrix_batch(0.02, 0.01, 1e155, CIRCULAR, E3)).all()
 
 
 def test_batch_rejects_bad_photon_momentum():

@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import decimal_kernel
 import numpy as np
 import pytest
 
@@ -222,6 +223,13 @@ def reference_contrast(fixed, q3):
     return value
 
 
+def oracle_contrast(fixed, q3, inv_theta):
+    """Contrast at one (q3, 1/theta) point from the 50-digit block formula: a reference free
+    of the eps/q_l rounding that the tensor path carries at small q_l."""
+    pol = elliptic_polarization(1.0 / inv_theta)
+    return decimal_kernel.contrast(decimal_kernel.spin_matrix(fixed.q_l, fixed.q2, q3, pol.left, pol.right))
+
+
 def direct_minima(fixed, q3, inv_theta):
     """Contrast minima through the kernel at each (q3, 1/theta) point, without the M_y, M_z superposition."""
     q3, inv_theta = np.broadcast_arrays(np.asarray(q3, dtype=float), np.asarray(inv_theta, dtype=float))
@@ -264,7 +272,7 @@ def test_minimum_locus_takes_root_at_zero_q2():
             forbid_scan(mp)
             (point,) = minimum_locus([q3], inv_theta_range=(1.0, 1e4), fixed=fixed)
         assert point.bracketed
-        assert reference_contrast(fixed, q3)(point.inv_theta) <= 1e-20
+        assert oracle_contrast(fixed, q3, point.inv_theta) <= 1e-20
 
     check()
 
@@ -348,7 +356,7 @@ def test_minimum_locus_root_at_zero_q3_for_any_q2(monkeypatch):
     forbid_scan(monkeypatch)
     (point,) = minimum_locus([0.0], fixed=fixed)
     assert point.bracketed
-    assert reference_contrast(fixed, 0.0)(point.inv_theta) <= 1e-20
+    assert oracle_contrast(fixed, 0.0, point.inv_theta) <= 1e-20
 
 
 def test_locus_angles_span_kernel_of_spin_matrix(monkeypatch):

@@ -1,5 +1,7 @@
 import math
+from decimal import Decimal, localcontext
 
+import decimal_kernel
 import numpy as np
 import pytest
 
@@ -60,14 +62,46 @@ def test_error_bounded_on_axis():
     assert taylor_error(ScatterConfig(q_l=0.02), pol) <= 5.0 * 0.02**3
 
 
+def decimal_remainder(q, pol):
+    """max |M - expansion| at q_l = q2 = q3 = q, with M and the expansion in decimal arithmetic."""
+    exact = decimal_kernel.spin_matrix(q, q, q, pol.left, pol.right)
+    with localcontext() as ctx:
+        ctx.prec = 2 * decimal_kernel.DIGITS
+        q, half = Decimal(q), Decimal(1) / 2
+
+        def im(x):
+            return (Decimal(0), x)
+
+        def block(diagonal, v1, v2, v3):  # diagonal 1 + sigma . (v1, v2, v3)
+            return decimal_kernel.madd(decimal_kernel.mscale(diagonal, decimal_kernel.IDENTITY),
+                                       decimal_kernel.pauli(v1, v2, v3))
+
+        blocks = {  # taylor_tensor's m22, m23, m32, m33 at q_l = q2 = q3 = q
+            (1, 1): block(1 - 2 * q * q + half * q * q, decimal_kernel.ZERO, im(-half * q * q), im(-3 * half * q * q)),
+            (1, 2): block(-2 * q * q, im(-q), im(q * q), im(-q * q)),
+            (2, 1): block(-2 * q * q, im(q), im(q * q), im(-q * q)),
+            (2, 2): block(1 - 2 * q * q + half * q * q, decimal_kernel.ZERO, im(3 * half * q * q), im(half * q * q)),
+        }
+        gap = exact
+        for (i, j), b in blocks.items():
+            left, right = complex(pol.left[i]), complex(pol.right[j])
+            weight = decimal_kernel.cmul((Decimal(left.real), -Decimal(left.imag)), (Decimal(right.real), Decimal(right.imag)))
+            gap = decimal_kernel.madd(gap, decimal_kernel.mscale((-weight[0], -weight[1]), b))
+        return decimal_kernel.max_modulus(gap)
+
+
 def test_error_vanishes_toward_origin():
-    # the amplitude's propagator terms scale as 1/q_l and cancel to O(1), so
-    # double precision floors the gap at ~eps/q_l; 1e-4 sits near the optimum
+    # the gap is the expansion's O(q^3) remainder (~sqrt(2) q^3 here), not rounding:
+    # it matches the decimal remainder down to q = 1e-5, where it is ~9 eps of max|M|
     pol = elliptic_polarization(math.pi / 4.0)
-    assert taylor_error(ScatterConfig(q_l=1e-4, q2=1e-4, q3=1e-4), pol) <= 1e-12
+    for q in (1e-3, 1e-4, 1e-5):
+        remainder = float(decimal_remainder(q, pol))
+        assert taylor_error(ScatterConfig(q_l=q, q2=q, q3=q), pol) == pytest.approx(remainder, rel=1e-6)
 
 
 def test_error_rejects_nonfinite_spin_matrix():
     pol = elliptic_polarization(math.pi / 4.0)
     with pytest.raises(ValueError, match="not finite"):
-        taylor_error(ScatterConfig(q_l=1e-320, q2=1e-320, q3=1e-320), pol)
+        taylor_error(ScatterConfig(q_l=0.02, q3=1e200), pol)  # q3^2 overflows
+    # a subnormal scale leaves the matrix finite, and equal to its expansion
+    assert taylor_error(ScatterConfig(q_l=1e-320, q2=1e-320, q3=1e-320), pol) == 0.0
