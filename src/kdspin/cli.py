@@ -234,13 +234,14 @@ def cmd_locus_fit(args) -> int:
     failed = [p for p in points if not p.bracketed]
     for p in failed:
         print(f"unbracketed: q3={_format(p.q3)}", file=sys.stderr)
+    code = 0 if len(failed) <= 0.05 * len(points) else 3
 
     good = [(p.q3, p.inv_theta) for p in points if p.bracketed]
     try:
         left, right = fit_locus(good)
     except ValueError as exc:
         print(f"fit skipped: {exc}")
-        return 0 if len(failed) <= 0.05 * len(points) else 3
+        return code
     except FitConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
@@ -274,7 +275,7 @@ def cmd_locus_fit(args) -> int:
         rows = ((r.q3, r.prob_a, r.prob_b, r.alpha, r.phi) for r in trace)
         _write_csv(handle, "q3,prob_A,prob_B,alpha,phi", rows)
     print(f"wrote {fit_path} and {prob_path}")
-    return 0 if len(failed) <= 0.05 * len(points) else 3
+    return code
 
 
 def cmd_taylor_check(args) -> int:

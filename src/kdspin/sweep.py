@@ -11,10 +11,10 @@ term of det M(theta) vanishes (q2 = 0, and q3 = 0 at any q2) the bottom is
 the closed-form zero tan^2(theta) = det M_y / det M_z.  Elsewhere a coarse
 scan over 1/theta brackets it per q3 and one elementwise golden section
 refines all brackets together, a point costing one 2x2 superposition of
-M_y and M_z plus the minimizer.  The locus is
-fitted per branch by damped Gauss-Newton least squares against
-1/theta = c1 + c2 sqrt((q3 - q0)^2 + c3) with q0 = 0 on the left branch and
-q0 = 1 on the right.
+M_y and M_z plus the minimizer.  The locus is fitted per branch by least
+squares against 1/theta = c1 + c2 sqrt((q3 - q0)^2 + c3), with q0 = 0 on the
+left branch and q0 = 1 on the right, by variable projection: (c1, c2) are
+linear for fixed c3, so the fit is a one-dimensional problem in c3.
 """
 
 from __future__ import annotations
@@ -47,8 +47,9 @@ ROOT_RTOL = 1e-12
 #: points per batched chunk of a sweep or locus scan (whole rows, at least one)
 SWEEP_CHUNK_POINTS = 4096
 
-#: max - min of a coarse-scan row, relative to its max, up to which the row is flat to rounding
-#: and has no minimum (at q_l ~ 1e-20 it is 1 to an ulp; at q_l >= 1e-12 it spreads by >= 4e-10)
+#: depth, relative to the row's max, by which a coarse-scan minimum must lie below both row ends
+#: to count as a minimum rather than rounding (at q_l <= 1e-16 rows dip 1-1.5 eps; real minima at
+#: q_l >= 1e-8 lie >= 3.7e4 eps deep)
 _FLAT_ROW = 8.0 * np.finfo(float).eps
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -144,7 +145,8 @@ class FitModel:
 
 
 class FitConvergenceError(RuntimeError):
-    """Raised when the damped Gauss-Newton loop exhausts its iterations."""
+    """Raised when a fit branch degenerates: its c3 runs to an end of the
+    [1e-8, 10] grid, or its c3 profile has no minimum to bisect."""
 
 
 def _polarization(spec: GridSpec, y: float) -> PolarizationPair:
@@ -303,15 +305,18 @@ def _locus_roots(beams: np.ndarray) -> np.ndarray:
 
 def _scan_minima(q3: np.ndarray, beams: np.ndarray, grid: np.ndarray, tol: float) -> np.ndarray:
     """1/theta of the contrast minimum at each q3, NaN where the coarse scan over ``grid``
-    puts it on the boundary or finds the row flat to rounding.  The scan takes chunks of
-    whole q3 rows of the (q3, grid) product at once; all brackets refine together."""
+    puts it on the boundary or no more than ``_FLAT_ROW`` below both row ends.  The scan
+    takes chunks of whole q3 rows of the (q3, grid) product at once; all brackets refine
+    together."""
     rows = max(1, SWEEP_CHUNK_POINTS // len(grid))
     chunks = (slice(start, start + rows) for start in range(0, len(q3), rows))
     values = (
         _elliptic_minima(q3[c], beams[:, c], np.broadcast_to(grid, (len(q3[c]), len(grid)))).value for c in chunks
     )
     scans = (np.reshape(v, (-1, len(grid))) for v in values)
-    idx = np.concatenate([np.where(np.ptp(s, 1) <= _FLAT_ROW * s.max(1), 0, s.argmin(1)) for s in scans])
+    idx = np.concatenate([
+        np.where(s.min(1) < np.minimum(s[:, 0], s[:, -1]) - _FLAT_ROW * s.max(1), s.argmin(1), 0) for s in scans
+    ])
     inner = (idx > 0) & (idx < len(grid) - 1)
     found = np.full(len(q3), math.nan)
     found[inner] = _golden_section(
@@ -384,69 +389,57 @@ def evaluate_fit(model: FitModel, q3: float) -> float:
     return float(c1 + c2 * math.sqrt((q3 - offset) ** 2 + c3))
 
 
-def _fit_branch(q3: np.ndarray, inv_theta: np.ndarray, branch: str, domain) -> FitModel:
-    """Damped Gauss-Newton fit of one branch with a data-driven start.
+def _fit_profile(x: np.ndarray, y: np.ndarray, c3: np.ndarray):
+    """Variable projection of one branch's fit onto c3, for a 1-D array of c3.
 
-    For any trial curvature scale c3 the model is linear in (c1, c2), so the
-    start point solves that linear least-squares problem on a log-spaced c3
-    grid and keeps the best; Eq.-style published coefficients are never used
-    for initialization.  The Jacobian is analytic, (1, sqrt(s), c2 / (2 sqrt(s)))
-    with s = (q3 - q0)^2 + c3; steps are halved until the residual improves.
+    For fixed c3 the model c1 + c2 sqrt(x^2 + c3) is linear in (c1, c2),
+    solved here by the centred 2x2 normal equations.  Returns c1, c2, the sum
+    of squares SS and d(SS)/d log c3 = c3 c2 sum(r / sqrt(x^2 + c3)) over the
+    residuals r, each shaped like c3.
     """
-    offset = _branch_offset(branch)
-    shifted = q3 - offset
+    root = np.sqrt(x**2 + c3[:, None])
+    spread = root - root.mean(1, keepdims=True)
+    c2 = spread @ (y - y.mean()) / np.einsum("ij,ij->i", spread, spread)
+    c1 = y.mean() - c2 * root.mean(1)
+    res = c1[:, None] + c2[:, None] * root - y
+    return c1, c2, np.einsum("ij,ij->i", res, res), c3 * c2 * (res / root).sum(1)
 
-    def residual(params: np.ndarray) -> np.ndarray | None:
-        if params[2] <= 0.0:
-            return None  # square-root argument must stay positive
-        return params[0] + params[1] * np.sqrt(shifted**2 + params[2]) - inv_theta
 
-    best_start = None
-    for c3 in np.geomspace(1e-8, 10.0, 80):
-        design = np.stack([np.ones_like(shifted), np.sqrt(shifted**2 + c3)], axis=1)
-        coef, *_ = np.linalg.lstsq(design, inv_theta, rcond=None)
-        misfit = design @ coef - inv_theta
-        score = float(misfit @ misfit)
-        if best_start is None or score < best_start[0]:
-            best_start = (score, np.array([coef[0], coef[1], c3]))
-    params = best_start[1]
+def _fit_branch(q3: np.ndarray, inv_theta: np.ndarray, branch: str, domain) -> FitModel:
+    """Least-squares fit of one branch by variable projection (Golub and Pereyra, 1973).
 
-    res = residual(params)
-    sumsq = float(res @ res)
-    converged = False
-    for _ in range(200):
-        root = np.sqrt(shifted**2 + params[2])
-        jac = np.stack([np.ones_like(root), root, 0.5 * params[1] / root], axis=1)
-        gradient = jac.T @ res
-        try:
-            step = np.linalg.solve(jac.T @ jac, gradient)
-        except np.linalg.LinAlgError:
-            converged = True  # normal matrix singular at a flat point
-            break
-        damping = 1.0
-        improved = False
-        for _ in range(40):
-            trial = params - damping * step
-            r_new = residual(trial)
-            if r_new is not None:
-                new_sumsq = float(r_new @ r_new)
-                if new_sumsq < sumsq:
-                    params, res, sumsq = trial, r_new, new_sumsq
-                    improved = True
-                    break
-            damping *= 0.5
-        if not improved:
-            converged = True  # no descent direction left at fp resolution
-            break
-        if damping * np.linalg.norm(step) < 1e-14 * max(1.0, float(np.linalg.norm(params))):
-            converged = True
-            break
-    if not converged:
+    Minimized over (c1, c2), the sum of squares is a function of c3 alone.
+    ``_fit_profile`` evaluates it on a log-spaced c3 grid over [1e-8, 10];
+    its derivative in log c3 is then bisected between the grid neighbours of
+    the smallest value until the midpoint stops moving, which is the
+    stationary point of the three-parameter problem.  Published coefficients
+    are never used.  Raises FitConvergenceError when that smallest value is
+    at an end of the grid, where c3 runs to 0 (the model collapses to the V
+    c1 + c2 |q3 - q0|) or to infinity (a parabola), or when the derivative
+    does not go from negative to positive across the bracket.
+    """
+    x = q3 - _branch_offset(branch)
+    grid = np.geomspace(1e-8, 10.0, 80)
+    best = int(np.argmin(_fit_profile(x, inv_theta, grid)[2]))
+    if best in (0, len(grid) - 1):
+        end, shape = ("lower", "the V c1 + c2 |q3 - q0|") if best == 0 else ("upper", "a parabola")
         raise FitConvergenceError(
-            f"{branch} branch not converged after 200 damped iterations, "
-            f"residual norm {math.sqrt(sumsq):.6e}"
+            f"{branch} branch degenerates: c3 ran to {grid[best]:g}, the {end} end of its grid "
+            f"[{grid[0]:g}, {grid[-1]:g}], where the model is {shape}"
         )
-    return FitModel(branch=branch, params=params, domain=domain)
+    lo, hi = np.log(grid[[best - 1, best + 1]])
+    slope = _fit_profile(x, inv_theta, np.exp([lo, hi]))[3]
+    if not slope[0] < 0.0 < slope[1]:
+        raise FitConvergenceError(
+            f"{branch} branch: the c3 profile has no minimum between {grid[best - 1]:g} and {grid[best + 1]:g}"
+        )
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
+        lo, hi = (mid, hi) if _fit_profile(x, inv_theta, np.exp([mid]))[3][0] < 0.0 else (lo, mid)
+        mid = 0.5 * (lo + hi)
+    c3 = np.exp([mid])
+    c1, c2, *_ = _fit_profile(x, inv_theta, c3)
+    return FitModel(branch=branch, params=np.array([c1[0], c2[0], c3[0]]), domain=domain)
 
 
 def fit_locus(locus) -> tuple[FitModel, FitModel]:
@@ -454,8 +447,8 @@ def fit_locus(locus) -> tuple[FitModel, FitModel]:
 
     ``locus`` is a sequence of (q3, inv_theta) pairs covering [0, 1]; a q3
     outside that domain raises ValueError.  Each branch needs at least 4
-    points to overdetermine its 3 parameters; around 30 per branch is needed
-    for coefficients stable at the few percent level.
+    distinct q3 to overdetermine its 3 parameters; around 30 per branch is
+    needed for coefficients stable at the few percent level.
     """
     data = np.asarray([(float(a), float(b)) for a, b in locus])
     if data.size == 0:
@@ -467,11 +460,9 @@ def fit_locus(locus) -> tuple[FitModel, FitModel]:
     q3, inv_theta = data[finite, 0], data[finite, 1]
     left_mask = q3 <= BRANCH_SPLIT + 1e-12
     right_mask = q3 >= BRANCH_SPLIT - 1e-12
-    if left_mask.sum() < 4 or right_mask.sum() < 4:
-        raise ValueError(
-            f"need at least 4 points per branch, got {int(left_mask.sum())} left / "
-            f"{int(right_mask.sum())} right"
-        )
+    distinct = [np.unique(q3[mask]).size for mask in (left_mask, right_mask)]
+    if min(distinct) < 4:
+        raise ValueError(f"need at least 4 distinct q3 per branch, got {distinct[0]} left / {distinct[1]} right")
     left = _fit_branch(q3[left_mask], inv_theta[left_mask], "left", (0.0, BRANCH_SPLIT))
     right = _fit_branch(q3[right_mask], inv_theta[right_mask], "right", (BRANCH_SPLIT, 1.0))
     return left, right

@@ -10,7 +10,7 @@ import pytest
 import kdspin
 from kdspin import cli
 from kdspin.cli import main, parse_angle, parse_polarization
-from kdspin.sweep import LOCUS_TOLERANCE, FitConvergenceError
+from kdspin.sweep import LOCUS_TOLERANCE
 
 
 def parse_kv(output):
@@ -304,17 +304,17 @@ def test_locus_fit_outside_fit_domain_skips_fit(flags, tmp_path, capsys):
     assert not (tmp_path / "run_probabilities.csv").exists()
 
 
-def test_locus_fit_unconverged_fit_exits_3(tmp_path, capsys, monkeypatch):
-    def unconverged(locus):
-        raise FitConvergenceError("left branch not converged after 200 damped iterations")
-
-    monkeypatch.setattr("kdspin.cli.fit_locus", unconverged)
-    code = main(["locus-fit", "--q3-points", "9", "--q3-min", "0.8", "--out", str(tmp_path / "run")])
+@pytest.mark.filterwarnings("error")
+def test_locus_fit_unconverged_fit_exits_3(tmp_path, capsys):
+    # at q2 = 0.05 the left branch's c3 runs to 0: the fit collapses to a V and is not written
+    code = main(["locus-fit", "--q2", "0.05", "--out", str(tmp_path / "run")])
     err = capsys.readouterr().err
     assert code == 3
-    assert "error: left branch not converged" in err
+    assert err.count("error:") == 1 and "error: left branch degenerates: c3 ran to 1e-08" in err
     assert "Traceback" not in err
     assert (tmp_path / "run_locus.csv").is_file()
+    assert not (tmp_path / "run_fit.txt").exists()
+    assert not (tmp_path / "run_probabilities.csv").exists()
 
 
 @pytest.mark.parametrize(

@@ -19,6 +19,7 @@ from kdspin.kinematics import ScatterConfig
 from kdspin.sweep import (
     LOCUS_TOLERANCE,
     SWEEP_CHUNK_POINTS,
+    FitConvergenceError,
     FitModel,
     FixedParams,
     GridSpec,
@@ -211,6 +212,15 @@ def test_minimum_locus_flags_unbracketed():
     assert not points[0].bracketed
     assert math.isnan(points[0].inv_theta)
     assert points[0].status == "unbracketed"
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("q_l, q3", [(1e-20, 0.9992), (1e-18, 0.9), (1e-16, 0.5)])
+def test_minimum_locus_rounding_dip_is_unbracketed(q_l, q3):
+    # these scan rows dip only 1-1.5 eps below their lower end: rounding, not a minimum
+    (point,) = minimum_locus([q3], fixed=FixedParams(q_l=q_l))
+    assert not point.bracketed and point.status == "unbracketed"
+    assert math.isnan(point.inv_theta)
 
 
 def reference_contrast(fixed, q3):
@@ -437,6 +447,23 @@ def test_fit_requires_minimum_points():
     data = [(0.0, 50.0), (0.5, 10.0), (1.0, 1.3)]
     with pytest.raises(ValueError):
         fit_locus(data)
+    with pytest.raises(ValueError, match="need at least 4 distinct q3 per branch, got 1 left / 1 right"):
+        fit_locus([(0.9, 7.0)] * 10)  # ten points, but one q3 on each branch
+
+
+@pytest.mark.parametrize(
+    "right, bound",
+    [
+        pytest.param(lambda q: 1.0 + 30.0 * abs(q - 1.0), "c3 ran to 1e-08, the lower end", id="V"),
+        pytest.param(lambda q: 1.0 + 300.0 * (q - 1.0) ** 2, "c3 ran to 10, the upper end", id="parabola"),
+    ],
+)
+def test_fit_degenerate_branch_raises(right, bound):
+    # a V (c3 -> 0) or a parabola (c3 -> infinity) on the right branch is reported, not fitted
+    data = [(q, evaluate_fit(left_model(PAPER_LEFT), q)) for q in np.linspace(0.0, 0.88, 40)]
+    data += [(q, right(q)) for q in np.linspace(0.9, 1.0, 30)]
+    with pytest.raises(FitConvergenceError, match=f"right branch degenerates: {bound}"):
+        fit_locus(data)
 
 
 @pytest.mark.parametrize("q3", [-0.2, 1.05, math.nan])
@@ -446,17 +473,25 @@ def test_fit_rejects_q3_outside_domain(q3):
         fit_locus(data)
 
 
-def test_fit_residual_small_against_branch_range():
-    points = minimum_locus(np.linspace(0.0, 1.0, 41))
+@pytest.mark.parametrize("q2", [0.0, 0.01])
+def test_fit_residual_small_against_branch_range(q2):
+    points = minimum_locus(np.linspace(0.0, 1.0, 41), fixed=FixedParams(q2=q2))
     data = [(p.q3, p.inv_theta) for p in points if p.bracketed]
     left, right = fit_locus(data)
-    for model in (left, right):
+    for model, offset in ((left, 0.0), (right, 1.0)):
         lo, hi = model.domain
         branch = [(q, v) for q, v in data if lo - 1e-12 <= q <= hi + 1e-12]
         resid = [evaluate_fit(model, q) - v for q, v in branch]
         rms = math.sqrt(sum(r * r for r in resid) / len(resid))
         dynamic_range = max(v for _, v in branch) - min(v for _, v in branch)
         assert rms <= 0.02 * dynamic_range
+        # stationarity of the full 3-parameter problem, whatever the method:
+        # each Jacobian column (1, sqrt(s), c2 / (2 sqrt(s))) is orthogonal to the residual
+        q3 = np.array([q for q, _ in branch])
+        c1, c2, c3 = model.params
+        root = np.sqrt((q3 - offset) ** 2 + c3)
+        jac = np.stack([np.ones_like(root), root, 0.5 * c2 / root])
+        assert np.all(np.abs(jac @ resid) <= 1e-10 * np.linalg.norm(jac, axis=1) * np.linalg.norm(resid))
 
 
 def test_evaluate_fit_published_endpoints():
