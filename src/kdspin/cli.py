@@ -180,7 +180,6 @@ def cmd_sweep(args) -> int:
     fixed = FixedParams(
         q_l=args.ql,
         q2=args.q2,
-        q3=args.q3,
         theta=args.theta,
         pol=_polarization_from_args(args) if (args.pol_l is not None or args.pol_r is not None) else None,
     )
@@ -198,7 +197,7 @@ def cmd_sweep(args) -> int:
     with open(out, "w", encoding="ascii", newline="\n") as handle:
         write_tile_csv(tile, handle)
     print(f"wrote {out} ({spec.nx * spec.ny} points)")
-    failed = Counter(status for status in tile.status.flat if status.startswith("failed"))
+    failed = Counter(tile.status[np.isnan(tile.contrast)].tolist())
     if failed:
         counts = ", ".join(f"{name}: {n}" for name, n in sorted(failed.items()))
         print(
@@ -313,14 +312,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, theta_default=math.pi / 4.0):
+    def add_momenta(p):
         p.add_argument("--ql", type=float, default=0.02, help="photon momentum q_l (default 0.02)")
         p.add_argument("--q2", type=float, default=0.0, help="transverse momentum q2")
-        p.add_argument("--q3", type=float, default=0.0, help="transverse momentum q3")
+
+    def add_beams(p):
         p.add_argument(
             "--theta",
             type=parse_angle,
-            default=theta_default,
+            default=math.pi / 4.0,
             help="left-beam ellipticity angle (radians or 'pi/4' style)",
         )
         p.add_argument("--pol-l", type=parse_polarization, default=None, metavar="RE,IM,...",
@@ -329,11 +329,14 @@ def build_parser() -> argparse.ArgumentParser:
                        help="right amplitude as re,im pairs (default 0,0,0,0,1,0)")
 
     p_point = sub.add_parser("point", help="single configuration: matrix, contrast, angles")
-    add_common(p_point)
+    add_momenta(p_point)
+    p_point.add_argument("--q3", type=float, default=0.0, help="transverse momentum q3")
+    add_beams(p_point)
     p_point.set_defaults(func=cmd_point)
 
     p_sweep = sub.add_parser("sweep", help="grid sweep to CSV (optional P5 heatmap)")
-    add_common(p_sweep)
+    add_momenta(p_sweep)
+    add_beams(p_sweep)  # --pol-l/--pol-r only on a q2,q3 grid
     p_sweep.add_argument("--axes", required=True, type=lambda s: tuple(s.split(",")),
                          help="axis pair: q2,q3 or q3,theta or q3,inv_theta")
     p_sweep.add_argument("--x-range", required=True, type=lambda s: [float(v) for v in s.split(",")],
@@ -365,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_locus.set_defaults(func=cmd_locus_fit)
 
     p_taylor = sub.add_parser("taylor-check", help="convergence order of the expansion")
-    add_common(p_taylor)
+    add_beams(p_taylor)  # the ladder sets q_l = q2 = q3 = scale
     p_taylor.add_argument("--scale", type=float, default=1e-2,
                           help="largest momentum scale of the halving ladder")
     p_taylor.add_argument("--halvings", type=parse_positive_int, default=4)
@@ -405,7 +408,8 @@ def main(argv=None) -> int:
     count such as ``--workers`` below 1, a missing required flag) raises
     ``SystemExit(2)`` after argparse prints its usage and ``error:`` line.
     A rejected combination of values (an unsupported ``--axes`` pair, a
-    beam-axis ``--pol-l``, a non-finite momentum) returns 2 after an
+    beam-axis ``--pol-l``, ``--pol-l`` or ``--pol-r`` on a theta or
+    inv_theta sweep, a non-finite momentum or angle) returns 2 after an
     ``error:`` line on stderr.
     """
     if argv is None:

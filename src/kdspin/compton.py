@@ -53,7 +53,9 @@ class PolarizationPair:
 
 def elliptic_polarization(theta: float) -> PolarizationPair:
     """Elliptically polarized left beam (0, cos theta, i sin theta) against
-    a linearly polarized right beam (0, 0, 1)."""
+    a linearly polarized right beam (0, 0, 1).  Raises ValueError for a non-finite theta."""
+    if not math.isfinite(theta):
+        raise ValueError(f"theta must be finite, got {theta!r}")
     return PolarizationPair(
         left=np.array([0.0, np.cos(theta), 1j * np.sin(theta)]),
         right=np.array([0.0, 0.0, 1.0]),

@@ -2,8 +2,9 @@
 
 A sweep evaluates the spin matrix and its minimized contrast on a regular
 grid over one of the supported axis pairs, in one process: chunks of whole
-grid rows go through the batched kernel and minimizer at once, and a point
-they leave NaN is named after the exception the scalar forms raise for it.
+grid rows go through the batched kernel and minimizer at once, with one beam
+array per chunk, and a point they leave NaN is named after the exception the
+scalar forms raise for it.
 The minimum locus traces, for each transverse momentum q3, the inverse
 ellipticity 1/theta at which the contrast valley bottoms out.  The elliptic
 beam gives M(theta) = cos(theta) M_y - i sin(theta) M_z; where the cross
@@ -24,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .compton import PolarizationPair, elliptic_polarization, spin_matrix_batch
+from .compton import PolarizationPair, elliptic_left, elliptic_polarization, spin_matrix_batch
 from .contrast import (
     ContrastBatch,
     NewtonStatus,
@@ -60,16 +61,14 @@ _CONVERGED = NewtonStatus.CONVERGED_GRADIENT.value
 #: M_y, M_z span the elliptic beam, and (z) its linear absorption beam
 _UNIT_Y, _UNIT_Z = np.eye(3, dtype=complex)[1:]
 
-_NAN_BEAM = np.full(3, math.nan + 0j)
-
 
 @dataclass(frozen=True)
 class FixedParams:
-    """Values held constant over a sweep; axes override the matching field."""
+    """Values held constant over a sweep (q3 is an axis of every supported pair).
+    ``theta``, or ``pol`` when given, sets the beams of a q2,q3 grid only."""
 
     q_l: float = 0.02
     q2: float = 0.0
-    q3: float = 0.0
     theta: float = math.pi / 4.0
     pol: PolarizationPair | None = None
 
@@ -99,9 +98,12 @@ class GridSpec:
         for name, ends in (("x range", self.x_range), ("y range", self.y_range)):
             if not math.isfinite(ends[1] - ends[0]):  # also a width that overflows
                 raise ValueError(f"{name} must have finite ends and width, got {ends!r}")
-        for name in ("q_l", "q2", "q3", "theta"):
+        for name in ("q_l", "q2", "theta"):
             if not math.isfinite(value := getattr(self.fixed, name)):
                 raise ValueError(f"{name} must be finite, got {value!r}")
+        if self.fixed.pol is not None and self.y_name != "q3":
+            raise ValueError(f"a fixed beam pair applies only to a q2,q3 grid; on a {self.x_name},{self.y_name} "
+                             "grid the y axis sets the left beam")
         if not (self.x_range[0] < self.x_range[1] and self.y_range[0] < self.y_range[1]):
             raise ValueError("axis ranges must be nondegenerate increasing intervals")
 
@@ -149,42 +151,22 @@ class FitConvergenceError(RuntimeError):
     [1e-8, 10] grid, or its c3 profile has no minimum to bisect."""
 
 
-def _polarization(spec: GridSpec, y: float) -> PolarizationPair:
-    """Beam pair of grid row y (the polarization depends on y only)."""
-    if spec.y_name == "theta":
-        return elliptic_polarization(y)
-    if spec.y_name == "inv_theta":
-        return elliptic_polarization(1.0 / y)
-    fixed = spec.fixed
-    return fixed.pol if fixed.pol is not None else elliptic_polarization(fixed.theta)
-
-
-def _batch_rows(spec: GridSpec, xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, list[str]]:
-    """(5, len(ys), len(xs)) contrast, alpha, phi, prob_A, prob_B of whole grid rows,
-    and the status of each row's NaN points.
-
-    A row without a valid beam pair gets NaN amplitudes and the name of the
-    exception its beam pair raised; in any other row a NaN point is a matrix
-    that ``minimize_contrast`` rejects with ValueError.
-    """
-    beams, failures = [], []
-    for y in ys:
-        try:
-            pol = _polarization(spec, float(y))
-            beams.append((pol.left, pol.right))
-            failures.append("failed_ValueError")
-        except (ValueError, ZeroDivisionError) as exc:
-            beams.append((_NAN_BEAM, _NAN_BEAM))
-            failures.append(f"failed_{type(exc).__name__}")
-    left, right = (np.repeat(side, len(xs), axis=0) for side in zip(*beams))
+def _batch_rows(spec: GridSpec, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """(5, len(ys), len(xs)) contrast, alpha, phi, prob_A, prob_B of whole grid rows: one (3,)
+    beam pair on a q2,q3 grid, else each row's elliptic left beam against (0, 0, 1).  NaN where
+    a beam is not finite (1/theta at 0 or overflowing) or ``minimize_contrast`` rejects a matrix."""
     across = np.tile(xs, len(ys))
+    fixed = spec.fixed
     if spec.x_name == "q2":
-        q2, q3 = across, np.repeat(ys, len(xs))
+        pol = fixed.pol if fixed.pol is not None else elliptic_polarization(fixed.theta)
+        q2, q3, left, right = across, np.repeat(ys, len(xs)), pol.left, pol.right
     else:
-        q2, q3 = np.full_like(across, spec.fixed.q2), across
-    res = minimize_contrast_batch(spin_matrix_batch(spec.fixed.q_l, q2, q3, left, right))
-    fields = (res.value, res.alpha, res.phi, res.prob_a, res.prob_b)
-    return np.reshape(fields, (5, len(ys), len(xs))), failures
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # 1/theta at 0 gives NaN beams
+            theta = ys if spec.y_name == "theta" else 1.0 / ys
+            left = np.repeat(elliptic_left(theta), len(xs), axis=0)
+        q2, q3, right = np.full_like(across, fixed.q2), across, _UNIT_Z
+    res = minimize_contrast_batch(spin_matrix_batch(fixed.q_l, q2, q3, left, right))
+    return np.reshape((res.value, res.alpha, res.phi, res.prob_a, res.prob_b), (5, len(ys), len(xs)))
 
 
 def run_sweep(spec: GridSpec, workers: int = 1) -> SweepTile:
@@ -193,24 +175,25 @@ def run_sweep(spec: GridSpec, workers: int = 1) -> SweepTile:
     Chunks of whole rows (fixed y) go through ``spin_matrix_batch`` and
     ``minimize_contrast_batch`` in this process.  Each point's result is
     independent of the chunk it lands in, so the tile is bit-identical for
-    any chunking.  A point the batch leaves NaN gets the status
-    ``failed_<exception>``, the exception that ``ScatterConfig``, the row's
-    beam pair, ``spin_matrix`` and ``minimize_contrast`` raise for it, such
-    as ``failed_ZeroDivisionError`` on an ``inv_theta`` row at 0 and
-    ``failed_ValueError`` for q_l <= 0.  ``workers`` is accepted for
-    compatibility and has no effect.
+    any chunking.  A point the batch leaves NaN gets the status of the
+    exception the scalar forms raise for it: ``failed_ZeroDivisionError`` on
+    an ``inv_theta`` row at 0 when q_l > 0, ``failed_ValueError`` for every
+    other NaN point (q_l <= 0, a dark beam, an overflowing matrix or 1/theta).
+    ``workers`` is accepted for compatibility and has no effect.
     """
     xs = np.linspace(spec.x_range[0], spec.x_range[1], spec.nx)
     ys = np.linspace(spec.y_range[0], spec.y_range[1], spec.ny)
     fields = np.full((5, spec.ny, spec.nx), math.nan)
-    failures = np.full(spec.ny, "failed_ValueError", dtype=object)
     if spec.fixed.q_l > 0.0:  # else ScatterConfig rejects every point
         rows = max(1, SWEEP_CHUNK_POINTS // spec.nx)
         for start in range(0, spec.ny, rows):
             chunk = slice(start, start + rows)
-            fields[:, chunk], failures[chunk] = _batch_rows(spec, xs, ys[chunk])
-    # an object-dtype _CONVERGED keeps one shared str instead of one per point
-    status = np.where(np.isnan(fields[0]), failures[:, None], np.array(_CONVERGED, dtype=object))
+            fields[:, chunk] = _batch_rows(spec, xs, ys[chunk])
+    # object-dtype statuses keep one shared str each instead of one per point
+    failed, converged = (np.array(name, dtype=object) for name in ("failed_ValueError", _CONVERGED))
+    status = np.where(np.isnan(fields[0]), failed, converged)
+    if spec.y_name == "inv_theta" and spec.fixed.q_l > 0.0:
+        status[ys == 0.0] = "failed_ZeroDivisionError"  # 1.0 / 0.0 raises before any beam is built
     contrast, alpha, phi, prob_a, prob_b = fields
     return SweepTile(
         spec=spec,
@@ -330,7 +313,6 @@ def minimum_locus(
     inv_theta_range: tuple[float, float] = (1.0, 100.0),
     inv_theta_points: int = 400,
     fixed: FixedParams | None = None,
-    tol: float = LOCUS_TOLERANCE,
 ) -> list[LocusPoint]:
     """Trace the contrast minimum over 1/theta for each q3 (q2 held fixed).
 
@@ -339,7 +321,7 @@ def minimum_locus(
     and lies inside ``inv_theta_range``, it is the locus point: the contrast
     is zero there.  Every other q3 takes the scan path: a batched coarse
     scan over ``inv_theta_points`` values per q3, then one elementwise
-    golden section that refines all scan-path brackets to ``tol`` together.
+    golden section that refines all scan-path brackets to ``LOCUS_TOLERANCE`` together.
     Scan points whose coarse minimum lands on the scan boundary cannot be
     bracketed and are flagged with ``bracketed=False`` and NaN results.  A
     point's result does not depend on the other q3 values requested with it.
@@ -362,7 +344,7 @@ def minimum_locus(
     inv_theta = np.where((roots > lo) & (roots < hi), roots, math.nan)
     scan = np.isnan(inv_theta)
     if scan.any():
-        inv_theta[scan] = _scan_minima(q3[scan], beams[:, scan], np.linspace(lo, hi, inv_theta_points), tol)
+        inv_theta[scan] = _scan_minima(q3[scan], beams[:, scan], np.linspace(lo, hi, inv_theta_points), LOCUS_TOLERANCE)
     bracketed = ~np.isnan(inv_theta)
     res = _elliptic_minima(q3[bracketed], beams[:, bracketed], inv_theta[bracketed])
     fields = np.full((4, len(q3)), math.nan)

@@ -194,6 +194,9 @@ def test_sweep_bad_axes(capsys):
         ["locus-fit", "--out", "unused", "--q3-points", "-1"],
         ["taylor-check", "--halvings", "0"],
         ["taylor-check", "--halvings", "-1"],
+        # flags a command does not read: the taylor ladder sets every momentum, q3 is a sweep axis
+        ["taylor-check", "--ql", "7"],
+        ["sweep", "--axes", "q2,q3", "--x-range", "0,1", "--y-range", "0,1", "--out", "unused.csv", "--q3", "0.5"],
     ],
 )
 def test_bad_flag_value_exits_2(argv, capsys):
@@ -387,6 +390,30 @@ def test_sweep_nonfinite_input_exits_2(flags, tmp_path, capsys):
     assert code == 2
     assert err.startswith("error:") and err.count("\n") == 1
     assert "finite" in err
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "argv", [["point", "--theta", "inf"], ["point", "--theta", "nan"], ["taylor-check", "--theta", "-inf"]]
+)
+def test_nonfinite_theta_exits_2(argv, capsys):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == f"error: theta must be finite, got {float(argv[-1])!r}\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("axes", ["q3,theta", "q3,inv_theta"])
+def test_sweep_beam_pair_on_theta_axis_exits_2(axes, tmp_path, capsys):
+    # the y axis sets the left beam there, so --pol-l would go unread
+    out = tmp_path / "tile.csv"
+    argv = ["sweep", "--axes", axes, "--x-range", "0,1", "--y-range", "1,2", "--nx", "2", "--ny", "2"]
+    code = main([*argv, "--out", str(out), "--pol-l", "0,0,1,0,0,1"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and err.count("\n") == 1
     assert not out.exists()
 
 

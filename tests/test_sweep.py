@@ -56,9 +56,12 @@ def test_grid_spec_validation():
     for x_range, y_range in (((0, math.inf), (0, 1)), ((0, 1), (math.nan, 1)), ((-1e308, 1e308), (0, 1))):
         with pytest.raises(ValueError, match="finite"):
             GridSpec("q2", "q3", x_range, y_range, 5, 5)
-    for name in ("q_l", "q2", "q3", "theta"):
+    for name in ("q_l", "q2", "theta"):
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             GridSpec("q3", "theta", (0, 1), (0, 1), 5, 5, fixed=FixedParams(**{name: math.nan}))
+    # on a theta axis the y value sets the left beam: a fixed pair would go unread
+    with pytest.raises(ValueError, match="only to a q2,q3 grid"):
+        GridSpec("q3", "theta", (0, 1), (0, 1), 5, 5, fixed=FixedParams(pol=elliptic_polarization(0.3)))
 
 
 def test_momentum_sweep_around_reference_point():
@@ -133,8 +136,9 @@ def test_sweep_records_failed_points(fixed):
     assert np.isnan(tile.contrast).all() and np.isnan(tile.prob_b).all()
 
 
-def scalar_status(spec, x, y):
-    """Status of one grid point from the scalar forms: the exception they raise, if any."""
+def scalar_point(spec, x, y):
+    """Status and the five result fields (as float.hex) of one grid point from the
+    scalar forms: the exception they raise and NaN fields, if they raise."""
     fixed = spec.fixed
     q2, q3 = (x, y) if spec.x_name == "q2" else (fixed.q2, x)
     try:
@@ -145,10 +149,10 @@ def scalar_status(spec, x, y):
             pol = elliptic_polarization(1.0 / y)
         else:
             pol = fixed.pol or elliptic_polarization(fixed.theta)
-        minimize_contrast(spin_matrix(cfg, pol))
+        res = minimize_contrast(spin_matrix(cfg, pol))
     except (ValueError, ZeroDivisionError) as exc:
-        return f"failed_{type(exc).__name__}"
-    return "converged_gradient"
+        return f"failed_{type(exc).__name__}", [math.nan.hex()] * 5
+    return "converged_gradient", [float(v).hex() for v in (res.value, res.alpha, res.phi, res.prob_a, res.prob_b)]
 
 
 @pytest.mark.parametrize(
@@ -174,15 +178,25 @@ def scalar_status(spec, x, y):
             ),
             {"failed_ValueError"},
         ),
+        # theta rows at q2 != 0, across theta = 0 and both signs
+        (GridSpec("q3", "theta", (0.0, 1.0), (-1.6, 1.6), 9, 17, fixed=FixedParams(q2=0.013)), {"converged_gradient"}),
+        (
+            GridSpec("q3", "inv_theta", (0.0, 1.0), (-20.0, 20.0), 9, 21, fixed=FixedParams(q2=-0.03)),
+            {"failed_ZeroDivisionError", "converged_gradient"},
+        ),
+        # 1/theta overflows to inf past y = 0: theta is not finite
+        (GridSpec("q3", "inv_theta", (0.0, 1.0), (0.0, 1e-310), 3, 3), {"failed_ZeroDivisionError", "failed_ValueError"}),
     ],
 )
 def test_sweep_status_names_scalar_exception(spec, statuses):
     tile = run_sweep(spec)
     assert set(tile.status.flat) == statuses
+    fields = (tile.contrast, tile.alpha, tile.phi, tile.prob_a, tile.prob_b)
     for j, y in enumerate(tile.y.tolist()):
         for i, x in enumerate(tile.x.tolist()):
-            assert tile.status[j, i] == scalar_status(spec, x, y)
-            assert np.isnan(tile.contrast[j, i]) == tile.status[j, i].startswith("failed_")
+            status, expected = scalar_point(spec, x, y)
+            assert tile.status[j, i] == status
+            assert [float(f[j, i]).hex() for f in fields] == expected
 
 
 def test_refinement_never_raises_minimum():
