@@ -43,7 +43,6 @@ from .sweep import (
     FixedParams,
     GridSpec,
     LocusPoint,
-    ProbabilityPoint,
     SweepTile,
     evaluate_fit,
     fit_locus,
@@ -68,7 +67,6 @@ __all__ = [
     "LocusPoint",
     "NewtonStatus",
     "PolarizationPair",
-    "ProbabilityPoint",
     "ScatterConfig",
     "SweepTile",
     "TaylorTensor",

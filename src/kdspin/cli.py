@@ -3,7 +3,7 @@
 Outputs are plain CSV tables (locale-independent, full round-trip float
 precision) and binary portable graymap (P5) heatmaps with a key=value
 sidecar recording the value mapping.  Exit codes: 0 success, 2 invalid
-parameters, 3 locus bracketing failure, 4 unwritable output.
+parameters, 3 locus bracketing or fit failure, 4 unwritable output.
 """
 
 from __future__ import annotations
@@ -241,9 +241,6 @@ def cmd_locus_fit(args) -> int:
     except ValueError as exc:
         print(f"fit skipped: {exc}")
         return code
-    except FitConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
 
     def branch_rms(model, data):
         errs = [evaluate_fit(model, q) - v for q, v in data if model.domain[0] - 1e-12 <= q <= model.domain[1] + 1e-12]
@@ -287,14 +284,17 @@ def cmd_taylor_check(args) -> int:
     pol = _polarization_from_args(args)
     if args.scale > DOMAIN_LIMIT:
         print(f"warning: scale {args.scale} exceeds the expansion domain ({DOMAIN_LIMIT})")
-    scales = [args.scale / 2.0**k for k in range(args.halvings + 1)]
-    configs = [ScatterConfig(q_l=h, q2=h, q3=h) for h in scales]
-    errors = [taylor_error(cfg, pol) for cfg in configs]
-    for h, cfg, err in zip(scales, configs, errors):  # check every rung before printing any
+    scales, errors = [], []
+    for k in range(args.halvings + 1):  # check every rung before printing any
+        h = math.ldexp(args.scale, -k)
+        cfg = ScatterConfig(q_l=h, q2=h, q3=h)
+        err = taylor_error(cfg, pol)
         floor = 8.0 * np.finfo(float).eps * float(np.abs(spin_matrix(cfg, pol)).max())
         if err <= floor:
             raise ValueError(f"the expansion's error {_format(err)} at scale {_format(h)} is at the rounding "
                              f"floor 8 eps max|M| = {_format(floor)}, where no convergence order can be read")
+        scales.append(h)
+        errors.append(err)
     for h, err in zip(scales, errors):
         print(f"scale={_format(h)} error={_format(err)}")
     order = float(np.polyfit(np.log(scales), np.log(errors), 1)[0])
@@ -354,8 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_locus = sub.add_parser("locus-fit", help="minimum locus over 1/theta, two-branch fit")
-    p_locus.add_argument("--ql", type=float, default=0.02)
-    p_locus.add_argument("--q2", type=float, default=0.0)
+    add_momenta(p_locus)
     p_locus.add_argument("--q3-min", type=float, default=0.0)
     p_locus.add_argument("--q3-max", type=float, default=1.0)
     p_locus.add_argument("--q3-points", type=parse_positive_int, default=201)
@@ -407,22 +406,25 @@ def main(argv=None) -> int:
     A flag value that argparse rejects (an unparsable number or angle, a
     count such as ``--workers`` below 1, a missing required flag) raises
     ``SystemExit(2)`` after argparse prints its usage and ``error:`` line.
-    A rejected combination of values (an unsupported ``--axes`` pair, a
-    beam-axis ``--pol-l``, ``--pol-l`` or ``--pol-r`` on a theta or
-    inv_theta sweep, a non-finite momentum or angle) returns 2 after an
-    ``error:`` line on stderr.
+    Otherwise an exception from the command prints one ``error:`` line on
+    stderr and sets the exit code: 2 for a ValueError (a rejected combination
+    of values, such as an unsupported ``--axes`` pair or a non-finite momentum)
+    or a MemoryError (a grid too large for memory), 3 for a
+    FitConvergenceError, 4 for an OSError (an unwritable output).
     """
     if argv is None:
         argv = sys.argv[1:]
     args = build_parser().parse_args(_join_dashed_values(list(argv)))
     try:
         return args.func(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except (ValueError, MemoryError) as exc:  # invalid parameters, or a grid too large for memory
+        error, code = exc, 2
+    except FitConvergenceError as exc:
+        error, code = exc, 3
     except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        error, code = exc, 4
+    print(f"error: {error}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -112,20 +112,27 @@ def canonicalize(pair: BlochPair) -> BlochPair:
     alpha -> 2pi - alpha), which reproduces the spinor pair up to a global
     sign.
     """
-    alpha = pair.alpha % TWO_PI
-    phi = pair.phi % TWO_PI
-    if phi >= math.pi:
-        phi -= math.pi
-        alpha = (TWO_PI - alpha) % TWO_PI
-    return BlochPair(alpha=alpha, phi=phi)
+    alpha, phi = _fold(pair.alpha % TWO_PI, pair.phi % TWO_PI)
+    return BlochPair(alpha=float(alpha), phi=float(phi))
 
 
-def _quadratic_form(m: np.ndarray) -> tuple[float, float, float, float]:
-    """Coefficients (t, v, a, b) of |M psi_A|^2 over the Bloch angles."""
-    p = m.conj().T @ m
-    t = p[0, 0].real + p[1, 1].real
-    v = 0.5 * (p[0, 0].real - p[1, 1].real)
-    return t, v, p[0, 1].real, p[0, 1].imag
+def _fold(alpha, phi):
+    """(alpha, phi) with each phi in [pi, 2pi) folded into [0, pi) and its alpha taken to
+    2pi - alpha (mod 2pi), elementwise; alpha in [0, 2pi] and phi in [0, 2pi) or NaN."""
+    upper = phi >= math.pi
+    return np.where(upper, (TWO_PI - alpha) % TWO_PI, alpha), np.where(upper, phi - math.pi, phi)
+
+
+def _bloch_form(r00, i00, r01, i01, r10, i10, r11, i11):
+    """Coefficients (t, v, a, b) of |M psi_A|^2 over the Bloch angles, elementwise, from the
+    real and imaginary parts of the entries u_rc of M.  Real arithmetic throughout: a complex
+    product may be fused or not depending on numpy's inner loop."""
+    p00 = r00 * r00 + i00 * i00 + (r10 * r10 + i10 * i10)
+    p11 = r01 * r01 + i01 * i01 + (r11 * r11 + i11 * i11)
+    # (a, b) = p01 = conj(u00) u01 + conj(u10) u11
+    a = r00 * r01 + i00 * i01 + (r10 * r11 + i10 * i11)
+    b = r00 * i01 - i00 * r01 + (r10 * i11 - i10 * r11)
+    return p00 + p11, 0.5 * (p00 - p11), a, b
 
 
 def _value_grad_hess(
@@ -163,7 +170,8 @@ def _value_grad_hess(
 
 def contrast_derivatives(m: np.ndarray, pair: BlochPair) -> tuple[np.ndarray, np.ndarray]:
     """Analytic gradient and Hessian of the contrast functional at one point."""
-    form = _quadratic_form(np.asarray(m, dtype=complex))
+    m = np.asarray(m, dtype=complex)
+    form = _bloch_form(*np.stack((m.real, m.imag), axis=-1).ravel())
     _, grad, hess = _value_grad_hess(form, pair.alpha, pair.phi)
     return grad, hess
 
@@ -179,22 +187,12 @@ def _closed_form(m: np.ndarray) -> tuple[np.ndarray, ...]:
         exp = np.frexp(scale)[1]
         (r00, r10), (r01, r11) = np.ldexp(m.real, -exp[..., None, None]).T
         (i00, i10), (i01, i11) = np.ldexp(m.imag, -exp[..., None, None]).T
-        p00 = r00 * r00 + i00 * i00 + (r10 * r10 + i10 * i10)
-        p11 = r01 * r01 + i01 * i01 + (r11 * r11 + i11 * i11)
-        t, v = p00 + p11, 0.5 * (p00 - p11)
-        # (a, b) = p01 = conj(u00) u01 + conj(u10) u11, in real arithmetic: a
-        # complex product may be fused or not depending on numpy's inner loop
-        a = r00 * r01 + i00 * i01 + (r10 * r11 + i10 * i11)
-        b = r00 * i01 - i00 * r01 + (r10 * i11 - i10 * r11)
+        t, v, a, b = _bloch_form(r00, i00, r01, i01, r10, i10, r11, i11)
         r = np.sqrt(v * v + a * a + b * b)
         # r == 0: C' == 1 everywhere and (0, 0) is returned; fmin takes the 0/0
         # there to cos(alpha) = 1, and the factor (r > 0) zeroes phi
         alpha = np.arccos(np.fmax(np.fmin(-v / r, 1.0), -1.0))  # in [0, pi]
-        phi = np.arctan2(b, -a) * (r > 0.0) % TWO_PI
-        # canonicalize(): fold phi into [0, pi) with alpha -> 2 pi - alpha
-        upper = phi >= math.pi
-        phi = np.where(upper, phi - math.pi, phi)
-        alpha = np.where(upper, (TWO_PI - alpha) % TWO_PI, alpha)
+        alpha, phi = _fold(alpha, np.arctan2(b, -a) * (r > 0.0) % TWO_PI)
         det_re = r00 * r11 - i00 * i11 - (r01 * r10 - i01 * i10)
         det_im = r00 * i11 + i00 * r11 - (r01 * i10 + i01 * r10)
         det2 = det_re * det_re + det_im * det_im

@@ -125,7 +125,10 @@ class SweepTile:
 
 @dataclass(frozen=True)
 class LocusPoint:
-    """Refined contrast minimum over 1/theta at one transverse momentum."""
+    """Contrast minimum over the Bloch angles of the elliptic beam at (q3, inv_theta), with
+    its optimal angles and probabilities prob_a = |M psi_A|^2, prob_b = |M psi_B|^2.  On the
+    minimum locus inv_theta is the refined minimum over 1/theta; along a fit it is the fit's
+    value.  An unbracketed point has NaN in every float field but q3."""
 
     q3: float
     inv_theta: float
@@ -345,6 +348,12 @@ def minimum_locus(
     scan = np.isnan(inv_theta)
     if scan.any():
         inv_theta[scan] = _scan_minima(q3[scan], beams[:, scan], np.linspace(lo, hi, inv_theta_points), LOCUS_TOLERANCE)
+    return _locus_points(q3, beams, inv_theta)
+
+
+def _locus_points(q3: np.ndarray, beams: np.ndarray, inv_theta: np.ndarray) -> list[LocusPoint]:
+    """One ``LocusPoint`` per q3, with ``beams`` = (M_y, M_z) there: the contrast minimum at
+    1/theta = inv_theta, and an unbracketed point where inv_theta is NaN."""
     bracketed = ~np.isnan(inv_theta)
     res = _elliptic_minima(q3[bracketed], beams[:, bracketed], inv_theta[bracketed])
     fields = np.full((4, len(q3)), math.nan)
@@ -368,7 +377,8 @@ def evaluate_fit(model: FitModel, q3: float) -> float:
         raise ValueError(f"q3={q3!r} outside fit domain [{lo}, {hi}]")
     offset = _branch_offset(model.branch)
     c1, c2, c3 = model.params
-    return float(c1 + c2 * math.sqrt((q3 - offset) ** 2 + c3))
+    x = q3 - offset  # squared as the fit squares it: x ** 2 calls libm pow, which can be an ulp off
+    return float(c1 + c2 * math.sqrt(x * x + c3))
 
 
 def _fit_profile(x: np.ndarray, y: np.ndarray, c3: np.ndarray):
@@ -450,31 +460,19 @@ def fit_locus(locus) -> tuple[FitModel, FitModel]:
     return left, right
 
 
-@dataclass(frozen=True)
-class ProbabilityPoint:
-    """Diffraction probabilities along the fitted locus at one q3."""
-
-    q3: float
-    prob_a: float
-    prob_b: float
-    alpha: float
-    phi: float
-    status: str
-
-
 def locus_probabilities(
     left: FitModel,
     right: FitModel,
     q3_values,
     fixed: FixedParams | None = None,
-) -> list[ProbabilityPoint]:
-    """Evaluate |M psi_A|^2, |M psi_B|^2 and the optimal angles along the fit.
+) -> list[LocusPoint]:
+    """``LocusPoint``s along the fit: at each q3, 1/theta from the branch that covers it
+    (``left`` up to ``BRANCH_SPLIT``), with |M psi_A|^2, |M psi_B|^2 and the optimal
+    angles there.  Every point is bracketed.
 
     All q3 values share one ``_beam_matrices`` call and one minimizer call.
     """
     fixed = fixed or FixedParams()
     q3 = np.array([float(v) for v in q3_values])
-    inv_theta = [evaluate_fit(left if v <= BRANCH_SPLIT else right, v) for v in q3.tolist()]
-    res = _elliptic_minima(q3, _beam_matrices(fixed, q3), inv_theta)
-    rows = zip(q3.tolist(), res.prob_a.tolist(), res.prob_b.tolist(), res.alpha.tolist(), res.phi.tolist())
-    return [ProbabilityPoint(*row, status=_CONVERGED) for row in rows]
+    inv_theta = np.array([evaluate_fit(left if v <= BRANCH_SPLIT else right, v) for v in q3.tolist()])
+    return _locus_points(q3, _beam_matrices(fixed, q3), inv_theta)

@@ -488,6 +488,32 @@ def test_taylor_check_nonfinite_spin_matrix_exits_2(scale, capsys):
     assert "error=" not in captured.out
 
 
+def test_sweep_out_of_memory_exits_2(tmp_path, capsys, monkeypatch):
+    # stands in for a grid too large for memory, which a host that overcommits might allocate
+    def out_of_memory(spec, workers=1):
+        raise MemoryError("Unable to allocate 373. GiB for an array with shape (5, 100000, 100000)")
+
+    monkeypatch.setattr("kdspin.cli.run_sweep", out_of_memory)
+    argv = ["sweep", "--axes", "q2,q3", "--x-range", "0,1", "--y-range", "0,1",
+            "--nx", "100000", "--ny", "100000", "--out", str(tmp_path / "big.csv")]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "error: Unable to allocate 373. GiB for an array with shape (5, 100000, 100000)\n"
+    assert not (tmp_path / "big.csv").exists()
+
+
+@pytest.mark.filterwarnings("error")
+def test_taylor_check_long_ladder_stops_at_first_floor_rung(capsys):
+    # 2.0 ** 1024 overflows; the ladder stops at rung 11, its first at the rounding floor
+    code = main(["taylor-check", "--halvings", "1100"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: the expansion's error") and captured.err.count("\n") == 1
+    assert f"at scale {1e-2 / 2.0**11!r} is at the rounding floor" in captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.filterwarnings("error")
 def test_taylor_check_rounding_floor_exits_2(capsys):
     # the first rung's gap is the O(q^3) remainder, the second's is rounding

@@ -134,6 +134,19 @@ def test_derivatives_match_finite_differences():
         assert np.allclose(hess, fd_hess, rtol=1e-4, atol=1e-6 * scale_h)
 
 
+def test_closed_form_minimum_is_stationary():
+    # the minimizer's angles and the analytic derivatives share one Bloch form:
+    # at the closed-form minimum C' is stationary, with no descent direction
+    rng = np.random.RandomState(14)
+    for _ in range(500):
+        m = random_matrix(rng)
+        result = minimize_contrast(m)
+        grad, hess = contrast_derivatives(m, BlochPair(result.alpha, result.phi))
+        scale = np.max(np.abs(hess))
+        assert np.max(np.abs(grad)) <= 1e-12 * (1.0 + scale)
+        assert np.min(np.linalg.eigvalsh(hess)) >= -1e-12 * scale
+
+
 def test_canonicalize_periodic_alpha():
     out = canonicalize(BlochPair(2.5 * math.pi, 0.0))
     assert out.alpha == pytest.approx(0.5 * math.pi, rel=1e-15)

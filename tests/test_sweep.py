@@ -515,6 +515,14 @@ def test_evaluate_fit_published_endpoints():
     )
 
 
+def test_evaluate_fit_squares_as_the_fit_does():
+    # libm pow(x, 2), which x ** 2 calls on a float, is an ulp off x * x at some x
+    c1, c2, c3 = params = np.array([50.0, -30.0, 0.01])
+    q3 = np.linspace(0.0, 0.9, 10001)
+    fitted = c1 + c2 * np.sqrt(np.square(q3 - 0.0) + c3)
+    assert [evaluate_fit(left_model(params), q) for q in q3.tolist()] == fitted.tolist()
+
+
 def test_evaluate_fit_domain_and_degenerate_slope():
     model = left_model([7.0, 0.0, 0.5])
     assert evaluate_fit(model, 0.1) == 7.0
@@ -524,10 +532,11 @@ def test_evaluate_fit_domain_and_degenerate_slope():
 
 
 def test_probabilities_along_published_fit():
-    trace = locus_probabilities(
-        left_model(PAPER_LEFT), right_model(PAPER_RIGHT), [0.0, 0.25, 0.5, 0.75, 1.0]
-    )
+    left, right = left_model(PAPER_LEFT), right_model(PAPER_RIGHT)
+    trace = locus_probabilities(left, right, [0.0, 0.25, 0.5, 0.75, 1.0])
     for record in trace:
         assert record.prob_a / record.prob_b < 1e-3
         assert record.phi == 0.0
+        assert record.bracketed and record.status == "converged_gradient"
+        assert record.inv_theta == evaluate_fit(left if record.q3 <= 0.9 else right, record.q3)
     assert trace[0].alpha == pytest.approx(1.5 * math.pi, abs=1e-2)
