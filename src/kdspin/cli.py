@@ -102,15 +102,14 @@ def _write_csv(stream, header: str, rows) -> None:
 
 
 def write_tile_csv(tile: SweepTile, stream) -> None:
-    """Row-major (y outer, x inner) CSV dump of a sweep tile, one grid row at a time."""
-    xs = tile.x.tolist()
-    columns = (tile.contrast, tile.alpha, tile.phi, tile.prob_a, tile.prob_b, tile.status)
-    rows = (
-        row
-        for j, y in enumerate(tile.y.tolist())
-        for row in zip(xs, [y] * len(xs), *(column[j].tolist() for column in columns))
-    )
-    _write_csv(stream, "x,y,contrast,alpha,phi,prob_A,prob_B,status", rows)
+    """Row-major (y outer, x inner) tile CSV as ``_write_csv`` writes it, formatting x and y once."""
+    xs = list(map(str, tile.x.tolist()))
+    columns = (tile.contrast, tile.alpha, tile.phi, tile.prob_a, tile.prob_b)
+    stream.write("x,y,contrast,alpha,phi,prob_A,prob_B,status\n")
+    for j, y in enumerate(tile.y.tolist()):
+        fields = (map(str, column[j].tolist()) for column in columns)
+        rows = zip(xs, [str(y)] * len(xs), *fields, tile.status[j].tolist())
+        stream.write("\n".join(map(",".join, rows)) + "\n")
 
 
 def write_heatmap_pgm(tile: SweepTile, column: str, path: Path, log_scale: bool) -> None:

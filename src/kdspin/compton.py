@@ -42,12 +42,12 @@ class PolarizationPair:
             vec = np.asarray(getattr(self, name), dtype=complex)
             if vec.shape != (3,):
                 raise ValueError(f"{name} amplitude must be a 3-vector")
-            if not np.all(np.isfinite(vec.view(float))):
+            if not np.isfinite(vec.view(float)).all():  # the methods skip np.all's Python wrapper
                 raise ValueError(f"{name} amplitude must be finite")
             if vec[0] != 0:
                 raise ValueError(f"{name} amplitude must have zero x-component")
             object.__setattr__(self, name, vec)
-        if np.all(self.left == 0) and np.all(self.right == 0):
+        if not (self.left.any() or self.right.any()):
             raise ValueError("at least one beam amplitude must be nonzero")
 
 

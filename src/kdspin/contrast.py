@@ -119,8 +119,8 @@ def canonicalize(pair: BlochPair) -> BlochPair:
 def _fold(alpha, phi):
     """(alpha, phi) with each phi in [pi, 2pi) folded into [0, pi) and its alpha taken to
     2pi - alpha (mod 2pi), elementwise; alpha in [0, 2pi] and phi in [0, 2pi) or NaN."""
-    upper = phi >= math.pi
-    return np.where(upper, (TWO_PI - alpha) % TWO_PI, alpha), np.where(upper, phi - math.pi, phi)
+    upper = phi >= math.pi  # subtracting pi * False is exact, for -0.0 and NaN too
+    return np.where(upper, (TWO_PI - alpha) % TWO_PI, alpha), phi - math.pi * upper
 
 
 def _bloch_form(r00, i00, r01, i01, r10, i10, r11, i11):
@@ -183,10 +183,12 @@ def _closed_form(m: np.ndarray) -> tuple[np.ndarray, ...]:
     [1/2, 1) scales the matrix exactly, so t >= 1/4 and lambda_max >= 1/8.  The fields mean
     nothing where ``ok`` is False (scale 0 or not finite, |M|_F^2 overflowing)."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        scale = np.maximum(np.abs(m.real), np.abs(m.imag)).max(axis=(-2, -1))
+        # contiguous rows over the stack (numpy loops slowly over a short inner axis), or scalars
+        parts = np.ascontiguousarray(m).view(float).reshape(m.shape[:-2] + (8,)).T
+        scale = np.abs(parts, order="C").max(axis=0)
         exp = np.frexp(scale)[1]
-        (r00, r10), (r01, r11) = np.ldexp(m.real, -exp[..., None, None]).T
-        (i00, i10), (i01, i11) = np.ldexp(m.imag, -exp[..., None, None]).T
+        parts = np.ldexp(parts, -exp, order="C")
+        r00, i00, r01, i01, r10, i10, r11, i11 = parts
         t, v, a, b = _bloch_form(r00, i00, r01, i01, r10, i10, r11, i11)
         r = np.sqrt(v * v + a * a + b * b)
         # r == 0: C' == 1 everywhere and (0, 0) is returned; fmin takes the 0/0
@@ -199,13 +201,9 @@ def _closed_form(m: np.ndarray) -> tuple[np.ndarray, ...]:
         # where det u cancelled by more than 10 bits, recompute it error-free; the
         # choice is per matrix, so a stack rounds each matrix as it rounds alone
         low = det2 < 2.0**-20 * (t * t)
-        if low.any():  # from here on the parts are those of the matrices to redo
-            parts = [np.asarray(v)[low] for v in (r00, i00, r01, i01, r10, i10, r11, i11)]
-            r00, i00, r01, i01, r10, i10, r11, i11 = parts
-            x = np.array([[r00, r00], [-i00, i00], [-r01, -r01], [i01, -i01]])
-            y = np.array([[r11, i11], [i11, r11], [r10, i10], [i10, r10]])
+        if low.any():
             det2 = np.array(det2)
-            det2[low] = np.square(_dot2(x, y)).sum(axis=0)
+            det2[low] = np.square(_dot2(parts[..., low])).sum(axis=0)
         ratio_b = 0.5 * t + r
         ratio_a = det2 / ratio_b
         # ratios of the scaled matrix cannot underflow; the probabilities are |M psi|^2 again
@@ -216,20 +214,27 @@ def _closed_form(m: np.ndarray) -> tuple[np.ndarray, ...]:
         return scale, ok, value, alpha, phi, ratio_a * size * size, ratio_b * size * size
 
 
-def _dot2(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Sum of x y over axis 0 as if in twice the working precision, then rounded: Dot2 of
-    Ogita, Rump and Oishi, "Accurate sum and dot product" (2005), for factors below ~1e300.
-    numpy has no fma, so TwoProduct splits each factor in halves (Veltkamp, by 2^27 + 1)."""
-    x_hi, y_hi = (134217729.0 * f - (134217729.0 * f - f) for f in (x, y))
-    x_lo, y_lo, prods = x - x_hi, y - y_hi, x * y
-    errs = x_lo * y_lo - (((prods - x_hi * y_hi) - x_lo * y_hi) - x_hi * y_lo)
-    total, err = prods[0], errs[0]
-    for prod, prod_err in zip(prods[1:], errs[1:]):
-        new = total + prod  # TwoSum(total, prod)
-        back = new - total
-        err = err + (((total - (new - back)) + (prod - back)) + prod_err)
-        total = new
-    return total + err
+#: det u = sum over axis 0 of sign x y, x, y = parts[_DET_XY], for parts (r00, i00, r01, i01, r10,
+#: i10, r11, i11); _DOT2_TAKE takes x y, x_hi y_hi, x_lo y_hi, x_hi y_lo, x_lo y_lo from the halves
+_DET_XY = np.array([[[0, 0], [1, 1], [2, 2], [3, 3]], [[6, 7], [7, 6], [4, 5], [5, 4]]])
+_DET_SIGN = np.array([[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]])[..., None]
+_DOT2_TAKE = 8 * np.array([[0, 1, 2, 1, 2], [0, 1, 1, 2, 2]])[..., None, None] + _DET_XY[:, None]
+
+
+def _dot2(parts: np.ndarray) -> np.ndarray:
+    """(Re, Im) of det u per column of the (8, K) ``parts`` below ~1e300, by Dot2 of Ogita, Rump and
+    Oishi (2005): TwoProduct on halves split by Veltkamp's 2^27 + 1 (numpy has no fma), split once
+    per part as the split is odd (the signs go on the exact products), then TwoSum, then rounded."""
+    big = 134217729.0 * parts
+    high = big - (big - parts)
+    x, y = np.concatenate((parts, high, parts - high))[_DOT2_TAKE]
+    products = x * y * _DET_SIGN
+    errs = products[4] - np.subtract.reduce(products[:4])  # TwoProduct: x y - fl(x y)
+    # TwoSum of each running sum and the next product, all at once: accumulate adds in order
+    sums = np.add.accumulate(products[0])
+    back = sums[1:] - sums[:-1]
+    errs[1:] += (sums[:-1] - (sums[1:] - back)) + (products[0, 1:] - back)
+    return sums[-1] + np.add.accumulate(errs)[-1]
 
 
 def minimize_contrast(m: np.ndarray) -> ContrastResult:

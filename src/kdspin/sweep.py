@@ -151,7 +151,7 @@ class FitModel:
 
 class FitConvergenceError(RuntimeError):
     """Raised when a fit branch degenerates: its c3 runs to an end of the
-    [1e-8, 10] grid, or its c3 profile has no minimum to bisect."""
+    [1e-8, 10] grid, or its c3 profile has no bracketed minimum."""
 
 
 def _batch_rows(spec: GridSpec, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -402,8 +402,8 @@ def _fit_branch(q3: np.ndarray, inv_theta: np.ndarray, branch: str, domain) -> F
 
     Minimized over (c1, c2), the sum of squares is a function of c3 alone.
     ``_fit_profile`` evaluates it on a log-spaced c3 grid over [1e-8, 10];
-    its derivative in log c3 is then bisected between the grid neighbours of
-    the smallest value until the midpoint stops moving, which is the
+    regula falsi (Illinois) then finds the root of its derivative in log c3
+    between the grid neighbours of the smallest value, which is the
     stationary point of the three-parameter problem.  Published coefficients
     are never used.  Raises FitConvergenceError when that smallest value is
     at an end of the grid, where c3 runs to 0 (the model collapses to the V
@@ -419,18 +419,24 @@ def _fit_branch(q3: np.ndarray, inv_theta: np.ndarray, branch: str, domain) -> F
             f"{branch} branch degenerates: c3 ran to {grid[best]:g}, the {end} end of its grid "
             f"[{grid[0]:g}, {grid[-1]:g}], where the model is {shape}"
         )
-    lo, hi = np.log(grid[[best - 1, best + 1]])
-    slope = _fit_profile(x, inv_theta, np.exp([lo, hi]))[3]
-    if not slope[0] < 0.0 < slope[1]:
+    ends = np.log(grid[[best - 1, best + 1]])
+    slopes = _fit_profile(x, inv_theta, np.exp(ends))[3]
+    if not slopes[0] < 0.0 < slopes[1]:
         raise FitConvergenceError(
             f"{branch} branch: the c3 profile has no minimum between {grid[best - 1]:g} and {grid[best + 1]:g}"
         )
-    mid = 0.5 * (lo + hi)
-    while lo < mid < hi:
-        lo, hi = (mid, hi) if _fit_profile(x, inv_theta, np.exp([mid]))[3][0] < 0.0 else (lo, mid)
-        mid = 0.5 * (lo + hi)
-    c3 = np.exp([mid])
-    c1, c2, *_ = _fit_profile(x, inv_theta, c3)
+    moved = -1  # the end the last step moved: 0 the lower, 1 the upper
+    while ends[1] - ends[0] > 1e-12:  # in log c3; rounding blurs the root over ~1e-13
+        mid = ends[1] - slopes[1] * (ends[1] - ends[0]) / (slopes[1] - slopes[0])
+        if not ends[0] < mid < ends[1]:  # rounding at a tiny bracket
+            mid = 0.5 * (ends[0] + ends[1])
+        c3 = np.exp([mid])
+        c1, c2, _, (slope,) = _fit_profile(x, inv_theta, c3)
+        if slope == 0.0:
+            break
+        end = int(slope > 0.0)
+        slopes[1 - end] *= 0.5 if end == moved else 1.0  # Illinois: halve an end kept twice in a row
+        ends[end], slopes[end], moved = mid, slope, end
     return FitModel(branch=branch, params=np.array([c1[0], c2[0], c3[0]]), domain=domain)
 
 

@@ -1,3 +1,4 @@
+import io
 import math
 import os
 import subprocess
@@ -10,7 +11,7 @@ import pytest
 import kdspin
 from kdspin import cli
 from kdspin.cli import main, parse_angle, parse_polarization
-from kdspin.sweep import LOCUS_TOLERANCE
+from kdspin.sweep import LOCUS_TOLERANCE, FixedParams, GridSpec, SweepTile, run_sweep
 
 
 def parse_kv(output):
@@ -226,6 +227,35 @@ def test_sweep_failed_points_recorded(tmp_path, capsys):
     assert status == ["failed_ZeroDivisionError"] * 2 + ["converged_gradient"] * 2
     err = capsys.readouterr().err
     assert err == "sweep: 2 of 4 points failed (failed_ZeroDivisionError: 2)\n"
+
+
+def reference_tile_csv(tile):
+    """The tile CSV as a plain loop writes it: str of each point's Python values."""
+    lines = ["x,y,contrast,alpha,phi,prob_A,prob_B,status"]
+    columns = [c.tolist() for c in (tile.contrast, tile.alpha, tile.phi, tile.prob_a, tile.prob_b, tile.status)]
+    for j, y in enumerate(tile.y.tolist()):
+        for i, x in enumerate(tile.x.tolist()):
+            lines.append(",".join(str(v) for v in [x, y] + [column[j][i] for column in columns]))
+    return "\n".join(lines) + "\n"
+
+
+def test_tile_csv_matches_reference_writer():
+    grid = dict(x_range=(-20.0, 20.0), y_range=(-20.0, 20.0), nx=7, ny=7)
+    tiles = [
+        # an inv_theta grid through 0: a failed_ZeroDivisionError row
+        run_sweep(GridSpec("q3", "inv_theta", fixed=FixedParams(q2=-0.03), **grid)),
+        # q_l <= 0: every point failed_ValueError, all NaN
+        run_sweep(GridSpec("q2", "q3", fixed=FixedParams(q_l=-0.02), **grid)),
+    ]
+    special = np.array([[math.nan, math.inf, -0.0], [-math.inf, 0.0, 1e-310]])
+    status = np.array([["converged_gradient", "failed_ValueError", "failed_ZeroDivisionError"]] * 2, dtype=object)
+    tiles.append(SweepTile(tiles[0].spec, np.array([-0.0, 0.1, 1e300]), np.array([0.0, -2.5]),
+                           special, -special, special[::-1], special[:, ::-1], special * 0.5, status))
+    for tile in tiles:
+        stream = io.StringIO()
+        cli.write_tile_csv(tile, stream)
+        assert stream.getvalue() == reference_tile_csv(tile)
+    assert "failed_ZeroDivisionError" in reference_tile_csv(tiles[0])
 
 
 def test_missing_required_flag_exits_2():

@@ -48,12 +48,23 @@ def test_elliptic_polarization_squeezed():
 
 
 def test_polarization_validation():
-    with pytest.raises(ValueError):
-        PolarizationPair(left=np.array([0.1, 0, 0]), right=E3)  # beam-axis component
-    with pytest.raises(ValueError):
-        PolarizationPair(left=np.zeros(3), right=np.zeros(3))  # both dark
-    with pytest.raises(ValueError):
-        PolarizationPair(left=np.array([0, np.nan, 0]), right=E3)
+    nan, inf = math.nan, math.inf
+    cases = [
+        ({"left": np.zeros(2)}, "left amplitude must be a 3-vector"),
+        ({"right": np.zeros((3, 1))}, "right amplitude must be a 3-vector"),
+        ({"left": np.array([0, nan, 0])}, "left amplitude must be finite"),
+        ({"left": np.array([0, 0, complex(0, inf)])}, "left amplitude must be finite"),
+        ({"right": np.array([0, -inf, 1])}, "right amplitude must be finite"),
+        ({"right": np.array([0, complex(0, nan), 1])}, "right amplitude must be finite"),
+        ({"left": np.array([0.1, 0, 0])}, "left amplitude must have zero x-component"),
+        ({"right": np.array([0.1j, 0, 1])}, "right amplitude must have zero x-component"),
+        ({"left": np.zeros(3), "right": np.array([-0.0, 0, -0.0])}, "at least one beam amplitude must be nonzero"),
+    ]
+    for beams, message in cases:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            PolarizationPair(**{"left": CIRCULAR, "right": E3, **beams})
+    # one imaginary part lights a beam
+    assert PolarizationPair(left=np.zeros(3), right=np.array([0, 0, 1e-300j])).right[2] == 1e-300j
 
 
 def test_dark_left_beam_gives_zero_matrix():

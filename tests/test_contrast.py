@@ -16,6 +16,7 @@ from kdspin.contrast import (
     minimize_contrast,
     minimize_contrast_batch,
 )
+from kdspin.contrast import _dot2, _fold
 from kdspin.kinematics import ScatterConfig
 from kdspin.taylor import low_momentum_matrix
 
@@ -145,6 +146,49 @@ def test_closed_form_minimum_is_stationary():
         scale = np.max(np.abs(hess))
         assert np.max(np.abs(grad)) <= 1e-12 * (1.0 + scale)
         assert np.min(np.linalg.eigvalsh(hess)) >= -1e-12 * scale
+
+
+def test_fold_scalar_matches_array():
+    # the fold is elementwise: a scalar folds to the bits of its entry in any array
+    below_pi = np.nextafter(math.pi, 0.0)
+    alphas = [0.0, TWO_PI, 1.0, 0.0, TWO_PI, 2.5, 0.5, math.nan]
+    phis = [math.pi, math.pi, math.pi, below_pi, below_pi, math.nan, -0.0, 4.0]
+    alpha, phi = _fold(np.array(alphas), np.array(phis))
+    for i, pair in enumerate(zip(alphas, phis)):
+        one = _fold(*(np.float64(v) for v in pair))
+        assert [np.float64(v).tobytes() for v in one] == [alpha[i].tobytes(), phi[i].tobytes()]
+    assert alpha[:3].tolist() == [0.0, 0.0, TWO_PI - 1.0] and phi[:3].tolist() == [0.0] * 3
+    assert alpha[3:5].tolist() == alphas[3:5] and phi[3:5].tolist() == [below_pi] * 2
+    assert math.isnan(phi[5]) and alpha[5] == 2.5 and math.copysign(1.0, phi[6]) == -1.0
+
+
+def _dot2_reference(x, y):
+    """Dot2 as written out in Ogita, Rump and Oishi (2005): TwoProduct of each factor pair,
+    with each factor split on its own, and a TwoSum per term."""
+    x_hi, y_hi = (134217729.0 * f - (134217729.0 * f - f) for f in (x, y))
+    x_lo, y_lo, prods = x - x_hi, y - y_hi, x * y
+    errs = x_lo * y_lo - (((prods - x_hi * y_hi) - x_lo * y_hi) - x_hi * y_lo)
+    total, err = prods[0], errs[0]
+    for prod, prod_err in zip(prods[1:], errs[1:]):
+        new = total + prod
+        back = new - total
+        err = err + (((total - (new - back)) + (prod - back)) + prod_err)
+        total = new
+    return total + err
+
+
+def test_dot2_matches_reference_on_rank_one():
+    # det u of rank-one and near-rank-one matrices, the inputs that take the error-free path
+    rng = np.random.default_rng(20261018)
+    n = 12000
+    u, v, noise = (rng.normal(size=(n, 2, 2)) @ np.array([1.0, 1j]) for _ in range(3))
+    m = u[:, :, None] * v[:, None, :] + 10.0 ** rng.uniform(-18, -6, n)[:, None, None] * noise.reshape(n, 1, 2)
+    m[: n // 4] = m[: n // 4].real  # real rank-one factors, with exact zeros in the imaginary parts
+    r00, i00, r01, i01, r10, i10, r11, i11 = np.ascontiguousarray(m).view(float).reshape(n, 8).T
+    x = np.array([[r00, r00], [-i00, i00], [-r01, -r01], [i01, -i01]])
+    y = np.array([[r11, i11], [i11, r11], [r10, i10], [i10, r10]])
+    expected = _dot2_reference(x, y)
+    assert _dot2(np.array([r00, i00, r01, i01, r10, i10, r11, i11])).tobytes() == expected.tobytes()
 
 
 def test_canonicalize_periodic_alpha():
