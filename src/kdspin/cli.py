@@ -359,7 +359,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_locus.add_argument("--q3-points", type=parse_positive_int, default=201)
     p_locus.add_argument("--inv-theta-min", type=float, default=1.0)
     p_locus.add_argument("--inv-theta-max", type=float, default=100.0)
-    p_locus.add_argument("--inv-theta-points", type=int, default=400)
+    p_locus.add_argument("--inv-theta-points", type=int, default=400,
+                         help="accepted for compatibility (at least 3); the locus is a closed form")
     p_locus.add_argument("--out", required=True, help="output path prefix")
     p_locus.add_argument("--workers", type=parse_positive_int, default=os.cpu_count() or 1,
                          help="accepted for compatibility; evaluation runs in one process")

@@ -7,15 +7,12 @@ array per chunk, and a point they leave NaN is named after the exception the
 scalar forms raise for it.
 The minimum locus traces, for each transverse momentum q3, the inverse
 ellipticity 1/theta at which the contrast valley bottoms out.  The elliptic
-beam gives M(theta) = cos(theta) M_y - i sin(theta) M_z; where the cross
-term of det M(theta) vanishes (q2 = 0, and q3 = 0 at any q2) the bottom is
-the closed-form zero tan^2(theta) = det M_y / det M_z.  Elsewhere a coarse
-scan over 1/theta brackets it per q3 and one elementwise golden section
-refines all brackets together, a point costing one 2x2 superposition of
-M_y and M_z plus the minimizer.  The locus is fitted per branch by least
-squares against 1/theta = c1 + c2 sqrt((q3 - q0)^2 + c3), with q0 = 0 on the
-left branch and q0 = 1 on the right, by variable projection: (c1, c2) are
-linear for fixed c3, so the fit is a one-dimensional problem in c3.
+beam gives M(theta) = cos(theta) M_y - i sin(theta) M_z, and at every q3 the
+bottom is the closed form tan^2(theta) = Re(det M_y / det M_z) (see
+``_locus_minima``).  The locus is fitted per branch by least squares against
+1/theta = c1 + c2 sqrt((q3 - q0)^2 + c3), with q0 = 0 on the left branch and
+q0 = 1 on the right, by variable projection: (c1, c2) are linear for fixed c3,
+so the fit is a one-dimensional problem in c3.
 """
 
 from __future__ import annotations
@@ -38,24 +35,12 @@ SUPPORTED_AXES = (("q2", "q3"), ("q3", "theta"), ("q3", "inv_theta"))
 #: branch split of the two-piece locus fit
 BRANCH_SPLIT = 0.9
 
-#: golden-section tolerance on the refined 1/theta
-LOCUS_TOLERANCE = 1e-4
-
-#: relative size up to which the cross term X and Im(det M_y / det M_z) count
-#: as rounding of zero; at q2 = 0 they come out 0 or ~1e-16 of their scale
-ROOT_RTOL = 1e-12
-
-#: points per batched chunk of a sweep or locus scan (whole rows, at least one)
+#: points per batched chunk of a sweep (whole rows, at least one)
 SWEEP_CHUNK_POINTS = 4096
 
-#: depth, relative to the row's max, by which a coarse-scan minimum must lie below both row ends
-#: to count as a minimum rather than rounding (at q_l <= 1e-16 rows dip 1-1.5 eps; real minima at
-#: q_l >= 1e-8 lie >= 3.7e4 eps deep)
-_FLAT_ROW = 8.0 * np.finfo(float).eps
-
-_INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
 _CONVERGED = NewtonStatus.CONVERGED_GRADIENT.value
+
+_EPS = np.finfo(float).eps
 
 #: unit amplitudes along y and z: the emission beams whose spin matrices
 #: M_y, M_z span the elliptic beam, and (z) its linear absorption beam
@@ -127,8 +112,8 @@ class SweepTile:
 class LocusPoint:
     """Contrast minimum over the Bloch angles of the elliptic beam at (q3, inv_theta), with
     its optimal angles and probabilities prob_a = |M psi_A|^2, prob_b = |M psi_B|^2.  On the
-    minimum locus inv_theta is the refined minimum over 1/theta; along a fit it is the fit's
-    value.  An unbracketed point has NaN in every float field but q3."""
+    minimum locus inv_theta is the minimum over 1/theta; along a fit it is the fit's value.
+    An unbracketed point has NaN in every float field but q3."""
 
     q3: float
     inv_theta: float
@@ -211,28 +196,6 @@ def run_sweep(spec: GridSpec, workers: int = 1) -> SweepTile:
     )
 
 
-def _golden_section(func, lo, hi, tol: float):
-    """Midpoints of golden-section brackets of unimodal minima, elementwise.
-
-    ``func`` maps an array of abscissae to an array of values.  A bracket
-    stops once it is no wider than ``tol``, so its result does not depend
-    on the others.
-    """
-    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
-    c = hi - _INV_GOLDEN * (hi - lo)
-    d = lo + _INV_GOLDEN * (hi - lo)
-    fc, fd = func(c), func(d)
-    while (active := hi - lo > tol).any():
-        left = fc < fd  # the minimum lies in [lo, d]
-        lo = np.where(active & ~left, c, lo)
-        hi = np.where(active & left, d, hi)
-        probe = np.where(left, hi - _INV_GOLDEN * (hi - lo), lo + _INV_GOLDEN * (hi - lo))
-        c, d = np.where(left, probe, d), np.where(left, c, probe)
-        fprobe = func(probe)
-        fc, fd = np.where(left, fprobe, fd), np.where(left, fc, fprobe)
-    return 0.5 * (lo + hi)
-
-
 def _beam_matrices(fixed: FixedParams, q3: np.ndarray) -> np.ndarray:
     """Spin matrices M_y, M_z of the emission beams along y and z at each q3,
     shape (2, N, 2, 2); q2 and q_l come from ``fixed``.
@@ -245,70 +208,77 @@ def _beam_matrices(fixed: FixedParams, q3: np.ndarray) -> np.ndarray:
     return spin_matrix_batch(fixed.q_l, fixed.q2, np.tile(q3, 2), left, _UNIT_Z).reshape(2, len(q3), 2, 2)
 
 
-def _elliptic_minima(q3: np.ndarray, beams: np.ndarray, inv_theta) -> ContrastBatch:
-    """Batched contrast minima of cos(theta) M_y - i sin(theta) M_z, with
-    ``beams`` = (M_y, M_z) at ``q3``, at 1/theta = inv_theta of shape (N,)
-    or (N, K), flattened row by row.  The superposition is formed in real
+def _elliptic_minima(q3: np.ndarray, beams: np.ndarray, inv_theta: np.ndarray) -> ContrastBatch:
+    """Batched contrast minima of cos(theta) M_y - i sin(theta) M_z, with ``beams`` = (M_y, M_z)
+    at ``q3``, at 1/theta = inv_theta, all of length N.  The superposition is formed in real
     arithmetic, elementwise, so a point's bits do not depend on its batch.
     Raises ValueError if a point has no minimum.
     """
-    inv_theta = np.asarray(inv_theta, dtype=float)
-    m_y, m_z = beams if inv_theta.ndim == 1 else beams[:, :, None]
+    m_y, m_z = beams
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # 1/theta = 0 gives NaN
-        theta = (1.0 / inv_theta)[..., None, None]
+        theta = (1.0 / inv_theta)[:, None, None]
         cos, sin = np.cos(theta), np.sin(theta)
         m = (cos * m_y.real + sin * m_z.imag).astype(complex)
         m.imag = cos * m_y.imag - sin * m_z.real
-    res = minimize_contrast_batch(m.reshape(-1, 2, 2))
+    res = minimize_contrast_batch(m)
     failed = np.flatnonzero(np.isnan(res.value))
     if failed.size:
-        at = np.unravel_index(failed[0], inv_theta.shape)
-        raise ValueError(f"no contrast minimum at q3={float(q3[at[0]])!r}, 1/theta={float(inv_theta[at])!r}")
+        i = failed[0]
+        raise ValueError(f"no contrast minimum at q3={float(q3[i])!r}, 1/theta={float(inv_theta[i])!r}")
     return res
 
 
-def _locus_roots(beams: np.ndarray) -> np.ndarray:
-    """1/theta where det M(theta) = 0 at each q3; NaN where that root does not exist.
+def _locus_minima(q3: np.ndarray, beams: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """1/theta of the contrast minimum over the elliptic beam at each q3, with ``beams`` =
+    (M_y, M_z) there; NaN where that minimum lies outside (lo, hi) or rounding cannot place it.
 
-    M(theta) = cos(theta) M_y - i sin(theta) M_z, so with t = tan(theta)
-    det M = 0 reads det M_z t^2 + i X t - det M_y = 0, X = tr(adj M_y . M_z).
-    When X and Im(det M_y / det M_z) vanish (to ``ROOT_RTOL``) and the ratio
-    is positive, t = sqrt(det M_y / det M_z).
+    Write u = tan(theta).  Then M(theta) = cos(theta) (M_y - i u M_z), so det M =
+    cos^2(theta) p(u) with p(u) = det M_y - i X u - det M_z u^2, X = tr(adj M_y . M_z), and
+    tr M^dag M = cos^2(theta) q(u) with q(u) = ||M_y - i u M_z||_F^2.  The contrast
+    c = lambda_min / lambda_max obeys c / (1 + c)^2 = |det M|^2 / (tr M^dag M)^2, so it rises
+    with F = |p|^2 / q^2.  The kernel makes r = det M_y / det M_z and s = X / det M_z real,
+    Im tr(M_y^dag M_z) = 0 and ||M_y||_F^2 = r ||M_z||_F^2 (exact in 50-digit arithmetic; the
+    tests pin all four).  So in w = u^2
+
+        F = |det M_z|^2 / ||M_z||_F^4 * ((w - r)^2 + s^2 w) / (w + r)^2,
+        dF/dw ~ (w - r)(4 r - s^2) / (w + r)^3,
+
+    and its only stationary point is w = r.  There F is s^2 / (4 r) of its value at w = 0 and
+    w -> infinity, so w = r is the minimum when r > 0 and s^2 - 4 r = Re(D / det M_z^2) < 0,
+    D = X^2 - 4 det M_y det M_z; otherwise F falls toward an end of every range and the point
+    is unbracketed.  The minimum reported is the principal one, theta = arctan(sqrt(r)) in
+    (0, pi/2].
+
+    At q2 != 0, s^2 - 4 r is only of order (q_l / q2)^2 of 4 r, so formed as written it loses
+    its sign below q_l ~ 1e-8.  D is the discriminant of C = adj(M_y) M_z (tr C = X, det C =
+    det M_y det M_z), so it is formed from C's traceless part, as (c00 - c11)^2 + 4 c01 c10,
+    which keeps its digits; a point whose |D| lies within a rounding bound of 0 (at q2 != 0,
+    from q_l ~ 1e-15 down) is unbracketed.  M_y and M_z are first scaled, each by a power of two,
+    to a largest real or imaginary part in [1/2, 1): exact, so no product overflows or
+    underflows and det M_y / det M_z keeps its bits.  Raises ValueError for a q3 whose
+    matrices are not finite.
     """
-    m_y, m_z = beams
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        det_y, det_z = beams[:, :, 0, 0] * beams[:, :, 1, 1] - beams[:, :, 0, 1] * beams[:, :, 1, 0]
-        cross = (
-            m_y[:, 1, 1] * m_z[:, 0, 0] - m_y[:, 0, 1] * m_z[:, 1, 0]
-            - m_y[:, 1, 0] * m_z[:, 0, 1] + m_y[:, 0, 0] * m_z[:, 1, 1]
-        )
+    scale = np.abs(beams.view(float)).max(axis=(2, 3))  # largest real or imaginary part, (2, N)
+    if not np.isfinite(scale).all():
+        bad = ~np.isfinite(scale).all(axis=0)
+        raise ValueError(f"no contrast minimum at q3={float(q3[bad][0])!r}: its spin matrices are not finite")
+    exp = np.frexp(scale)[1]
+    m = np.ldexp(beams.view(float), -exp[:, :, None, None]).view(complex)
+    det_y, det_z = m[:, :, 0, 0] * m[:, :, 1, 1] - m[:, :, 0, 1] * m[:, :, 1, 0]
+    (y00, y01), (y10, y11) = m[0].transpose(1, 2, 0)
+    (z00, z01), (z10, z11) = m[1].transpose(1, 2, 0)
+    # the traceless part of C = adj(M_y) M_z: c00 - c11, c01 and c10
+    t = (y11 * z00 - y01 * z10) - (y00 * z11 - y10 * z01)
+    c01, c10 = y11 * z01 - y01 * z11, y00 * z10 - y10 * z00
+    disc = t * t + 4.0 * c01 * c10
+    # entries of the scaled matrices are at most sqrt(2): each c carries a few eps of error
+    noise = 64.0 * _EPS * (np.abs(t) + np.abs(c01) + np.abs(c10) + 64.0 * _EPS)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # no minimum gives NaN or inf
         ratio = det_y / det_z
-        exact = (np.abs(cross) <= ROOT_RTOL * np.sqrt(np.abs(det_y * det_z))) & (
-            np.abs(ratio.imag) <= ROOT_RTOL * np.abs(ratio)
-        )
-        return np.where(exact & (ratio.real > 0.0), 1.0 / np.arctan(np.sqrt(ratio.real)), math.nan)
-
-
-def _scan_minima(q3: np.ndarray, beams: np.ndarray, grid: np.ndarray, tol: float) -> np.ndarray:
-    """1/theta of the contrast minimum at each q3, NaN where the coarse scan over ``grid``
-    puts it on the boundary or no more than ``_FLAT_ROW`` below both row ends.  The scan
-    takes chunks of whole q3 rows of the (q3, grid) product at once; all brackets refine
-    together."""
-    rows = max(1, SWEEP_CHUNK_POINTS // len(grid))
-    chunks = (slice(start, start + rows) for start in range(0, len(q3), rows))
-    values = (
-        _elliptic_minima(q3[c], beams[:, c], np.broadcast_to(grid, (len(q3[c]), len(grid)))).value for c in chunks
-    )
-    scans = (np.reshape(v, (-1, len(grid))) for v in values)
-    idx = np.concatenate([
-        np.where(s.min(1) < np.minimum(s[:, 0], s[:, -1]) - _FLAT_ROW * s.max(1), s.argmin(1), 0) for s in scans
-    ])
-    inner = (idx > 0) & (idx < len(grid) - 1)
-    found = np.full(len(q3), math.nan)
-    found[inner] = _golden_section(
-        lambda v: _elliptic_minima(q3[inner], beams[:, inner], v).value, grid[idx[inner] - 1], grid[idx[inner] + 1], tol
-    )
-    return found
+        inv_theta = 1.0 / np.arctan(np.ldexp(np.sqrt(ratio.real), exp[0] - exp[1]))
+    # r <= 0 leaves inv_theta NaN or infinite, outside every range
+    minimum = ((disc * np.conj(det_z * det_z)).real < 0.0) & (np.abs(disc) > noise)
+    return np.where(minimum & (inv_theta > lo) & (inv_theta < hi), inv_theta, math.nan)
 
 
 def minimum_locus(
@@ -319,36 +289,29 @@ def minimum_locus(
 ) -> list[LocusPoint]:
     """Trace the contrast minimum over 1/theta for each q3 (q2 held fixed).
 
-    Where the closed-form root of det M(theta) = 0 exists (see
-    ``_locus_roots``; in this geometry at q2 = 0, and at q3 = 0 for any q2)
-    and lies inside ``inv_theta_range``, it is the locus point: the contrast
-    is zero there.  Every other q3 takes the scan path: a batched coarse
-    scan over ``inv_theta_points`` values per q3, then one elementwise
-    golden section that refines all scan-path brackets to ``LOCUS_TOLERANCE`` together.
-    Scan points whose coarse minimum lands on the scan boundary cannot be
-    bracketed and are flagged with ``bracketed=False`` and NaN results.  A
-    point's result does not depend on the other q3 values requested with it.
+    Every locus point is the closed form tan^2(theta) = Re(det M_y / det M_z) of
+    ``_locus_minima`` (a zero of the contrast at q2 = 0, and at q3 = 0 for any q2), with the
+    minimizer's Bloch angles and probabilities there.  A q3 whose minimum lies outside
+    ``inv_theta_range``, where the contrast falls toward an end of the range, or is lost in
+    rounding, is flagged with ``bracketed=False`` and NaN results.  A point's result does not
+    depend on the other q3 values requested with it.  ``inv_theta_points`` is accepted and
+    validated for compatibility and has no effect.
 
-    Raises ValueError unless 0 < low < high are finite and there are at
-    least 3 scan points, and for a non-finite q_l, q2 or q3.
+    Raises ValueError unless 0 < low < high are finite and ``inv_theta_points`` is at least 3,
+    for a non-finite q_l, q2 or q3, and for a q3 whose spin matrices are not finite.
     """
     lo, hi = (float(v) for v in inv_theta_range)
     if not (math.isfinite(lo) and math.isfinite(hi) and 0.0 < lo < hi):
         raise ValueError(f"1/theta range must satisfy 0 < low < high, got {inv_theta_range!r}")
     if inv_theta_points < 3:
-        raise ValueError(f"1/theta scan needs at least 3 points, got {inv_theta_points!r}")
+        raise ValueError(f"inv_theta_points must be at least 3, got {inv_theta_points!r}")
     fixed = fixed or FixedParams()
     ScatterConfig(q_l=fixed.q_l, q2=fixed.q2)  # rejects a non-finite q_l or q2
     q3 = np.array([float(v) for v in q3_values])
     if not np.isfinite(q3).all():
         raise ValueError(f"q3 must be finite, got {float(q3[~np.isfinite(q3)][0])!r}")
     beams = _beam_matrices(fixed, q3)
-    roots = _locus_roots(beams)
-    inv_theta = np.where((roots > lo) & (roots < hi), roots, math.nan)
-    scan = np.isnan(inv_theta)
-    if scan.any():
-        inv_theta[scan] = _scan_minima(q3[scan], beams[:, scan], np.linspace(lo, hi, inv_theta_points), LOCUS_TOLERANCE)
-    return _locus_points(q3, beams, inv_theta)
+    return _locus_points(q3, beams, _locus_minima(q3, beams, lo, hi))
 
 
 def _locus_points(q3: np.ndarray, beams: np.ndarray, inv_theta: np.ndarray) -> list[LocusPoint]:

@@ -89,6 +89,54 @@ def spin_matrix(q_l: float, q2: float, q3: float, left, right):
         return madd(out, mscale(-1 / (2 * (e + 1)), mmul(s_f, m22, s_i)))
 
 
+def det(m):
+    (m00, m01), (m10, m11) = m
+    ad, bc = cmul(m00, m11), cmul(m01, m10)
+    return ad[0] - bc[0], ad[1] - bc[1]
+
+
+def cdiv(x, y):
+    size = y[0] * y[0] + y[1] * y[1]
+    return (x[0] * y[0] + x[1] * y[1]) / size, (x[1] * y[0] - x[0] * y[1]) / size
+
+
+def atan(x: Decimal) -> Decimal:
+    """arctan of x >= 0: atan x = 2 atan(x / (1 + sqrt(1 + x^2))) halves the argument until
+    it is below 0.1, then the Taylor series x - x^3/3 + x^5/5 - ... converges fast."""
+    with localcontext() as ctx:
+        ctx.prec = DIGITS + 10
+        halvings = 0
+        while x > Decimal("0.1"):
+            x = x / (1 + (1 + x * x).sqrt())
+            halvings += 1
+        total, power, n, tiny = x, x, 1, Decimal(10) ** -(DIGITS + 5)
+        while abs(power) > tiny:
+            power *= -x * x
+            total += power / (2 * n + 1)
+            n += 1
+        return total * 2**halvings
+
+
+def locus_invariants(q_l: float, q2: float, q3: float):
+    """Invariants of the spin matrices M_y, M_z of a left beam along y and along z against a
+    right beam along z: r = det M_y / det M_z, s = X / det M_z with X = tr(adj M_y . M_z),
+    det M_z and tr(M_y^dag M_z) as (re, im) pairs, and ||M_y||_F^2, ||M_z||_F^2."""
+    m_y = spin_matrix(q_l, q2, q3, (0, 1, 0), (0, 0, 1))
+    m_z = spin_matrix(q_l, q2, q3, (0, 0, 1), (0, 0, 1))
+    with localcontext() as ctx:
+        ctx.prec = 2 * DIGITS
+        (y00, y01), (y10, y11) = m_y
+        (z00, z01), (z10, z11) = m_z
+        diagonal, off = cadd(cmul(y11, z00), cmul(y00, z11)), cadd(cmul(y01, z10), cmul(y10, z01))
+        cross = diagonal[0] - off[0], diagonal[1] - off[1]
+        det_z = det(m_z)
+        overlap = ZERO
+        for y, z in zip((y00, y01, y10, y11), (z00, z01, z10, z11)):
+            overlap = cadd(overlap, cmul((y[0], -y[1]), z))
+        norm_y, norm_z = (sum(x[0] * x[0] + x[1] * x[1] for row in m for x in row) for m in (m_y, m_z))
+        return cdiv(det(m_y), det_z), cdiv(cross, det_z), det_z, overlap, norm_y, norm_z
+
+
 def modulus(z) -> Decimal:
     return (z[0] * z[0] + z[1] * z[1]).sqrt()
 

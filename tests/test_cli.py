@@ -11,7 +11,7 @@ import pytest
 import kdspin
 from kdspin import cli
 from kdspin.cli import main, parse_angle, parse_polarization
-from kdspin.sweep import LOCUS_TOLERANCE, FixedParams, GridSpec, SweepTile, run_sweep
+from kdspin.sweep import FixedParams, GridSpec, SweepTile, run_sweep
 
 
 def parse_kv(output):
@@ -390,14 +390,14 @@ def test_locus_fit_extreme_momentum_exits_2(flags, tmp_path, capsys):
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("ql", ["1e-200", "1e-20"])
 def test_locus_fit_tiny_momentum_is_unbracketed(ql, tmp_path, capsys):
-    # the contrast is 1 to an ulp along a scan row: no minimum to bracket there
+    # 1/theta ~ 1/q_l lies far outside the range, except at q3 = 1 where tan(theta) -> 1
     code = main(["locus-fit", "--ql", ql, "--out", str(tmp_path / "run")])
     err = capsys.readouterr().err
     assert code == 3
     assert "unbracketed: q3=0.5\n" in err
     rows = [line.split(",") for line in (tmp_path / "run_locus.csv").read_text().splitlines()[1:]]
     inv_theta = {float(row[0]): float(row[1]) for row in rows}
-    assert math.isnan(inv_theta[1.0]) or abs(inv_theta[1.0] - 4.0 / math.pi) <= LOCUS_TOLERANCE
+    assert math.isnan(inv_theta[1.0]) or abs(inv_theta[1.0] - 4.0 / math.pi) <= 1e-15 * 4.0 / math.pi
 
 
 @pytest.mark.filterwarnings("error")

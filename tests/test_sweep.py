@@ -1,5 +1,6 @@
 import cmath
 import math
+from decimal import Decimal, localcontext
 
 import decimal_kernel
 import numpy as np
@@ -18,16 +19,10 @@ from kdspin.compton import (
 from kdspin.contrast import BlochPair, canonicalize, minimize_contrast, minimize_contrast_batch
 from kdspin.kinematics import ScatterConfig
 from kdspin.sweep import (
-    LOCUS_TOLERANCE,
-    SWEEP_CHUNK_POINTS,
     FitConvergenceError,
     FitModel,
     FixedParams,
     GridSpec,
-    _beam_matrices,
-    _elliptic_minima,
-    _golden_section,
-    _scan_minima,
     evaluate_fit,
     fit_locus,
     locus_probabilities,
@@ -264,24 +259,68 @@ def direct_minima(fixed, q3, inv_theta):
     )
 
 
-def forbid_scan(mp):
-    def scan(q3, beams, grid, tol):
-        raise AssertionError(f"scan path taken at q3={q3.tolist()!r}")
-
-    mp.setattr("kdspin.sweep._scan_minima", scan)
-
-
 def test_minimum_locus_roots_match_reference_path():
-    # the default locus-fit grid: each point is a zero of the tensor-built
-    # contrast and agrees with a golden-section search on that contrast
-    step = 99.0 / 399.0  # the default coarse-scan spacing, so the bracket is the scan's
+    # the default locus-fit grid: each point is a zero of the tensor-built contrast
     fixed = FixedParams()
     for p in minimum_locus(np.linspace(0.0, 1.0, 201)):
-        value = reference_contrast(fixed, p.q3)
         assert p.bracketed
-        assert value(p.inv_theta) <= 1e-20
-        refined = _golden_section(value, p.inv_theta - step, p.inv_theta + step, LOCUS_TOLERANCE)
-        assert abs(p.inv_theta - refined) <= LOCUS_TOLERANCE
+        assert reference_contrast(fixed, p.q3)(p.inv_theta) <= 1e-20
+
+
+def test_locus_invariants_are_real():
+    # the four identities the closed form of the locus rests on, in 50 digits: r = det M_y / det M_z
+    # and s = X / det M_z are real, Im tr(M_y^dag M_z) = 0 and ||M_y||_F^2 = r ||M_z||_F^2
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    tiny = Decimal("1e-40")
+
+    @hypothesis.settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(st.floats(-10.0, math.log10(0.3)), st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
+    def check(log_ql, q2, q3):
+        r, s, det_z, overlap, norm_y, norm_z = decimal_kernel.locus_invariants(10.0**log_ql, q2, q3)
+        with localcontext() as ctx:
+            ctx.prec = 2 * decimal_kernel.DIGITS
+            size = (norm_y * norm_z).sqrt()
+            assert abs(r[1]) <= tiny * abs(r[0])
+            assert abs(s[1]) <= tiny * size / decimal_kernel.modulus(det_z)
+            assert abs(overlap[1]) <= tiny * size
+            assert abs(norm_y - r[0] * norm_z) <= tiny * norm_y
+
+    check()
+
+
+def oracle_locus(q_l, q2, q3, inv_theta_range=(1.0, 100.0)):
+    """(bracketed, 1/theta) of the locus point at q3 in 50 digits: bracketed exactly when r > 0,
+    s^2 < 4 r and 1/theta = 1/atan(sqrt(r)) lies inside the range."""
+    r, s, *_ = decimal_kernel.locus_invariants(q_l, q2, q3)
+    if not (r[0] > 0 and s[0] * s[0] < 4 * r[0]):
+        return False, math.nan
+    inv_theta = 1 / decimal_kernel.atan(r[0].sqrt())
+    return inv_theta_range[0] < inv_theta < inv_theta_range[1], float(inv_theta)
+
+
+@pytest.mark.parametrize("q2", [0.0, 0.01, 0.05, 0.3])
+@pytest.mark.parametrize("q_l", [0.02, 1e-4, 1e-8, 1e-12])
+def test_minimum_locus_matches_50_digit_oracle(q_l, q2):
+    for p in minimum_locus(np.linspace(0.0, 1.0, 41), fixed=FixedParams(q_l=q_l, q2=q2)):
+        bracketed, inv_theta = oracle_locus(q_l, q2, p.q3)
+        assert p.bracketed == bracketed, p.q3
+        if bracketed:
+            assert abs(p.inv_theta - inv_theta) <= 1e-15 * inv_theta
+
+
+def test_minimum_locus_brackets_no_rounding_minimum():
+    # at q_l = 1e-16 the valley at q2 != 0 is ~1e-32 deep, below rounding: a point may be left
+    # unbracketed there, but one that is bracketed must be a minimum in 50 digits
+    q3 = np.linspace(0.0, 1.0, 41)
+    for q2 in (0.0, 0.01, 0.05, 0.3):
+        for p in minimum_locus(q3, fixed=FixedParams(q_l=1e-16, q2=q2)):
+            if p.bracketed:
+                bracketed, inv_theta = oracle_locus(1e-16, q2, p.q3)
+                assert bracketed and abs(p.inv_theta - inv_theta) <= 1e-15 * inv_theta
+    # at q_l = 1e-20 the discriminant is rounding alone wherever the cross term survives
+    for q2 in (0.01, 0.05, 0.3):
+        assert not any(p.bracketed for p in minimum_locus(q3, fixed=FixedParams(q_l=1e-20, q2=q2)))
 
 
 def test_minimum_locus_takes_root_at_zero_q2():
@@ -293,72 +332,52 @@ def test_minimum_locus_takes_root_at_zero_q2():
     @hypothesis.given(st.floats(1e-3, 0.05), st.floats(0.0, 1.05))
     def check(q_l, q3):
         fixed = FixedParams(q_l=q_l)
-        with pytest.MonkeyPatch.context() as mp:
-            forbid_scan(mp)
-            (point,) = minimum_locus([q3], inv_theta_range=(1.0, 1e4), fixed=fixed)
+        (point,) = minimum_locus([q3], inv_theta_range=(1.0, 1e4), fixed=fixed)
         assert point.bracketed
         assert oracle_contrast(fixed, q3, point.inv_theta) <= 1e-20
 
     check()
 
 
-def test_minimum_locus_scans_where_cross_term_survives(monkeypatch):
-    fixed = FixedParams(q2=0.01)
-    q3_values = [0.3, 0.7, 0.95, 1.0]
-    scanned = []
-
-    def counting_scan(q3, beams, grid, tol):
-        scanned.extend(q3.tolist())
-        return _scan_minima(q3, beams, grid, tol)
-
-    monkeypatch.setattr("kdspin.sweep._scan_minima", counting_scan)
-    points = minimum_locus(q3_values, fixed=fixed)
-    assert scanned == q3_values
-    fine = np.linspace(1.0, 100.0, 19801)
-    for p in points:
-        assert p.bracketed
+@pytest.mark.parametrize("q_l", [0.02, 1e-4])
+@pytest.mark.parametrize("q2", [0.01, 0.05, 0.3])
+def test_minimum_locus_beats_grid_where_cross_term_survives(q2, q_l):
+    # no 1/theta of a fine log-spaced grid has a lower contrast than a bracketed point, and the
+    # contrast of an unbracketed point falls toward an end of the range
+    fixed = FixedParams(q_l=q_l, q2=q2)
+    grid = np.geomspace(1.0, 100.0, 2001)
+    for p in minimum_locus(np.linspace(0.0, 1.0, 201), fixed=fixed):
+        values = direct_minima(fixed, p.q3, grid).value
+        if not p.bracketed:
+            assert np.argmin(values) in (0, len(grid) - 1), p.q3
+            continue
         direct = direct_minima(fixed, p.q3, [p.inv_theta])
-        # the golden-section midpoint sits within LOCUS_TOLERANCE of the minimum
-        assert direct.value[0] <= direct_minima(fixed, p.q3, fine).value.min() * (1.0 + 1e-9)
+        assert direct.value[0] <= values.min() * (1.0 + 1e-12), p.q3
         # the superposition of M_y and M_z reproduces the kernel at the reported 1/theta
         assert abs(p.alpha - direct.alpha[0]) <= 1e-12 and abs(p.phi - direct.phi[0]) <= 1e-12
         assert abs(p.prob_a - direct.prob_a[0]) <= 1e-12 * direct.prob_b[0]
         assert abs(p.prob_b - direct.prob_b[0]) <= 1e-12 * direct.prob_b[0]
 
 
-def test_scan_minima_chunks_match_per_q3_scan():
-    fixed = FixedParams(q2=0.01)
-    grid = np.linspace(1.0, 100.0, 400)
-    q3 = np.linspace(0.0, 1.0, 41)
-    rows = SWEEP_CHUNK_POINTS // len(grid)
-    assert len(q3) > 3 * rows and len(q3) % rows  # whole chunks plus a partial one
-    beams = _beam_matrices(fixed, q3)
-    idx = np.array(
-        [np.argmin(_elliptic_minima(q3[i:i + 1], beams[:, i:i + 1], grid[None]).value) for i in range(len(q3))]
-    )
-    inner = (idx > 0) & (idx < len(grid) - 1)
-    expected = np.full(len(q3), math.nan)
-    expected[inner] = _golden_section(
-        lambda v: _elliptic_minima(q3[inner], beams[:, inner], v).value,
-        grid[idx[inner] - 1], grid[idx[inner] + 1], LOCUS_TOLERANCE,
-    )
-    assert _scan_minima(q3, beams, grid, LOCUS_TOLERANCE).tobytes() == expected.tobytes()
+def test_minimum_locus_names_q3_whose_matrices_overflow():
+    # the kernel overflows at q3 = 1e160; the error names that q3 among finite ones
+    q3 = np.linspace(0.0, 1.0, 41).tolist()
+    with pytest.raises(ValueError, match=r"q3=1e\+160"):
+        minimum_locus(q3[:13] + [1e160] + q3[13:], fixed=FixedParams(q2=0.01))
 
-    # the kernel overflows at q3 = 1e160: the same error as the first failing per-q3 scan
-    failing = np.concatenate([q3[: rows + 3], [1e160], q3[rows + 3 :]])
-    beams = _beam_matrices(fixed, failing)
-    with pytest.raises(ValueError) as per_q3:
-        for i in range(len(failing)):
-            _elliptic_minima(failing[i:i + 1], beams[:, i:i + 1], grid[None])
-    with pytest.raises(ValueError) as chunked:
-        _scan_minima(failing, beams, grid, LOCUS_TOLERANCE)
-    assert str(chunked.value) == str(per_q3.value)
-    assert str(chunked.value) == "no contrast minimum at q3=1e+160, 1/theta=1.0"
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("q_l, q3", [(1e100, 0.5), (1e150, 0.5), (1e-160, 1.0)])
+def test_minimum_locus_extreme_momentum_keeps_its_minimum(q_l, q3):
+    # M_y and M_z are scaled by powers of two before any product, so none overflows or underflows
+    (point,) = minimum_locus([q3], fixed=FixedParams(q_l=q_l))
+    assert point.bracketed
+    assert abs(point.inv_theta - 4.0 / math.pi) <= 1e-15 * 4.0 / math.pi
 
 
 def test_locus_builds_two_matrices_per_q3(monkeypatch):
     # every locus matrix is a superposition of M_y and M_z, so the kernel
-    # runs on exactly two matrices per q3, also on the scan path
+    # runs on exactly two matrices per q3, also where the cross term survives
     built = []
 
     def counting_kernel(q_l, q2, q3, left, right):
@@ -376,19 +395,17 @@ def test_locus_builds_two_matrices_per_q3(monkeypatch):
     assert sum(built) == 2 * len(q3)
 
 
-def test_minimum_locus_root_at_zero_q3_for_any_q2(monkeypatch):
+def test_minimum_locus_root_at_zero_q3_for_any_q2():
     fixed = FixedParams(q2=0.01)
-    forbid_scan(monkeypatch)
     (point,) = minimum_locus([0.0], fixed=fixed)
     assert point.bracketed
     assert oracle_contrast(fixed, 0.0, point.inv_theta) <= 1e-20
 
 
-def test_locus_angles_span_kernel_of_spin_matrix(monkeypatch):
+def test_locus_angles_span_kernel_of_spin_matrix():
     # at a zero of the contrast psi_A spans the kernel of M, so the Bloch
     # angles of that kernel vector are an oracle for the minimizer's
     fixed = FixedParams()
-    forbid_scan(monkeypatch)
     points = minimum_locus(np.linspace(0.0, 1.0, 201), fixed=fixed)
     q3 = np.array([p.q3 for p in points])
     left = elliptic_left(1.0 / np.array([p.inv_theta for p in points]))
