@@ -15,6 +15,7 @@ computed on numpy scalars equals its row of any batch bit for bit.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -31,23 +32,27 @@ class PolarizationPair:
     ``left`` is the amplitude of the beam running toward -x (it takes the
     emitted photon and enters contractions conjugated); ``right`` the beam
     toward +x (absorbed photon).  Plane-wave transversality forces the
-    x-components to vanish exactly.
+    x-components to vanish exactly.  Each beam may be any array-like 3-vector,
+    a strided or reversed view included; the pair stores a contiguous complex copy.
     """
 
     left: np.ndarray
     right: np.ndarray
 
     def __post_init__(self) -> None:
+        lit = False
         for name in ("left", "right"):
-            vec = np.asarray(getattr(self, name), dtype=complex)
+            vec = np.array(getattr(self, name), dtype=complex)
             if vec.shape != (3,):
                 raise ValueError(f"{name} amplitude must be a 3-vector")
-            if not np.isfinite(vec.view(float)).all():  # the methods skip np.all's Python wrapper
+            values = vec.tolist()  # checks on Python complexes skip numpy's reductions
+            if not all(map(cmath.isfinite, values)):
                 raise ValueError(f"{name} amplitude must be finite")
-            if vec[0] != 0:
+            if values[0]:
                 raise ValueError(f"{name} amplitude must have zero x-component")
+            lit = lit or any(values)
             object.__setattr__(self, name, vec)
-        if not (self.left.any() or self.right.any()):
+        if not lit:
             raise ValueError("at least one beam amplitude must be nonzero")
 
 
@@ -57,8 +62,8 @@ def elliptic_polarization(theta: float) -> PolarizationPair:
     if not math.isfinite(theta):
         raise ValueError(f"theta must be finite, got {theta!r}")
     return PolarizationPair(
-        left=np.array([0.0, np.cos(theta), 1j * np.sin(theta)]),
-        right=np.array([0.0, 0.0, 1.0]),
+        left=[0.0, np.cos(theta), 1j * np.sin(theta)],
+        right=[0.0, 0.0, 1.0],
     )
 
 
@@ -143,7 +148,7 @@ def spin_matrix_batch(q_l: float, q2, q3, left, right) -> np.ndarray:
     numpy's array loops may fuse a complex multiply where its scalar path does not."""
     if not (math.isfinite(q_l) and q_l > 0.0):
         raise ValueError(f"q_l must be positive, got {q_l!r}")
-    q2, q3 = (np.asarray(q, dtype=float)[()] for q in (q2, q3))
+    q2, q3 = np.asarray(q2, dtype=float)[()], np.asarray(q3, dtype=float)[()]
     # (re, im) of the y and z amplitudes; a (3,) beam unpacks into numpy scalars
     _, _, ly, ly_i, lz, lz_i = np.ascontiguousarray(left, dtype=complex).view(float).T
     _, _, ry, ry_i, rz, rz_i = np.ascontiguousarray(right, dtype=complex).view(float).T

@@ -201,14 +201,14 @@ def _closed_form(m: np.ndarray) -> tuple[np.ndarray, ...]:
         # where det u cancelled by more than 10 bits, recompute it error-free; the
         # choice is per matrix, so a stack rounds each matrix as it rounds alone
         low = det2 < 2.0**-20 * (t * t)
-        if low.any():
+        if np.count_nonzero(low):
             det2 = np.array(det2)
             det2[low] = np.square(_dot2(parts[..., low])).sum(axis=0)
         ratio_b = 0.5 * t + r
         ratio_a = det2 / ratio_b
         # ratios of the scaled matrix cannot underflow; the probabilities are |M psi|^2 again
         size = np.ldexp(1.0, exp)  # one factor at a time: size^2 may overflow alone
-        ok = (scale > DEGENERATE_FLOOR) & np.isfinite(t * size * size)
+        ok = (scale > DEGENERATE_FLOOR) & (t * size * size < math.inf)  # t >= 0 or NaN: finite
         # identical rounding can push the ratio one ulp past the analytic bound
         value = np.minimum(ratio_a / ratio_b, 1.0)
         return scale, ok, value, alpha, phi, ratio_a * size * size, ratio_b * size * size
@@ -267,4 +267,4 @@ def minimize_contrast_batch(m: np.ndarray) -> ContrastBatch:
     if m.ndim != 3 or m.shape[1:] != (2, 2):
         raise ValueError(f"expected a stack of 2x2 matrices, got shape {m.shape}")
     _, ok, *fields = _closed_form(m)
-    return ContrastBatch(*(np.where(ok, f, math.nan) for f in fields))
+    return ContrastBatch(*np.where(ok, fields, math.nan))

@@ -421,7 +421,7 @@ def fit_locus(locus) -> tuple[FitModel, FitModel]:
     q3, inv_theta = data[finite, 0], data[finite, 1]
     left_mask = q3 <= BRANCH_SPLIT + 1e-12
     right_mask = q3 >= BRANCH_SPLIT - 1e-12
-    distinct = [np.unique(q3[mask]).size for mask in (left_mask, right_mask)]
+    distinct = [len(set(q3[mask].tolist())) for mask in (left_mask, right_mask)]  # -0.0 == 0.0
     if min(distinct) < 4:
         raise ValueError(f"need at least 4 distinct q3 per branch, got {distinct[0]} left / {distinct[1]} right")
     left = _fit_branch(q3[left_mask], inv_theta[left_mask], "left", (0.0, BRANCH_SPLIT))

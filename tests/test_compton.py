@@ -67,6 +67,55 @@ def test_polarization_validation():
     assert PolarizationPair(left=np.zeros(3), right=np.array([0, 0, 1e-300j])).right[2] == 1e-300j
 
 
+def test_polarization_accepts_any_array_like_beam():
+    columns = np.zeros((3, 2), dtype=complex)
+    columns[1:, 0] = CIRCULAR[1:]
+    reversed_e3 = np.array([1.0, 0.0, 0.0j])[::-1]
+    strided = PolarizationPair(left=columns[:, 0], right=reversed_e3)
+    beams = [columns[:, 0], reversed_e3, [0, 0, 1], (0, 1j, 0.5), np.array([0.0, 2.0, 0.0])]
+    for beam in beams:
+        pol = PolarizationPair(left=beam, right=beam)
+        assert pol.left.dtype == complex and pol.left.flags.c_contiguous
+        assert np.array_equal(pol.left, np.asarray(beam, dtype=complex))
+    contiguous = PolarizationPair(left=CIRCULAR, right=E3)
+    cfg = ScatterConfig(q_l=0.02, q2=0.013, q3=0.4)
+    assert spin_matrix(cfg, strided).tobytes() == spin_matrix(cfg, contiguous).tobytes()
+    # the pair holds its own copy: writing to the caller's array leaves it valid
+    columns[0, 0] = 1.0
+    assert strided.left[0] == 0
+
+
+def test_polarization_validation_matches_reference_order():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    part = st.sampled_from([0.0, -0.0, 1.0, 1e-300, math.nan, math.inf, -math.inf])
+    beam = st.lists(st.builds(complex, part, part), min_size=3, max_size=3)
+
+    def first_failure(left, right):
+        for name, vec in (("left", left), ("right", right)):
+            if not all(math.isfinite(v.real) and math.isfinite(v.imag) for v in vec):
+                return f"{name} amplitude must be finite"
+            if vec[0].real != 0.0 or vec[0].imag != 0.0:
+                return f"{name} amplitude must have zero x-component"
+        if all(v.real == 0.0 and v.imag == 0.0 for v in left + right):
+            return "at least one beam amplitude must be nonzero"
+        return None
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(beam, beam)
+    def check(left, right):
+        message = first_failure(left, right)
+        if message is None:
+            pol = PolarizationPair(left=np.array(left), right=np.array(right))
+            assert pol.left.tolist() == left and pol.right.tolist() == right
+        else:
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                PolarizationPair(left=np.array(left), right=np.array(right))
+
+    check()
+
+
 def test_dark_left_beam_gives_zero_matrix():
     # antilinearity in the left amplitude: zero amplitude, zero matrix
     pol = PolarizationPair(left=np.zeros(3), right=E3)
