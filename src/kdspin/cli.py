@@ -176,21 +176,15 @@ def cmd_sweep(args) -> int:
     if len(args.axes) != 2:
         raise ValueError(f"--axes needs two comma-separated names, got {','.join(args.axes)!r}")
     x_name, y_name = args.axes
-    fixed = FixedParams(
-        q_l=args.ql,
-        q2=args.q2,
-        theta=args.theta,
-        pol=_polarization_from_args(args) if (args.pol_l is not None or args.pol_r is not None) else None,
-    )
-    spec = GridSpec(
-        x_name=x_name,
-        y_name=y_name,
-        x_range=tuple(args.x_range),
-        y_range=tuple(args.y_range),
-        nx=args.nx,
-        ny=args.ny,
-        fixed=fixed,
-    )
+    # --q2 and --theta are None unless given, and the grid's axes set one of them
+    flag, given, setter = ("--q2", args.q2, "x axis") if x_name == "q2" else ("--theta", args.theta, "y axis")
+    args.q2 = FixedParams.q2 if args.q2 is None else args.q2
+    args.theta = FixedParams.theta if args.theta is None else args.theta
+    pol = _polarization_from_args(args) if (args.pol_l is not None or args.pol_r is not None) else None
+    fixed = FixedParams(q_l=args.ql, q2=args.q2, theta=args.theta, pol=pol)
+    spec = GridSpec(x_name, y_name, tuple(args.x_range), tuple(args.y_range), args.nx, args.ny, fixed)
+    if given is not None:  # after GridSpec, which reports an unsupported pair or a non-finite value first
+        raise ValueError(f"{flag} is not read on a {x_name},{y_name} sweep: its {setter} sets it")
     tile = run_sweep(spec, workers=args.workers)
     out = Path(args.out)
     with open(out, "w", encoding="ascii", newline="\n") as handle:
@@ -336,6 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="grid sweep to CSV (optional P5 heatmap)")
     add_momenta(p_sweep)
     add_beams(p_sweep)  # --pol-l/--pol-r only on a q2,q3 grid
+    p_sweep.set_defaults(q2=None, theta=None)  # so cmd_sweep can reject the one the grid's axes set
     p_sweep.add_argument("--axes", required=True, type=lambda s: tuple(s.split(",")),
                          help="axis pair: q2,q3 or q3,theta or q3,inv_theta")
     p_sweep.add_argument("--x-range", required=True, type=lambda s: [float(v) for v in s.split(",")],

@@ -125,7 +125,8 @@ def spin_matrix_batch(q_l: float, q2, q3, left, right) -> np.ndarray:
     as transversality makes them 0).  Scalar momenta with (3,) beams give one (2, 2) matrix
     from numpy scalars, by the same operations: bit for bit its row of any batch.  Entries
     are NaN or infinite, without a floating-point warning, for non-finite inputs, and all
-    NaN where a momentum's square overflows (above ~1.3e154).
+    NaN where a momentum's square overflows (above ~1.3e154).  Raises ValueError unless
+    q_l > 0 is finite, and where momenta and beams broadcast to more than one dimension.
 
     With a = sigma . conj(left), b = sigma . right, S = sigma . (0, q2, q3), S_i, S_f =
     S -+ q_l sigma_1, d_A = 1/(2 q_l (E + q_l)) and d_B = 1/(2 q_l (E - q_l)), the spinor
@@ -169,6 +170,8 @@ def spin_matrix_batch(q_l: float, q2, q3, left, right) -> np.ndarray:
     u, u_i = u_h * (e_2 * zz - e * yy) + u_k * s, u_h * (e_2 * zz_i - e * yy_i) + u_k * s_i
     v, v_i = v_k * w_i, -(v_k * w)
     parts = np.array([x + y_i, x_i - y, u + v, u_i + v_i, v - u, v_i - u_i, x - y_i, x_i + y])
+    if parts.ndim > 2:  # parts.T reverses every axis, so only an (N,) batch reshapes right
+        raise ValueError(f"momenta and beams must broadcast to shape (N,), got {parts.shape[1:]}")
     return np.ascontiguousarray(parts.T).view(complex).reshape(np.shape(x) + (2, 2))
 
 

@@ -135,18 +135,18 @@ def _bloch_form(r00, i00, r01, i01, r10, i10, r11, i11):
     return p00 + p11, 0.5 * (p00 - p11), a, b
 
 
-def _value_grad_hess(
-    form: tuple[float, float, float, float], alpha: float, phi: float
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Contrast value, gradient and Hessian from the closed-form reduction.
+def contrast_derivatives(m: np.ndarray, pair: BlochPair) -> tuple[np.ndarray, np.ndarray]:
+    """Analytic gradient and Hessian of the contrast functional at one point.
 
-    With n = |M psi_A|^2 and d = t - n, C' = n/d gives
-    dC' = t dn / d^2 and d2C'_xy = t (n_xy d + 2 n_x n_y) / d^3.
+    With n = |M psi_A|^2 and d = t - n from the closed-form reduction, C' = n/d gives
+    dC' = t dn / d^2 and d2C'_xy = t (n_xy d + 2 n_x n_y) / d^3.  Raises
+    DegenerateDenominatorError where d vanishes.
     """
-    t, v, a, b = form
-    cos_a, sin_a = math.cos(alpha), math.sin(alpha)
-    w = a * math.cos(phi) - b * math.sin(phi)
-    w_p = -a * math.sin(phi) - b * math.cos(phi)
+    m = np.asarray(m, dtype=complex)
+    t, v, a, b = _bloch_form(*np.stack((m.real, m.imag), axis=-1).ravel())
+    cos_a, sin_a = math.cos(pair.alpha), math.sin(pair.alpha)
+    w = a * math.cos(pair.phi) - b * math.sin(pair.phi)
+    w_p = -a * math.sin(pair.phi) - b * math.cos(pair.phi)
     n = 0.5 * t + v * cos_a + sin_a * w
     n_a = -v * sin_a + cos_a * w
     n_p = sin_a * w_p
@@ -156,24 +156,9 @@ def _value_grad_hess(
     den = t - n
     if den < DEGENERATE_FLOOR:
         raise DegenerateDenominatorError("denominator |M psi_B|^2 vanished")
-    value = max(n, 0.0) / den
-    grad = np.array([t * n_a / den**2, t * n_p / den**2])
-    cross = t * (n_ap * den + 2.0 * n_a * n_p) / den**3
-    hess = np.array(
-        [
-            [t * (n_aa * den + 2.0 * n_a * n_a) / den**3, cross],
-            [cross, t * (n_pp * den + 2.0 * n_p * n_p) / den**3],
-        ]
-    )
-    return value, grad, hess
-
-
-def contrast_derivatives(m: np.ndarray, pair: BlochPair) -> tuple[np.ndarray, np.ndarray]:
-    """Analytic gradient and Hessian of the contrast functional at one point."""
-    m = np.asarray(m, dtype=complex)
-    form = _bloch_form(*np.stack((m.real, m.imag), axis=-1).ravel())
-    _, grad, hess = _value_grad_hess(form, pair.alpha, pair.phi)
-    return grad, hess
+    grad = np.array([n_a, n_p])
+    hess = t * (np.array([[n_aa, n_ap], [n_ap, n_pp]]) * den + 2.0 * np.outer(grad, grad)) / den**3
+    return t * grad / den**2, hess
 
 
 def _closed_form(m: np.ndarray) -> tuple[np.ndarray, ...]:

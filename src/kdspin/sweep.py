@@ -40,6 +40,9 @@ SWEEP_CHUNK_POINTS = 4096
 
 _CONVERGED = NewtonStatus.CONVERGED_GRADIENT.value
 
+#: q0 of each branch of the fit c1 + c2 sqrt((q3 - q0)^2 + c3)
+_BRANCH_OFFSET = {"left": 0.0, "right": 1.0}
+
 _EPS = np.finfo(float).eps
 
 #: unit amplitudes along y and z: the emission beams whose spin matrices
@@ -50,7 +53,8 @@ _UNIT_Y, _UNIT_Z = np.eye(3, dtype=complex)[1:]
 @dataclass(frozen=True)
 class FixedParams:
     """Values held constant over a sweep (q3 is an axis of every supported pair).
-    ``theta``, or ``pol`` when given, sets the beams of a q2,q3 grid only."""
+    ``theta``, or ``pol`` when given, sets the beams of a q2,q3 grid only; the locus, which
+    is defined on the elliptic beam, rejects ``pol``."""
 
     q_l: float = 0.02
     q2: float = 0.0
@@ -127,11 +131,16 @@ class LocusPoint:
 
 @dataclass(frozen=True)
 class FitModel:
-    """One branch of the locus fit 1/theta(q3) = p0 + p1 sqrt((q3 - q0)^2 + p2)."""
+    """One branch of the locus fit 1/theta(q3) = p0 + p1 sqrt((q3 - q0)^2 + p2), with q0 = 0
+    on the ``"left"`` branch and 1 on the ``"right"``; any other branch raises ValueError."""
 
     branch: str
     params: np.ndarray
     domain: tuple[float, float]
+
+    def __post_init__(self) -> None:
+        if self.branch not in _BRANCH_OFFSET:
+            raise ValueError(f"branch must be 'left' or 'right', got {self.branch!r}")
 
 
 class FitConvergenceError(RuntimeError):
@@ -196,16 +205,27 @@ def run_sweep(spec: GridSpec, workers: int = 1) -> SweepTile:
     )
 
 
-def _beam_matrices(fixed: FixedParams, q3: np.ndarray) -> np.ndarray:
-    """Spin matrices M_y, M_z of the emission beams along y and z at each q3,
-    shape (2, N, 2, 2); q2 and q_l come from ``fixed``.
-
-    The kernel is linear in the conjugated emission amplitude, so the
-    elliptic beam (0, cos theta, i sin theta) gives every matrix of the locus
-    as M(theta) = cos(theta) M_y - i sin(theta) M_z.  One kernel call on 2N rows.
+def _beam_matrices(fixed: FixedParams, q3_values) -> tuple[np.ndarray, np.ndarray]:
+    """The checked entry of the locus and its trace: ``q3_values`` as an (N,) float array, and
+    the spin matrices M_y, M_z of the emission beams along y and z at each q3, shape
+    (2, N, 2, 2), at the q_l and q2 of ``fixed``.  The kernel is linear in the conjugated
+    emission amplitude, so the elliptic beam (0, cos theta, i sin theta) gives every matrix of
+    the locus as M(theta) = cos(theta) M_y - i sin(theta) M_z.  One kernel call on 2N rows.
+    Raises ValueError for a fixed beam pair (the locus is defined on the elliptic beam), a
+    non-finite q_l, q2 or q3, and a q3 whose spin matrices are not finite.
     """
+    if fixed.pol is not None:
+        raise ValueError("the locus is defined on the elliptic beam: a fixed beam pair would go unread")
+    ScatterConfig(q_l=fixed.q_l, q2=fixed.q2)  # rejects a non-finite q_l or q2
+    q3 = np.array([float(v) for v in q3_values])
+    if not np.isfinite(q3).all():
+        raise ValueError(f"q3 must be finite, got {float(q3[~np.isfinite(q3)][0])!r}")
     left = np.repeat([_UNIT_Y, _UNIT_Z], len(q3), axis=0)
-    return spin_matrix_batch(fixed.q_l, fixed.q2, np.tile(q3, 2), left, _UNIT_Z).reshape(2, len(q3), 2, 2)
+    beams = spin_matrix_batch(fixed.q_l, fixed.q2, np.tile(q3, 2), left, _UNIT_Z).reshape(2, len(q3), 2, 2)
+    finite = np.isfinite(beams).all(axis=(0, 2, 3))
+    if not finite.all():
+        raise ValueError(f"no contrast minimum at q3={float(q3[~finite][0])!r}: its spin matrices are not finite")
+    return q3, beams
 
 
 def _elliptic_minima(q3: np.ndarray, beams: np.ndarray, inv_theta: np.ndarray) -> ContrastBatch:
@@ -228,41 +248,47 @@ def _elliptic_minima(q3: np.ndarray, beams: np.ndarray, inv_theta: np.ndarray) -
     return res
 
 
-def _locus_minima(q3: np.ndarray, beams: np.ndarray, lo: float, hi: float) -> np.ndarray:
+def _locus_minima(beams: np.ndarray, lo: float, hi: float) -> np.ndarray:
     """1/theta of the contrast minimum over the elliptic beam at each q3, with ``beams`` =
-    (M_y, M_z) there; NaN where that minimum lies outside (lo, hi) or rounding cannot place it.
+    (M_y, M_z) there, finite; NaN where that minimum lies outside (lo, hi) or rounding cannot
+    place it.
 
     Write u = tan(theta).  Then M(theta) = cos(theta) (M_y - i u M_z), so det M =
-    cos^2(theta) p(u) with p(u) = det M_y - i X u - det M_z u^2, X = tr(adj M_y . M_z), and
+    cos^2(theta) p(u) with p(u) = det M_y - i T u - det M_z u^2, T = tr(adj M_y . M_z), and
     tr M^dag M = cos^2(theta) q(u) with q(u) = ||M_y - i u M_z||_F^2.  The contrast
     c = lambda_min / lambda_max obeys c / (1 + c)^2 = |det M|^2 / (tr M^dag M)^2, so it rises
-    with F = |p|^2 / q^2.  The kernel makes r = det M_y / det M_z and s = X / det M_z real,
-    Im tr(M_y^dag M_z) = 0 and ||M_y||_F^2 = r ||M_z||_F^2 (exact in 50-digit arithmetic; the
-    tests pin all four).  So in w = u^2
+    with F = |p|^2 / q^2.  In the notation of ``spin_matrix_batch``, M = [[X - iY, U + V],
+    [V - U, X + iY]], with X, Y, U real for the unit beams and V = -i q_l k on the y beam, 0 on
+    the z beam.  With P = (X, Y, U), det M_y = |P_y|^2 + (q_l k)^2, det M_z = |P_z|^2 and
+    4 det M_y det M_z - T^2 = 4 (|P_y x P_z|^2 + (q_l k)^2 |P_z|^2).  So r = det M_y / det M_z
+    and s = T / det M_z are real, with r > 0 and s^2 < 4 r at every q_l > 0; also
+    Im tr(M_y^dag M_z) = 0 and ||M_y||_F^2 = r ||M_z||_F^2 (the tests pin all these in 50 digits).
+    In w = u^2
 
         F = |det M_z|^2 / ||M_z||_F^4 * ((w - r)^2 + s^2 w) / (w + r)^2,
         dF/dw ~ (w - r)(4 r - s^2) / (w + r)^3,
 
-    and its only stationary point is w = r.  There F is s^2 / (4 r) of its value at w = 0 and
-    w -> infinity, so w = r is the minimum when r > 0 and s^2 - 4 r = Re(D / det M_z^2) < 0,
-    D = X^2 - 4 det M_y det M_z; otherwise F falls toward an end of every range and the point
-    is unbracketed.  The minimum reported is the principal one, theta = arctan(sqrt(r)) in
-    (0, pi/2].
+    so F has one minimum, at w = r, s^2 / (4 r) of its value at w = 0 and w -> infinity; the
+    principal theta = arctan(sqrt(r)) in (0, pi/2] is reported.  At q2 = 0, P_y = (0, q_l q3 k, 0)
+    and P_z = k (x, 0, v); at q3 = 0, P_y = (0, 0, q_l q2 k) and P_z = (1 + q_l^2 h, -q_l q2 E h, 0).
+    With E = sqrt(1 + q2^2 + q3^2 + q_l^2) that gives, in elementary functions,
 
-    At q2 != 0, s^2 - 4 r is only of order (q_l / q2)^2 of 4 r, so formed as written it loses
-    its sign below q_l ~ 1e-8.  D is the discriminant of C = adj(M_y) M_z (tr C = X, det C =
-    det M_y det M_z), so it is formed from C's traceless part, as (c00 - c11)^2 + 4 c01 c10,
-    which keeps its digits; a point whose |D| lies within a rounding bound of 0 (at q2 != 0,
-    from q_l ~ 1e-15 down) is unbracketed.  M_y and M_z are first scaled, each by a power of two,
-    to a largest real or imaginary part in [1/2, 1): exact, so no product overflows or
-    underflows and det M_y / det M_z keeps its bits.  Raises ValueError for a q3 whose
-    matrices are not finite.
+        q2 = 0:  tan^2(theta) = q_l^2 (1 + q3^2) / (x^2 + v^2),
+                 x = 1 - q3^2 + q_l^2 / (E + 1),  v = q_l q3 (E + 2) / (E + 1);
+        q3 = 0:  tan^2(theta) = q_l^2 / ((1 + q2^2) ((1 + q_l^2 h)^2 + (q_l q2 E h)^2)),
+                 h = 1 / ((1 + q2^2) (E + 1)).
+
+    A point is unbracketed only outside (lo, hi), or where the dip s^2 / (4 r) - 1 =
+    D / (4 det M_y det M_z), D = T^2 - 4 det M_y det M_z, is lost in rounding.  At q2 != 0, D
+    is of order (q_l / q2)^2 of T^2, so formed as written it has no digits left below q_l ~ 1e-8.
+    D is the discriminant of C = adj(M_y) M_z (tr C = T, det C = det M_y det M_z), so it is
+    formed as (c00 - c11)^2 + 4 c01 c10 from C's traceless part, which keeps its digits; a point
+    whose |D| is within a rounding bound of 0 (at q2 != 0, from q_l ~ 1e-15 down) is
+    unbracketed.  M_y and M_z are first scaled, each by a power of two, to a largest real or
+    imaginary part in [1/2, 1): exact, so no product overflows or underflows and
+    det M_y / det M_z keeps its bits.
     """
-    scale = np.abs(beams.view(float)).max(axis=(2, 3))  # largest real or imaginary part, (2, N)
-    if not np.isfinite(scale).all():
-        bad = ~np.isfinite(scale).all(axis=0)
-        raise ValueError(f"no contrast minimum at q3={float(q3[bad][0])!r}: its spin matrices are not finite")
-    exp = np.frexp(scale)[1]
+    exp = np.frexp(np.abs(beams.view(float)).max(axis=(2, 3)))[1]  # of the largest part, (2, N)
     m = np.ldexp(beams.view(float), -exp[:, :, None, None]).view(complex)
     det_y, det_z = m[:, :, 0, 0] * m[:, :, 1, 1] - m[:, :, 0, 1] * m[:, :, 1, 0]
     (y00, y01), (y10, y11) = m[0].transpose(1, 2, 0)
@@ -273,12 +299,10 @@ def _locus_minima(q3: np.ndarray, beams: np.ndarray, lo: float, hi: float) -> np
     disc = t * t + 4.0 * c01 * c10
     # entries of the scaled matrices are at most sqrt(2): each c carries a few eps of error
     noise = 64.0 * _EPS * (np.abs(t) + np.abs(c01) + np.abs(c10) + 64.0 * _EPS)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # no minimum gives NaN or inf
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # a zero M_z gives NaN or inf
         ratio = det_y / det_z
         inv_theta = 1.0 / np.arctan(np.ldexp(np.sqrt(ratio.real), exp[0] - exp[1]))
-    # r <= 0 leaves inv_theta NaN or infinite, outside every range
-    minimum = ((disc * np.conj(det_z * det_z)).real < 0.0) & (np.abs(disc) > noise)
-    return np.where(minimum & (inv_theta > lo) & (inv_theta < hi), inv_theta, math.nan)
+    return np.where((np.abs(disc) > noise) & (inv_theta > lo) & (inv_theta < hi), inv_theta, math.nan)
 
 
 def minimum_locus(
@@ -291,27 +315,23 @@ def minimum_locus(
 
     Every locus point is the closed form tan^2(theta) = Re(det M_y / det M_z) of
     ``_locus_minima`` (a zero of the contrast at q2 = 0, and at q3 = 0 for any q2), with the
-    minimizer's Bloch angles and probabilities there.  A q3 whose minimum lies outside
-    ``inv_theta_range``, where the contrast falls toward an end of the range, or is lost in
-    rounding, is flagged with ``bracketed=False`` and NaN results.  A point's result does not
-    depend on the other q3 values requested with it.  ``inv_theta_points`` is accepted and
-    validated for compatibility and has no effect.
+    minimizer's Bloch angles and probabilities there.  For q_l > 0 every q3 has a minimum; a
+    q3 whose minimum lies outside ``inv_theta_range``, where the contrast falls toward an end
+    of the range, or is lost in rounding, is flagged with ``bracketed=False`` and NaN results.
+    A point's result does not depend on the other q3 values requested with it.
+    ``inv_theta_points`` is accepted and validated for compatibility and has no effect.
 
     Raises ValueError unless 0 < low < high are finite and ``inv_theta_points`` is at least 3,
-    for a non-finite q_l, q2 or q3, and for a q3 whose spin matrices are not finite.
+    and as ``_beam_matrices`` does: for a fixed beam pair, a non-finite q_l, q2 or q3, and a
+    q3 whose spin matrices are not finite.
     """
     lo, hi = (float(v) for v in inv_theta_range)
     if not (math.isfinite(lo) and math.isfinite(hi) and 0.0 < lo < hi):
         raise ValueError(f"1/theta range must satisfy 0 < low < high, got {inv_theta_range!r}")
     if inv_theta_points < 3:
         raise ValueError(f"inv_theta_points must be at least 3, got {inv_theta_points!r}")
-    fixed = fixed or FixedParams()
-    ScatterConfig(q_l=fixed.q_l, q2=fixed.q2)  # rejects a non-finite q_l or q2
-    q3 = np.array([float(v) for v in q3_values])
-    if not np.isfinite(q3).all():
-        raise ValueError(f"q3 must be finite, got {float(q3[~np.isfinite(q3)][0])!r}")
-    beams = _beam_matrices(fixed, q3)
-    return _locus_points(q3, beams, _locus_minima(q3, beams, lo, hi))
+    q3, beams = _beam_matrices(fixed or FixedParams(), q3_values)
+    return _locus_points(q3, beams, _locus_minima(beams, lo, hi))
 
 
 def _locus_points(q3: np.ndarray, beams: np.ndarray, inv_theta: np.ndarray) -> list[LocusPoint]:
@@ -325,22 +345,13 @@ def _locus_points(q3: np.ndarray, beams: np.ndarray, inv_theta: np.ndarray) -> l
     return [LocusPoint(*row, status=_CONVERGED if row[-1] else "unbracketed") for row in rows]
 
 
-def _branch_offset(branch: str) -> float:
-    if branch == "left":
-        return 0.0
-    if branch == "right":
-        return 1.0
-    raise ValueError(f"branch must be 'left' or 'right', got {branch!r}")
-
-
 def evaluate_fit(model: FitModel, q3: float) -> float:
     """Closed-form evaluation of one fitted branch at q3 (domain enforced)."""
     lo, hi = model.domain
     if not (lo - 1e-12 <= q3 <= hi + 1e-12):
         raise ValueError(f"q3={q3!r} outside fit domain [{lo}, {hi}]")
-    offset = _branch_offset(model.branch)
     c1, c2, c3 = model.params
-    x = q3 - offset  # squared as the fit squares it: x ** 2 calls libm pow, which can be an ulp off
+    x = q3 - _BRANCH_OFFSET[model.branch]  # squared as the fit squares it: x ** 2 calls libm pow, which can be an ulp off
     return float(c1 + c2 * math.sqrt(x * x + c3))
 
 
@@ -373,7 +384,7 @@ def _fit_branch(q3: np.ndarray, inv_theta: np.ndarray, branch: str, domain) -> F
     c1 + c2 |q3 - q0|) or to infinity (a parabola), or when the derivative
     does not go from negative to positive across the bracket.
     """
-    x = q3 - _branch_offset(branch)
+    x = q3 - _BRANCH_OFFSET[branch]
     grid = np.geomspace(1e-8, 10.0, 80)
     best = int(np.argmin(_fit_profile(x, inv_theta, grid)[2]))
     if best in (0, len(grid) - 1):
@@ -439,9 +450,10 @@ def locus_probabilities(
     (``left`` up to ``BRANCH_SPLIT``), with |M psi_A|^2, |M psi_B|^2 and the optimal
     angles there.  Every point is bracketed.
 
-    All q3 values share one ``_beam_matrices`` call and one minimizer call.
+    All q3 values share one ``_beam_matrices`` call and one minimizer call.  Raises
+    ValueError as ``minimum_locus`` does for ``fixed`` and q3, for a q3 outside its branch's
+    domain, and at a point with no minimum, as where the fit gives 1/theta = 0.
     """
-    fixed = fixed or FixedParams()
-    q3 = np.array([float(v) for v in q3_values])
+    q3, beams = _beam_matrices(fixed or FixedParams(), q3_values)
     inv_theta = np.array([evaluate_fit(left if v <= BRANCH_SPLIT else right, v) for v in q3.tolist()])
-    return _locus_points(q3, _beam_matrices(fixed, q3), inv_theta)
+    return _locus_points(q3, beams, inv_theta)

@@ -247,6 +247,7 @@ def test_criterion_7c_derivatives_vs_finite_differences():
     )
 
 
+@pytest.mark.slow
 def test_criterion_7d_newton_beats_brute_force():
     rng = np.random.RandomState(107)
     alphas = np.linspace(0.0, 2.0 * math.pi, 2000, endpoint=False)

@@ -553,3 +553,42 @@ def test_taylor_check_rounding_floor_exits_2(capsys):
     assert code == 2
     assert captured.err.startswith("error: the expansion's error") and captured.err.count("\n") == 1
     assert "rounding floor" in captured.err and captured.out == ""
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["sweep", "--axes", "q2", "--x-range", "0,1", "--y-range", "0,1"], "--axes needs two comma-separated names"),
+        (["sweep", "--axes", "q2,q3", "--x-range", "0,1,2", "--y-range", "0,1"], "axis ranges are (low, high) pairs"),
+        # a flag the grid's axes set would go unread
+        (["sweep", "--axes", "q2,q3", "--x-range", "0,1", "--y-range", "0,1", "--q2", "0.7"],
+         "--q2 is not read on a q2,q3 sweep: its x axis sets it"),
+        (["sweep", "--axes", "q3,theta", "--x-range", "0,1", "--y-range", "0,1", "--theta", "0.3"],
+         "--theta is not read on a q3,theta sweep: its y axis sets it"),
+        (["sweep", "--axes", "q3,inv_theta", "--x-range", "0,1", "--y-range", "1,2", "--theta", "0.3"],
+         "--theta is not read on a q3,inv_theta sweep: its y axis sets it"),
+        (["taylor-check", "--scale", "-1"], "--scale must be nonnegative"),
+    ],
+    ids=["one-axis", "three-ends", "unread-q2", "unread-theta", "unread-theta-inv", "negative-scale"],
+)
+def test_rejected_input_exits_2(argv, message, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code = main([*argv, "--nx", "3", "--ny", "3", "--out", "tile.csv"] if argv[0] == "sweep" else argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith(f"error: {message}") and captured.err.count("\n") == 1
+    assert captured.out == "" and list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("scale", [[], ["--log-scale"]], ids=["linear", "log10"])
+def test_heatmap_of_column_without_finite_value(scale, tmp_path, capsys):
+    # a dark left beam fails every point: the pixels are all 0 and the sidecar maps [0, 0]
+    out = tmp_path / "tile.csv"
+    argv = ["sweep", "--axes", "q2,q3", "--x-range", "0,1", "--y-range", "0,1", "--nx", "3", "--ny", "2",
+            "--pol-l", "0,0,0,0,0,0", "--heatmap-column", "contrast", "--out", str(out), *scale]
+    assert main(argv) == 0
+    assert capsys.readouterr().err == "sweep: 6 of 6 points failed (failed_ValueError: 6)\n"
+    assert (tmp_path / "tile.pgm").read_bytes() == b"P5\n3 2\n255\n" + bytes(6)
+    sidecar = (tmp_path / "tile.pgm.txt").read_text().splitlines()
+    assert "min=0.0" in sidecar and "max=0.0" in sidecar

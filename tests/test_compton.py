@@ -309,3 +309,17 @@ def test_batch_rejects_bad_photon_momentum():
     for q_l in (0.0, -0.02, math.inf, math.nan):
         with pytest.raises(ValueError):
             spin_matrix_batch(q_l, np.zeros(1), np.zeros(1), CIRCULAR, E3)
+
+
+@pytest.mark.parametrize(
+    "q2, q3, left",
+    [
+        # a (1, 5) by (3, 1) grid of momenta: the matrices would come out transposed and reshaped
+        pytest.param(np.linspace(-0.05, 0.05, 5)[None, :], np.linspace(0.95, 1.05, 3)[:, None], CIRCULAR, id="grid"),
+        # (5,) momenta against a (1, 5, 3) beam broadcast to (5, 5)
+        pytest.param(np.zeros(5), np.linspace(0.0, 1.0, 5), np.tile(CIRCULAR, (1, 5, 1)), id="beam-3d"),
+    ],
+)
+def test_batch_rejects_multidimensional_broadcast(q2, q3, left):
+    with pytest.raises(ValueError, match=r"must broadcast to shape \(N,\)"):
+        spin_matrix_batch(0.02, q2, q3, left, E3)

@@ -135,6 +135,12 @@ def test_derivatives_match_finite_differences():
         assert np.allclose(hess, fd_hess, rtol=1e-4, atol=1e-6 * scale_h)
 
 
+def test_derivatives_raise_where_denominator_vanishes():
+    # at alpha = 0, psi_B = (0, -1) spans the kernel of diag(1, 0): |M psi_B|^2 = 0
+    with pytest.raises(DegenerateDenominatorError):
+        contrast_derivatives(np.diag([1.0, 0.0]), BlochPair(0.0, 0.0))
+
+
 def test_closed_form_minimum_is_stationary():
     # the minimizer's angles and the analytic derivatives share one Bloch form:
     # at the closed-form minimum C' is stationary, with no descent direction
@@ -341,6 +347,7 @@ def test_minimize_matches_eigenvalues_near_poles():
     check()
 
 
+@pytest.mark.slow
 def test_minimize_beats_brute_force_grid():
     rng = np.random.RandomState(29)
     alphas = np.linspace(0.0, TWO_PI, 2000, endpoint=False)

@@ -269,7 +269,8 @@ def test_minimum_locus_roots_match_reference_path():
 
 def test_locus_invariants_are_real():
     # the four identities the closed form of the locus rests on, in 50 digits: r = det M_y / det M_z
-    # and s = X / det M_z are real, Im tr(M_y^dag M_z) = 0 and ||M_y||_F^2 = r ||M_z||_F^2
+    # and s = X / det M_z are real, Im tr(M_y^dag M_z) = 0 and ||M_y||_F^2 = r ||M_z||_F^2; and
+    # r > 0 with s^2 < 4 r, so that the stationary point w = r is always the minimum
     hypothesis = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
     tiny = Decimal("1e-40")
@@ -285,6 +286,44 @@ def test_locus_invariants_are_real():
             assert abs(s[1]) <= tiny * size / decimal_kernel.modulus(det_z)
             assert abs(overlap[1]) <= tiny * size
             assert abs(norm_y - r[0] * norm_z) <= tiny * norm_y
+            assert r[0] > 0
+            assert s[0] * s[0] < 4 * r[0]
+
+    check()
+
+
+def elementary_inv_theta(q_l, q2, q3):
+    """1/theta of the locus in 50 digits from the elementary closed forms, at q2 = 0 or q3 = 0:
+    no spin matrix is formed, so this shares no algebra with the kernel's block formula."""
+    assert q2 == 0.0 or q3 == 0.0
+    ql, q2, q3 = (Decimal(float(v)) for v in (q_l, q2, q3))
+    with localcontext() as ctx:
+        ctx.prec = 2 * decimal_kernel.DIGITS
+        e = (1 + q2 * q2 + q3 * q3 + ql * ql).sqrt()
+        if q2 == 0:
+            x = 1 - q3 * q3 + ql * ql / (e + 1)
+            v = ql * q3 * (e + 2) / (e + 1)
+            tan2 = ql * ql * (1 + q3 * q3) / (x * x + v * v)
+        else:
+            h = 1 / ((1 + q2 * q2) * (e + 1))
+            tan2 = ql * ql / ((1 + q2 * q2) * ((1 + ql * ql * h) ** 2 + (ql * q2 * e * h) ** 2))
+        return float(1 / decimal_kernel.atan(tan2.sqrt()))
+
+
+def test_minimum_locus_matches_elementary_closed_forms():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    wide = (1.0, 1e10)  # 1/theta runs from 4/pi to about sqrt(1 + q2^2) / q_l: nothing is filtered out
+
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(st.floats(-8.0, -1.0), st.floats(0.0, 1.0), st.floats(-2.0, 2.0))
+    def check(log_ql, q3, q2):
+        q_l = 10.0**log_ql
+        for q2, q3 in ((0.0, q3), (q2, 0.0)):
+            (point,) = minimum_locus([q3], inv_theta_range=wide, fixed=FixedParams(q_l=q_l, q2=q2))
+            expected = elementary_inv_theta(q_l, q2, q3)
+            assert point.bracketed
+            assert abs(point.inv_theta - expected) <= 1e-15 * expected
 
     check()
 
@@ -455,6 +494,37 @@ def test_minimum_locus_point_independent_of_request(q2, count, inv_theta_range):
 def test_minimum_locus_rejects_bad_search_range(inv_theta_range, inv_theta_points):
     with pytest.raises(ValueError):
         minimum_locus([0.5], inv_theta_range=inv_theta_range, inv_theta_points=inv_theta_points)
+
+
+def test_locus_entry_checks_every_input():
+    # minimum_locus and locus_probabilities validate through one entry, before any kernel call
+    left, right = left_model(PAPER_LEFT), right_model(PAPER_RIGHT)
+    beam = FixedParams(pol=elliptic_polarization(0.3))
+    cases = [
+        (lambda: minimum_locus([math.nan]), "q3 must be finite, got nan"),
+        (lambda: locus_probabilities(left, right, [math.nan]), "q3 must be finite, got nan"),
+        (lambda: locus_probabilities(left, right, [0.5], fixed=FixedParams(q2=math.nan)), "q2 must be finite, got nan"),
+        (lambda: locus_probabilities(left, right, [0.5], fixed=FixedParams(q2=1e200)),
+         r"q3=0\.5: its spin matrices are not finite"),
+        (lambda: minimum_locus([0.5], fixed=beam), "elliptic beam: a fixed beam pair would go unread"),
+        (lambda: locus_probabilities(left, right, [0.5], fixed=beam), "elliptic beam"),
+    ]
+    for call, message in cases:
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
+def test_locus_probabilities_names_point_without_minimum():
+    # the left model (0, 0, 0) gives 1/theta = 0, where no angle theta exists
+    with pytest.raises(ValueError, match=r"no contrast minimum at q3=0\.5, 1/theta=0\.0"):
+        locus_probabilities(left_model([0.0, 0.0, 0.0]), right_model(PAPER_RIGHT), [0.5])
+
+
+def test_fit_rejects_empty_locus_and_unknown_branch():
+    with pytest.raises(ValueError, match="empty locus"):
+        fit_locus([])
+    with pytest.raises(ValueError, match="branch must be 'left' or 'right', got 'middle'"):
+        FitModel(branch="middle", params=np.asarray(PAPER_LEFT), domain=(0.0, 0.9))
 
 
 def test_fit_round_trip_left():
