@@ -9,10 +9,12 @@ parameters, 3 locus bracketing or fit failure, 4 unwritable output.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import math
 import os
 import re
+import stat
 import sys
 from collections import Counter
 from pathlib import Path
@@ -88,11 +90,40 @@ def _format(value) -> str:
 
 
 def _polarization_from_args(args) -> PolarizationPair:
+    if args.pol_l is not None and args.theta is not None:
+        raise ValueError("--theta is not read when --pol-l is given: --pol-l sets the left beam")
+    theta = FixedParams.theta if args.theta is None else args.theta  # --theta is None unless given
     if args.pol_l is not None or args.pol_r is not None:
-        left = args.pol_l if args.pol_l is not None else elliptic_polarization(args.theta).left
+        left = args.pol_l if args.pol_l is not None else elliptic_polarization(theta).left
         right = args.pol_r if args.pol_r is not None else np.array([0.0, 0.0, 1.0 + 0.0j])
         return PolarizationPair(left=left, right=right)
-    return elliptic_polarization(args.theta)
+    return elliptic_polarization(theta)
+
+
+@contextlib.contextmanager
+def _overwrite(path, binary: bool = False):
+    """ASCII text (or byte) stream over ``path``, cut to the written length on close, not emptied on
+    open: on ext4 a truncate to zero makes ``close`` start writeback. Keeps inode, links and mode."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        handle = open(fd, "wb") if binary else open(fd, "w", encoding="ascii", newline="\n")
+    except BaseException:
+        os.close(fd)
+        raise
+    with handle:
+        try:
+            yield handle
+        finally:
+            if stat.S_ISREG(os.fstat(fd).st_mode):  # not /dev/null or a FIFO
+                handle.truncate()
+
+
+def _same_file(a, b) -> bool:
+    """Whether paths ``a`` and ``b`` name one file: one inode if both exist, else one resolved path."""
+    try:
+        return os.path.samestat(os.stat(a), os.stat(b))
+    except OSError:
+        return os.path.realpath(a) == os.path.realpath(b)
 
 
 def _write_csv(stream, header: str, rows) -> None:
@@ -134,7 +165,7 @@ def write_heatmap_pgm(tile: SweepTile, column: str, path: Path, log_scale: bool)
     scaled[~np.isfinite(scaled)] = 0.0
     pixels = np.clip(np.rint(scaled), 0, 255).astype(np.uint8)
     ny, nx = pixels.shape
-    with open(path, "wb") as handle:
+    with _overwrite(path, binary=True) as handle:
         handle.write(f"P5\n{nx} {ny}\n255\n".encode("ascii"))
         handle.write(pixels.tobytes())
     sidecar = [
@@ -150,7 +181,8 @@ def write_heatmap_pgm(tile: SweepTile, column: str, path: Path, log_scale: bool)
         f"y_last={_format(tile.y[-1])}",
         "row0=y_first",
     ]
-    Path(str(path) + ".txt").write_text("\n".join(sidecar) + "\n", encoding="ascii")
+    with _overwrite(f"{path}.txt") as handle:
+        handle.write("\n".join(sidecar) + "\n")
 
 
 def cmd_point(args) -> int:
@@ -178,16 +210,20 @@ def cmd_sweep(args) -> int:
     x_name, y_name = args.axes
     # --q2 and --theta are None unless given, and the grid's axes set one of them
     flag, given, setter = ("--q2", args.q2, "x axis") if x_name == "q2" else ("--theta", args.theta, "y axis")
+    pol = _polarization_from_args(args) if (args.pol_l is not None or args.pol_r is not None) else None
     args.q2 = FixedParams.q2 if args.q2 is None else args.q2
     args.theta = FixedParams.theta if args.theta is None else args.theta
-    pol = _polarization_from_args(args) if (args.pol_l is not None or args.pol_r is not None) else None
     fixed = FixedParams(q_l=args.ql, q2=args.q2, theta=args.theta, pol=pol)
     spec = GridSpec(x_name, y_name, tuple(args.x_range), tuple(args.y_range), args.nx, args.ny, fixed)
     if given is not None:  # after GridSpec, which reports an unsupported pair or a non-finite value first
         raise ValueError(f"{flag} is not read on a {x_name},{y_name} sweep: its {setter} sets it")
-    tile = run_sweep(spec, workers=args.workers)
     out = Path(args.out)
-    with open(out, "w", encoding="ascii", newline="\n") as handle:
+    # a nameless --out ("." or "/") is a directory, whose write exits 4
+    pgm = Path(args.heatmap_out) if args.heatmap_out else out.with_suffix(".pgm") if out.name else None
+    if args.heatmap_column is not None and pgm and (_same_file(out, pgm) or _same_file(out, f"{pgm}.txt")):
+        raise ValueError(f"the heatmap {pgm} or its sidecar {pgm}.txt would overwrite the CSV {out}")
+    tile = run_sweep(spec, workers=args.workers)
+    with _overwrite(out) as handle:
         write_tile_csv(tile, handle)
     print(f"wrote {out} ({spec.nx * spec.ny} points)")
     failed = Counter(tile.status[np.isnan(tile.contrast)].tolist())
@@ -198,7 +234,6 @@ def cmd_sweep(args) -> int:
             file=sys.stderr,
         )
     if args.heatmap_column is not None:
-        pgm = Path(args.heatmap_out) if args.heatmap_out else out.with_suffix(".pgm")
         write_heatmap_pgm(tile, args.heatmap_column, pgm, args.log_scale)
         print(f"wrote {pgm} and {pgm}.txt")
     return 0
@@ -219,7 +254,7 @@ def cmd_locus_fit(args) -> int:
 
     prefix = args.out
     locus_path = Path(f"{prefix}_locus.csv")
-    with open(locus_path, "w", encoding="ascii", newline="\n") as handle:
+    with _overwrite(locus_path) as handle:
         _write_csv(handle, "q3,inv_theta,alpha", ((p.q3, p.inv_theta, p.alpha) for p in points))
     print(f"wrote {locus_path} ({len(points)} points)")
 
@@ -254,13 +289,14 @@ def cmd_locus_fit(args) -> int:
         f"right.rms={_format(branch_rms(right, good))}",
     ]
     fit_path = Path(f"{prefix}_fit.txt")
-    fit_path.write_text("\n".join(report) + "\n", encoding="ascii")
+    with _overwrite(fit_path) as handle:
+        handle.write("\n".join(report) + "\n")
     for line in report:
         print(line)
 
     trace = locus_probabilities(left, right, [p.q3 for p in points if p.bracketed], fixed=fixed)
     prob_path = Path(f"{prefix}_probabilities.csv")
-    with open(prob_path, "w", encoding="ascii", newline="\n") as handle:
+    with _overwrite(prob_path) as handle:
         rows = ((r.q3, r.prob_a, r.prob_b, r.alpha, r.phi) for r in trace)
         _write_csv(handle, "q3,prob_A,prob_B,alpha,phi", rows)
     print(f"wrote {fit_path} and {prob_path}")
@@ -268,13 +304,13 @@ def cmd_locus_fit(args) -> int:
 
 
 def cmd_taylor_check(args) -> int:
+    pol = _polarization_from_args(args)  # checked even where the scale-0 shortcut reads no beam
     if args.scale == 0.0:
         print("scale=0.0 error=0.0")
         print("order=exact (expansion coincides with the amplitude at the origin)")
         return 0
     if args.scale < 0.0:
         raise ValueError("--scale must be nonnegative")
-    pol = _polarization_from_args(args)
     if args.scale > DOMAIN_LIMIT:
         print(f"warning: scale {args.scale} exceeds the expansion domain ({DOMAIN_LIMIT})")
     scales, errors = [], []
@@ -313,11 +349,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--theta",
             type=parse_angle,
-            default=math.pi / 4.0,
-            help="left-beam ellipticity angle (radians or 'pi/4' style)",
+            help="left-beam ellipticity angle (radians or 'pi/4' style; default pi/4)",
         )
         p.add_argument("--pol-l", type=parse_polarization, default=None, metavar="RE,IM,...",
-                       help="left amplitude as re,im pairs (overrides --theta)")
+                       help="left amplitude as re,im pairs (instead of --theta)")
         p.add_argument("--pol-r", type=parse_polarization, default=None, metavar="RE,IM,...",
                        help="right amplitude as re,im pairs (default 0,0,0,0,1,0)")
 
@@ -330,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="grid sweep to CSV (optional P5 heatmap)")
     add_momenta(p_sweep)
     add_beams(p_sweep)  # --pol-l/--pol-r only on a q2,q3 grid
-    p_sweep.set_defaults(q2=None, theta=None)  # so cmd_sweep can reject the one the grid's axes set
+    p_sweep.set_defaults(q2=None)  # so cmd_sweep can reject --q2 or --theta when the grid's axes set it
     p_sweep.add_argument("--axes", required=True, type=lambda s: tuple(s.split(",")),
                          help="axis pair: q2,q3 or q3,theta or q3,inv_theta")
     p_sweep.add_argument("--x-range", required=True, type=lambda s: [float(v) for v in s.split(",")],

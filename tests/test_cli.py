@@ -468,21 +468,86 @@ def test_one_parser_serves_many_calls(tmp_path, capsys, monkeypatch):
     ]
     env = {**os.environ, "PYTHONPATH": str(Path(kdspin.__file__).parents[1])}
     assert cli.build_parser() is cli.build_parser()
+    written = set()
     for k, argv in enumerate(calls):
         here, alone = tmp_path / f"here{k}", tmp_path / f"alone{k}"
         here.mkdir()
         alone.mkdir()
+        ref = subprocess.run([sys.executable, "-m", "kdspin.cli", *argv], cwd=alone, env=env,
+                             capture_output=True, text=True)
+        for name in os.listdir(alone):  # the in-process run rewrites outputs longer than its own
+            (here / name).write_bytes(b"junk\n" * 13107)
+            written.add(name)
         monkeypatch.chdir(here)
         try:
             code = main(argv)
         except SystemExit as exc:
             code = exc.code
-        ref = subprocess.run([sys.executable, "-m", "kdspin.cli", *argv], cwd=alone, env=env,
-                             capture_output=True, text=True)
         assert (code, capsys.readouterr().out) == (ref.returncode, ref.stdout)
         files = [sorted((p.name, p.read_bytes()) for p in d.iterdir()) for d in (here, alone)]
         assert files[0] == files[1]
     assert sorted(p.name for p in (tmp_path / "here2").iterdir()) == ["tile.csv"]
+    assert written == {"tile.csv", "tile.pgm", "tile.pgm.txt", "run_locus.csv", "run_fit.txt", "run_probabilities.csv"}
+
+
+def test_sweep_to_dev_null():
+    argv = ["sweep", "--axes", "q2,q3", "--x-range", "0,1", "--y-range", "0,1", "--nx", "2", "--ny", "2"]
+    assert main([*argv, "--out", os.devnull]) == 0
+
+
+def test_outputs_rewritten_in_place(tmp_path, capsys):
+    # a new output gets open()'s mode under the umask; an old one keeps its inode, links and mode
+    argv = ["sweep", "--axes", "q2,q3", "--x-range", "0,1", "--y-range", "0,1", "--nx", "2", "--ny", "2",
+            "--heatmap-column", "contrast", "--out", str(tmp_path / "tile.csv")]
+    outputs = [tmp_path / name for name in ("tile.csv", "tile.pgm", "tile.pgm.txt")]
+    old_umask = os.umask(0o002)
+    try:
+        assert main(argv) == 0
+    finally:
+        os.umask(old_umask)
+    assert [p.stat().st_mode & 0o777 for p in outputs] == [0o664] * 3
+    fresh = [p.read_bytes() for p in outputs]
+    for p in outputs:
+        p.chmod(0o600)
+        p.write_bytes(b"x" * 65536)
+        os.link(p, f"{p}.link")
+    inodes = [p.stat().st_ino for p in outputs]
+    assert main(argv) == 0
+    assert [p.read_bytes() for p in outputs] == fresh
+    assert [Path(f"{p}.link").read_bytes() for p in outputs] == fresh
+    assert [(p.stat().st_ino, p.stat().st_mode & 0o777) for p in outputs] == [(i, 0o600) for i in inodes]
+
+
+@pytest.mark.skipif(os.geteuid() == 0, reason="root writes a read-only file")
+def test_read_only_output_exits_4(tmp_path, capsys):
+    out = tmp_path / "tile.csv"
+    out.write_bytes(b"kept\n")
+    out.chmod(0o444)
+    argv = ["sweep", "--axes", "q2,q3", "--x-range", "0,1", "--y-range", "0,1", "--nx", "2", "--ny", "2"]
+    assert main([*argv, "--out", str(out)]) == 4
+    assert out.read_bytes() == b"kept\n"
+
+
+@pytest.mark.parametrize("command", [["sweep", "--axes", "q2,q3", "--x-range", "0,1", "--y-range", "0,1",
+                                      "--nx", "2", "--ny", "2"], ["locus-fit", "--q3-points", "3"]])
+def test_directory_output_exits_4(command, tmp_path, capsys):
+    # a locus-fit prefix names the directory "<prefix>_locus.csv"
+    (tmp_path / "run_locus.csv").mkdir()
+    out = tmp_path if command[0] == "sweep" else tmp_path / "run"
+    assert main([*command, "--out", str(out)]) == 4
+    assert capsys.readouterr().err.startswith("error: [Errno 21] Is a directory")
+
+
+def test_writer_closes_fd_when_stream_fails(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise LookupError("no stream")
+
+    monkeypatch.setattr(cli, "open", refuse, raising=False)
+    before = len(os.listdir("/proc/self/fd"))
+    with pytest.raises(LookupError):
+        with cli._overwrite(tmp_path / "out.csv"):
+            pass
+    assert len(os.listdir("/proc/self/fd")) == before
 
 
 def test_taylor_check_default_ladder(capsys):
@@ -555,6 +620,11 @@ def test_taylor_check_rounding_floor_exits_2(capsys):
     assert "rounding floor" in captured.err and captured.out == ""
 
 
+THETA_WITH_POL_L = "--theta is not read when --pol-l is given: --pol-l sets the left beam"
+HEATMAP_SWEEP = ["sweep", "--axes", "q2,q3", "--x-range", "-0.05,0.05", "--y-range", "0.95,1.05",
+                 "--heatmap-column", "contrast"]
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize(
     "argv, message",
@@ -569,16 +639,40 @@ def test_taylor_check_rounding_floor_exits_2(capsys):
         (["sweep", "--axes", "q3,inv_theta", "--x-range", "0,1", "--y-range", "1,2", "--theta", "0.3"],
          "--theta is not read on a q3,inv_theta sweep: its y axis sets it"),
         (["taylor-check", "--scale", "-1"], "--scale must be nonnegative"),
+        # --pol-l sets the left beam, so --theta would go unread
+        (["point", "--q3", "0.5", "--pol-l", "0,0,1,0,0,0", "--theta", "0.3"], THETA_WITH_POL_L),
+        (["taylor-check", "--scale", "0", "--pol-l", "0,0,1,0,0,0", "--theta", "0.3"], THETA_WITH_POL_L),
+        (["sweep", "--axes", "q2,q3", "--x-range", "0,1", "--y-range", "0,1", "--pol-l", "0,0,1,0,0,0",
+          "--theta", "0.3"], THETA_WITH_POL_L),
+        # the heatmap or its sidecar would overwrite the CSV
+        ([*HEATMAP_SWEEP, "--out", "t.pgm"], "the heatmap t.pgm or its sidecar t.pgm.txt would overwrite the CSV"),
+        ([*HEATMAP_SWEEP, "--heatmap-out", "./tile.csv"], "the heatmap tile.csv or its sidecar"),
+        ([*HEATMAP_SWEEP, "--heatmap-out", "t", "--out", "t.txt"], "the heatmap t or its sidecar t.txt"),
     ],
-    ids=["one-axis", "three-ends", "unread-q2", "unread-theta", "unread-theta-inv", "negative-scale"],
+    ids=["one-axis", "three-ends", "unread-q2", "unread-theta", "unread-theta-inv", "negative-scale",
+         "point-theta-pol-l", "taylor-theta-pol-l", "sweep-theta-pol-l", "pgm-is-out", "heatmap-out-is-out",
+         "sidecar-is-out"],
 )
 def test_rejected_input_exits_2(argv, message, tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    code = main([*argv, "--nx", "3", "--ny", "3", "--out", "tile.csv"] if argv[0] == "sweep" else argv)
+    code = main(["sweep", "--nx", "3", "--ny", "3", "--out", "tile.csv", *argv[1:]] if argv[0] == "sweep" else argv)
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err.startswith(f"error: {message}") and captured.err.count("\n") == 1
     assert captured.out == "" and list(tmp_path.iterdir()) == []
+
+
+def test_heatmap_onto_existing_csv_exits_2(tmp_path, capsys):
+    # a symlink to the CSV names the CSV; a symlink loop names no file, and writing it exits 4
+    out, link, loop = tmp_path / "tile.csv", tmp_path / "link.pgm", tmp_path / "loop"
+    out.write_bytes(b"kept\n")
+    link.symlink_to(out)
+    loop.symlink_to(loop)
+    argv = [*HEATMAP_SWEEP, "--nx", "3", "--ny", "3"]
+    assert main([*argv, "--out", str(out), "--heatmap-out", str(link)]) == 2
+    assert out.read_bytes() == b"kept\n"
+    assert main([*argv, "--out", str(loop)]) == 4
+    assert capsys.readouterr().err.count("error:") == 2
 
 
 @pytest.mark.parametrize("scale", [[], ["--log-scale"]], ids=["linear", "log10"])
