@@ -123,7 +123,9 @@ def spin_matrix_batch(q_l: float, q2, q3, left, right) -> np.ndarray:
     ``q2`` and ``q3`` are (N,) arrays of transverse momenta at the photon momentum ``q_l``;
     ``left`` and ``right`` are (N, 3) or (3,) complex beam amplitudes (x components unread,
     as transversality makes them 0).  Scalar momenta with (3,) beams give one (2, 2) matrix
-    from numpy scalars, by the same operations: bit for bit its row of any batch.  Entries
+    from numpy scalars, by the same operations: bit for bit its row of any batch.  A batch
+    of one, where each input is scalar or holds one point, runs on those scalars too and
+    comes out (1, 2, 2); telling it apart reads shapes only.  Entries
     are NaN or infinite, without a floating-point warning, for non-finite inputs, and all
     NaN where a momentum's square overflows (above ~1.3e154).  Raises ValueError unless
     q_l > 0 is finite, and where momenta and beams broadcast to more than one dimension.
@@ -149,10 +151,16 @@ def spin_matrix_batch(q_l: float, q2, q3, left, right) -> np.ndarray:
     numpy's array loops may fuse a complex multiply where its scalar path does not."""
     if not (math.isfinite(q_l) and q_l > 0.0):
         raise ValueError(f"q_l must be positive, got {q_l!r}")
-    q2, q3 = np.asarray(q2, dtype=float)[()], np.asarray(q3, dtype=float)[()]
+    q2, q3 = np.asarray(q2, dtype=float), np.asarray(q3, dtype=float)
+    left, right = np.ascontiguousarray(left, dtype=complex), np.ascontiguousarray(right, dtype=complex)
+    batched = q2.ndim + q3.ndim + left.ndim + right.ndim > 2  # scalar momenta and (3,) beams give 2
+    one = batched and {q2.shape, q3.shape, left.shape[:-1], right.shape[:-1]} <= {(), (1,)}
+    if one:
+        q2, q3, left, right = q2.reshape(()), q3.reshape(()), left.reshape(3), right.reshape(3)
+    q2, q3 = q2[()], q3[()]
     # (re, im) of the y and z amplitudes; a (3,) beam unpacks into numpy scalars
-    _, _, ly, ly_i, lz, lz_i = np.ascontiguousarray(left, dtype=complex).view(float).T
-    _, _, ry, ry_i, rz, rz_i = np.ascontiguousarray(right, dtype=complex).view(float).T
+    _, _, ly, ly_i, lz, lz_i = left.view(float).T
+    _, _, ry, ry_i, rz, rz_i = right.view(float).T
     yy, yy_i = ly * ry + ly_i * ry_i, ly * ry_i - ly_i * ry
     zz, zz_i = lz * rz + lz_i * rz_i, lz * rz_i - lz_i * rz
     yz, yz_i = ly * rz + ly_i * rz_i, ly * rz_i - ly_i * rz
@@ -172,7 +180,7 @@ def spin_matrix_batch(q_l: float, q2, q3, left, right) -> np.ndarray:
     parts = np.array([x + y_i, x_i - y, u + v, u_i + v_i, v - u, v_i - u_i, x - y_i, x_i + y])
     if parts.ndim > 2:  # parts.T reverses every axis, so only an (N,) batch reshapes right
         raise ValueError(f"momenta and beams must broadcast to shape (N,), got {parts.shape[1:]}")
-    return np.ascontiguousarray(parts.T).view(complex).reshape(np.shape(x) + (2, 2))
+    return np.ascontiguousarray(parts.T).view(complex).reshape((1, 2, 2) if one else np.shape(x) + (2, 2))
 
 
 def spin_matrix(cfg: ScatterConfig, pol: PolarizationPair) -> np.ndarray:

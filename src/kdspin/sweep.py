@@ -6,13 +6,14 @@ grid rows go through the batched kernel and minimizer at once, with one beam
 array per chunk, and a point they leave NaN is named after the exception the
 scalar forms raise for it.
 The minimum locus traces, for each transverse momentum q3, the inverse
-ellipticity 1/theta at which the contrast valley bottoms out.  The elliptic
-beam gives M(theta) = cos(theta) M_y - i sin(theta) M_z, and at every q3 the
-bottom is the closed form tan^2(theta) = Re(det M_y / det M_z) (see
-``_locus_minima``).  The locus is fitted per branch by least squares against
-1/theta = c1 + c2 sqrt((q3 - q0)^2 + c3), with q0 = 0 on the left branch and
-q0 = 1 on the right, by variable projection: (c1, c2) are linear for fixed c3,
-so the fit is a one-dimensional problem in c3.
+ellipticity 1/theta at which the contrast valley bottoms out: an elementary
+function of (q_l, q2, q3), tan^2(theta) = det M_y / det M_z (see
+``_locus_inv_theta``).  Each locus point is then evaluated as the ``point``
+command evaluates one, at theta = 1/inv_theta: one kernel row per q3 and the
+minimizer, a single q3 on numpy scalars.  The locus is fitted per branch by
+least squares against 1/theta = c1 + c2 sqrt((q3 - q0)^2 + c3), with q0 = 0
+on the left branch and q0 = 1 on the right, by variable projection: (c1, c2)
+are linear for fixed c3, so the fit is a one-dimensional problem in c3.
 """
 
 from __future__ import annotations
@@ -23,11 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .compton import PolarizationPair, elliptic_left, elliptic_polarization, spin_matrix_batch
-from .contrast import (
-    ContrastBatch,
-    NewtonStatus,
-    minimize_contrast_batch,
-)
+from .contrast import NewtonStatus, minimize_contrast_batch
 from .kinematics import ScatterConfig
 
 SUPPORTED_AXES = (("q2", "q3"), ("q3", "theta"), ("q3", "inv_theta"))
@@ -43,18 +40,16 @@ _CONVERGED = NewtonStatus.CONVERGED_GRADIENT.value
 #: q0 of each branch of the fit c1 + c2 sqrt((q3 - q0)^2 + c3)
 _BRANCH_OFFSET = {"left": 0.0, "right": 1.0}
 
-_EPS = np.finfo(float).eps
-
-#: unit amplitudes along y and z: the emission beams whose spin matrices
-#: M_y, M_z span the elliptic beam, and (z) its linear absorption beam
-_UNIT_Y, _UNIT_Z = np.eye(3, dtype=complex)[1:]
+#: unit amplitude along z: the absorption beam against every elliptic emission beam
+_UNIT_Z = np.array([0.0, 0.0, 1.0], dtype=complex)
 
 
 @dataclass(frozen=True)
 class FixedParams:
     """Values held constant over a sweep (q3 is an axis of every supported pair).
     ``theta``, or ``pol`` when given, sets the beams of a q2,q3 grid only; the locus, which
-    is defined on the elliptic beam, rejects ``pol``."""
+    is defined on the elliptic beam and sets theta itself, rejects ``pol`` and any theta but
+    the default."""
 
     q_l: float = 0.02
     q2: float = 0.0
@@ -117,7 +112,9 @@ class LocusPoint:
     """Contrast minimum over the Bloch angles of the elliptic beam at (q3, inv_theta), with
     its optimal angles and probabilities prob_a = |M psi_A|^2, prob_b = |M psi_B|^2.  On the
     minimum locus inv_theta is the minimum over 1/theta; along a fit it is the fit's value.
-    An unbracketed point has NaN in every float field but q3."""
+    Every field is the ``point`` command's at theta = 1/inv_theta, bit for bit.  A point is
+    unbracketed only where its minimum lies outside the 1/theta range, and then has NaN in
+    every float field but q3."""
 
     q3: float
     inv_theta: float
@@ -205,104 +202,65 @@ def run_sweep(spec: GridSpec, workers: int = 1) -> SweepTile:
     )
 
 
-def _beam_matrices(fixed: FixedParams, q3_values) -> tuple[np.ndarray, np.ndarray]:
-    """The checked entry of the locus and its trace: ``q3_values`` as an (N,) float array, and
-    the spin matrices M_y, M_z of the emission beams along y and z at each q3, shape
-    (2, N, 2, 2), at the q_l and q2 of ``fixed``.  The kernel is linear in the conjugated
-    emission amplitude, so the elliptic beam (0, cos theta, i sin theta) gives every matrix of
-    the locus as M(theta) = cos(theta) M_y - i sin(theta) M_z.  One kernel call on 2N rows.
-    Raises ValueError for a fixed beam pair (the locus is defined on the elliptic beam), a
-    non-finite q_l, q2 or q3, and a q3 whose spin matrices are not finite.
+def _locus_entry(fixed: FixedParams | None, q3_values) -> tuple[FixedParams, np.ndarray]:
+    """The checked entry of the locus: ``fixed`` (``FixedParams()`` if None) and ``q3_values``
+    as an (N,) float array.  Raises ValueError for a fixed beam pair or a theta other than the
+    default (the locus is defined on the elliptic beam and sets theta itself, so either would go
+    unread), and for a non-finite q_l, q2 or q3.
     """
+    fixed = fixed or FixedParams()
     if fixed.pol is not None:
         raise ValueError("the locus is defined on the elliptic beam: a fixed beam pair would go unread")
+    if fixed.theta != FixedParams.theta:
+        raise ValueError(f"the locus sets theta itself: a fixed theta={fixed.theta!r} would go unread")
     ScatterConfig(q_l=fixed.q_l, q2=fixed.q2)  # rejects a non-finite q_l or q2
     q3 = np.array([float(v) for v in q3_values])
     if not np.isfinite(q3).all():
         raise ValueError(f"q3 must be finite, got {float(q3[~np.isfinite(q3)][0])!r}")
-    left = np.repeat([_UNIT_Y, _UNIT_Z], len(q3), axis=0)
-    beams = spin_matrix_batch(fixed.q_l, fixed.q2, np.tile(q3, 2), left, _UNIT_Z).reshape(2, len(q3), 2, 2)
-    finite = np.isfinite(beams).all(axis=(0, 2, 3))
-    if not finite.all():
-        raise ValueError(f"no contrast minimum at q3={float(q3[~finite][0])!r}: its spin matrices are not finite")
-    return q3, beams
+    return fixed, q3
 
 
-def _elliptic_minima(q3: np.ndarray, beams: np.ndarray, inv_theta: np.ndarray) -> ContrastBatch:
-    """Batched contrast minima of cos(theta) M_y - i sin(theta) M_z, with ``beams`` = (M_y, M_z)
-    at ``q3``, at 1/theta = inv_theta, all of length N.  The superposition is formed in real
-    arithmetic, elementwise, so a point's bits do not depend on its batch.
-    Raises ValueError if a point has no minimum.
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
+def _locus_inv_theta(fixed: FixedParams, q3):
+    """1/theta of the contrast minimum over the elliptic beam (0, cos theta, i sin theta) against
+    (0, 0, 1) at each q3 (an array or a scalar), in elementary functions of (q_l, q2, q3); NaN
+    where a momentum's square overflows, as in the kernel.
+
+    The kernel is linear in the conjugated emission amplitude, so M(theta) = cos(theta)
+    (M_y - i u M_z), u = tan(theta), with M_y, M_z the spin matrices of the unit y and z beams.
+    In the notation of ``spin_matrix_batch``, M = [[X - iY, U + V], [V - U, X + iY]], their
+    coefficients P = (X, Y, U) and V are
+
+        P_y = (-2 q2 q3 k, q_l q3 k, q_l q2 k),   V_y = -i q_l k,
+        P_z = (c_zz, -q_l q2 h E, q_l q3 h (E + 2)),   V_z = 0,
+
+    E = sqrt(1 + q2^2 + q3^2 + q_l^2), k = 1/(1 + q2^2 + q3^2), h = k/(E + 1) and c_zz =
+    ((1 - q3)(1 + q3) + q2^2) k + q_l^2 h.  So det M_y = |P_y|^2 + (q_l k)^2, det M_z = |P_z|^2,
+    and with T = tr(adj M_y . M_z), 4 det M_y det M_z - T^2 = 4 (|P_y x P_z|^2 + (q_l k)^2 |P_z|^2):
+    r = det M_y / det M_z and s = T / det M_z are real, r > 0 and s^2 < 4 r at every q_l > 0, and
+    tr M^dag M = cos^2(theta) (r + u^2) ||M_z||_F^2.  The contrast c = lambda_min / lambda_max
+    obeys c / (1 + c)^2 = |det M|^2 / (tr M^dag M)^2, with det M = cos^2(theta) (det M_y - i T u
+    - det M_z u^2), so it rises with F = ((w - r)^2 + s^2 w) / (w + r)^2 in w = u^2, and
+    dF/dw ~ (w - r)(4 r - s^2) / (w + r)^3: one minimum, at tan^2(theta) = r (the tests pin
+    these identities in 50 digits).  Both determinants are sums of squares, so nothing cancels,
+    and ``hypot`` keeps every square from underflowing or overflowing:
+
+        tan(theta) = sqrt(k) hypot(2 q2 q3 sqrt(k), q_l) / hypot(c_zz, q_l h hypot(q2 E, q3 (E + 2))),
+
+    taken as theta = atan2 of the two, in (0, pi/2], so 1/theta >= 2/pi.  At q2 = 0 this is a
+    zero of the contrast, tan^2(theta) = q_l^2 (1 + q3^2) / (x^2 + v^2) with x = 1 - q3^2 +
+    q_l^2 / (E + 1) and v = q_l q3 (E + 2) / (E + 1); at q3 = 0 one with tan^2(theta) =
+    q_l^2 / ((1 + q2^2) ((1 + q_l^2 h)^2 + (q_l q2 E h)^2)).
     """
-    m_y, m_z = beams
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # 1/theta = 0 gives NaN
-        theta = (1.0 / inv_theta)[:, None, None]
-        cos, sin = np.cos(theta), np.sin(theta)
-        m = (cos * m_y.real + sin * m_z.imag).astype(complex)
-        m.imag = cos * m_y.imag - sin * m_z.real
-    res = minimize_contrast_batch(m)
-    failed = np.flatnonzero(np.isnan(res.value))
-    if failed.size:
-        i = failed[0]
-        raise ValueError(f"no contrast minimum at q3={float(q3[i])!r}, 1/theta={float(inv_theta[i])!r}")
-    return res
-
-
-def _locus_minima(beams: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    """1/theta of the contrast minimum over the elliptic beam at each q3, with ``beams`` =
-    (M_y, M_z) there, finite; NaN where that minimum lies outside (lo, hi) or rounding cannot
-    place it.
-
-    Write u = tan(theta).  Then M(theta) = cos(theta) (M_y - i u M_z), so det M =
-    cos^2(theta) p(u) with p(u) = det M_y - i T u - det M_z u^2, T = tr(adj M_y . M_z), and
-    tr M^dag M = cos^2(theta) q(u) with q(u) = ||M_y - i u M_z||_F^2.  The contrast
-    c = lambda_min / lambda_max obeys c / (1 + c)^2 = |det M|^2 / (tr M^dag M)^2, so it rises
-    with F = |p|^2 / q^2.  In the notation of ``spin_matrix_batch``, M = [[X - iY, U + V],
-    [V - U, X + iY]], with X, Y, U real for the unit beams and V = -i q_l k on the y beam, 0 on
-    the z beam.  With P = (X, Y, U), det M_y = |P_y|^2 + (q_l k)^2, det M_z = |P_z|^2 and
-    4 det M_y det M_z - T^2 = 4 (|P_y x P_z|^2 + (q_l k)^2 |P_z|^2).  So r = det M_y / det M_z
-    and s = T / det M_z are real, with r > 0 and s^2 < 4 r at every q_l > 0; also
-    Im tr(M_y^dag M_z) = 0 and ||M_y||_F^2 = r ||M_z||_F^2 (the tests pin all these in 50 digits).
-    In w = u^2
-
-        F = |det M_z|^2 / ||M_z||_F^4 * ((w - r)^2 + s^2 w) / (w + r)^2,
-        dF/dw ~ (w - r)(4 r - s^2) / (w + r)^3,
-
-    so F has one minimum, at w = r, s^2 / (4 r) of its value at w = 0 and w -> infinity; the
-    principal theta = arctan(sqrt(r)) in (0, pi/2] is reported.  At q2 = 0, P_y = (0, q_l q3 k, 0)
-    and P_z = k (x, 0, v); at q3 = 0, P_y = (0, 0, q_l q2 k) and P_z = (1 + q_l^2 h, -q_l q2 E h, 0).
-    With E = sqrt(1 + q2^2 + q3^2 + q_l^2) that gives, in elementary functions,
-
-        q2 = 0:  tan^2(theta) = q_l^2 (1 + q3^2) / (x^2 + v^2),
-                 x = 1 - q3^2 + q_l^2 / (E + 1),  v = q_l q3 (E + 2) / (E + 1);
-        q3 = 0:  tan^2(theta) = q_l^2 / ((1 + q2^2) ((1 + q_l^2 h)^2 + (q_l q2 E h)^2)),
-                 h = 1 / ((1 + q2^2) (E + 1)).
-
-    A point is unbracketed only outside (lo, hi), or where the dip s^2 / (4 r) - 1 =
-    D / (4 det M_y det M_z), D = T^2 - 4 det M_y det M_z, is lost in rounding.  At q2 != 0, D
-    is of order (q_l / q2)^2 of T^2, so formed as written it has no digits left below q_l ~ 1e-8.
-    D is the discriminant of C = adj(M_y) M_z (tr C = T, det C = det M_y det M_z), so it is
-    formed as (c00 - c11)^2 + 4 c01 c10 from C's traceless part, which keeps its digits; a point
-    whose |D| is within a rounding bound of 0 (at q2 != 0, from q_l ~ 1e-15 down) is
-    unbracketed.  M_y and M_z are first scaled, each by a power of two, to a largest real or
-    imaginary part in [1/2, 1): exact, so no product overflows or underflows and
-    det M_y / det M_z keeps its bits.
-    """
-    exp = np.frexp(np.abs(beams.view(float)).max(axis=(2, 3)))[1]  # of the largest part, (2, N)
-    m = np.ldexp(beams.view(float), -exp[:, :, None, None]).view(complex)
-    det_y, det_z = m[:, :, 0, 0] * m[:, :, 1, 1] - m[:, :, 0, 1] * m[:, :, 1, 0]
-    (y00, y01), (y10, y11) = m[0].transpose(1, 2, 0)
-    (z00, z01), (z10, z11) = m[1].transpose(1, 2, 0)
-    # the traceless part of C = adj(M_y) M_z: c00 - c11, c01 and c10
-    t = (y11 * z00 - y01 * z10) - (y00 * z11 - y10 * z01)
-    c01, c10 = y11 * z01 - y01 * z11, y00 * z10 - y10 * z00
-    disc = t * t + 4.0 * c01 * c10
-    # entries of the scaled matrices are at most sqrt(2): each c carries a few eps of error
-    noise = 64.0 * _EPS * (np.abs(t) + np.abs(c01) + np.abs(c10) + 64.0 * _EPS)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # a zero M_z gives NaN or inf
-        ratio = det_y / det_z
-        inv_theta = 1.0 / np.arctan(np.ldexp(np.sqrt(ratio.real), exp[0] - exp[1]))
-    return np.where((np.abs(disc) > noise) & (inv_theta > lo) & (inv_theta < hi), inv_theta, math.nan)
+    q_l, q2 = fixed.q_l, fixed.q2
+    d = 1.0 + q2 * q2 + q3 * q3
+    e, k = np.sqrt(d + q_l * q_l), 1.0 / d
+    h = k / (e + 1.0)
+    c_zz = ((1.0 - q3) * (1.0 + q3) + q2 * q2) * k + q_l * q_l * h
+    root_k = np.sqrt(k)
+    tan_num = root_k * np.hypot(2.0 * q2 * q3 * root_k, q_l)
+    tan_den = np.hypot(c_zz, q_l * h * np.hypot(q2 * e, q3 * (e + 2.0)))
+    return 1.0 / np.arctan2(tan_num, tan_den)
 
 
 def minimum_locus(
@@ -313,35 +271,49 @@ def minimum_locus(
 ) -> list[LocusPoint]:
     """Trace the contrast minimum over 1/theta for each q3 (q2 held fixed).
 
-    Every locus point is the closed form tan^2(theta) = Re(det M_y / det M_z) of
-    ``_locus_minima`` (a zero of the contrast at q2 = 0, and at q3 = 0 for any q2), with the
-    minimizer's Bloch angles and probabilities there.  For q_l > 0 every q3 has a minimum; a
-    q3 whose minimum lies outside ``inv_theta_range``, where the contrast falls toward an end
-    of the range, or is lost in rounding, is flagged with ``bracketed=False`` and NaN results.
+    Every locus point is the elementary closed form of ``_locus_inv_theta`` (a zero of the
+    contrast at q2 = 0, and at q3 = 0 for any q2), with the minimizer's Bloch angles and
+    probabilities there, evaluated as the ``point`` command evaluates the elliptic beam at
+    theta = 1 / inv_theta: one kernel row per q3, then the minimizer.  For q_l > 0 every q3 has
+    a minimum; a q3 whose minimum lies outside the open ``inv_theta_range``, where the contrast
+    falls toward an end of the range, is flagged with ``bracketed=False`` and NaN results.
     A point's result does not depend on the other q3 values requested with it.
     ``inv_theta_points`` is accepted and validated for compatibility and has no effect.
 
     Raises ValueError unless 0 < low < high are finite and ``inv_theta_points`` is at least 3,
-    and as ``_beam_matrices`` does: for a fixed beam pair, a non-finite q_l, q2 or q3, and a
-    q3 whose spin matrices are not finite.
+    for a fixed beam pair or theta in ``fixed``, a non-finite q_l, q2 or q3, and a q3 whose spin
+    matrices are not finite.
     """
     lo, hi = (float(v) for v in inv_theta_range)
     if not (math.isfinite(lo) and math.isfinite(hi) and 0.0 < lo < hi):
         raise ValueError(f"1/theta range must satisfy 0 < low < high, got {inv_theta_range!r}")
     if inv_theta_points < 3:
         raise ValueError(f"inv_theta_points must be at least 3, got {inv_theta_points!r}")
-    q3, beams = _beam_matrices(fixed or FixedParams(), q3_values)
-    return _locus_points(q3, beams, _locus_minima(beams, lo, hi))
+    fixed, q3 = _locus_entry(fixed, q3_values)
+    # one q3 runs on its numpy scalar, as a batch of one does in the kernel and the minimizer
+    inv_theta = np.reshape(_locus_inv_theta(fixed, q3[0] if len(q3) == 1 else q3), len(q3))
+    return _locus_points(fixed, q3, inv_theta, (inv_theta > lo) & (inv_theta < hi))
 
 
-def _locus_points(q3: np.ndarray, beams: np.ndarray, inv_theta: np.ndarray) -> list[LocusPoint]:
-    """One ``LocusPoint`` per q3, with ``beams`` = (M_y, M_z) there: the contrast minimum at
-    1/theta = inv_theta, and an unbracketed point where inv_theta is NaN."""
-    bracketed = ~np.isnan(inv_theta)
-    res = _elliptic_minima(q3[bracketed], beams[:, bracketed], inv_theta[bracketed])
-    fields = np.full((4, len(q3)), math.nan)
-    fields[:, bracketed] = res.alpha, res.phi, res.prob_a, res.prob_b
-    rows = zip(q3.tolist(), inv_theta.tolist(), *fields.tolist(), bracketed.tolist())
+def _locus_points(fixed: FixedParams, q3: np.ndarray, inv_theta: np.ndarray, bracketed: np.ndarray) -> list[LocusPoint]:
+    """One ``LocusPoint`` per q3: the contrast minimum over the Bloch angles of the elliptic beam
+    at theta = 1 / inv_theta, with NaN results where ``bracketed`` is False.  Raises ValueError
+    at a point with no minimum, naming its q3 and, where 1/theta = 0 gives no angle or the
+    matrix is finite, its 1/theta, else that its spin matrices are not finite."""
+    with np.errstate(divide="ignore", invalid="ignore"):  # 1/theta = 0: no angle, a NaN beam
+        theta = 1.0 / inv_theta
+        left = elliptic_left(theta)
+    m = spin_matrix_batch(fixed.q_l, fixed.q2, q3, left, _UNIT_Z)
+    res = minimize_contrast_batch(m)
+    failed = np.flatnonzero(np.isnan(res.value))
+    if failed.size:
+        i = failed[0]
+        at = f"q3={float(q3[i])!r}"
+        if np.isinf(theta[i]) or np.isfinite(m[i]).all():
+            raise ValueError(f"no contrast minimum at {at}, 1/theta={float(inv_theta[i])!r}")
+        raise ValueError(f"no contrast minimum at {at}: its spin matrices are not finite")
+    fields = np.where(bracketed, (inv_theta, res.alpha, res.phi, res.prob_a, res.prob_b), math.nan)
+    rows = zip(q3.tolist(), *fields.tolist(), bracketed.tolist())
     return [LocusPoint(*row, status=_CONVERGED if row[-1] else "unbracketed") for row in rows]
 
 
@@ -450,10 +422,10 @@ def locus_probabilities(
     (``left`` up to ``BRANCH_SPLIT``), with |M psi_A|^2, |M psi_B|^2 and the optimal
     angles there.  Every point is bracketed.
 
-    All q3 values share one ``_beam_matrices`` call and one minimizer call.  Raises
-    ValueError as ``minimum_locus`` does for ``fixed`` and q3, for a q3 outside its branch's
-    domain, and at a point with no minimum, as where the fit gives 1/theta = 0.
+    All q3 values share one kernel call and one minimizer call, as in ``minimum_locus``.
+    Raises ValueError as ``minimum_locus`` does for ``fixed`` and q3, for a q3 outside its
+    branch's domain, and at a point with no minimum, as where the fit gives 1/theta = 0.
     """
-    q3, beams = _beam_matrices(fixed or FixedParams(), q3_values)
+    fixed, q3 = _locus_entry(fixed, q3_values)
     inv_theta = np.array([evaluate_fit(left if v <= BRANCH_SPLIT else right, v) for v in q3.tolist()])
-    return _locus_points(q3, beams, inv_theta)
+    return _locus_points(fixed, q3, inv_theta, np.full(len(q3), True))

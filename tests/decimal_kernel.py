@@ -100,16 +100,17 @@ def cdiv(x, y):
     return (x[0] * y[0] + x[1] * y[1]) / size, (x[1] * y[0] - x[0] * y[1]) / size
 
 
-def atan(x: Decimal) -> Decimal:
-    """arctan of x >= 0: atan x = 2 atan(x / (1 + sqrt(1 + x^2))) halves the argument until
-    it is below 0.1, then the Taylor series x - x^3/3 + x^5/5 - ... converges fast."""
+def atan(x: Decimal, digits: int = DIGITS) -> Decimal:
+    """arctan of x >= 0 to ``digits`` digits: atan x = 2 atan(x / (1 + sqrt(1 + x^2))) halves
+    the argument until it is below 0.1, then the Taylor series x - x^3/3 + x^5/5 - ...
+    converges fast."""
     with localcontext() as ctx:
-        ctx.prec = DIGITS + 10
+        ctx.prec = digits + 10
         halvings = 0
         while x > Decimal("0.1"):
             x = x / (1 + (1 + x * x).sqrt())
             halvings += 1
-        total, power, n, tiny = x, x, 1, Decimal(10) ** -(DIGITS + 5)
+        total, power, n, tiny = x, x, 1, Decimal(10) ** -(digits + 5)
         while abs(power) > tiny:
             power *= -x * x
             total += power / (2 * n + 1)
@@ -135,6 +136,28 @@ def locus_invariants(q_l: float, q2: float, q3: float):
             overlap = cadd(overlap, cmul((y[0], -y[1]), z))
         norm_y, norm_z = (sum(x[0] * x[0] + x[1] * x[1] for row in m for x in row) for m in (m_y, m_z))
         return cdiv(det(m_y), det_z), cdiv(cross, det_z), det_z, overlap, norm_y, norm_z
+
+
+#: digits of the elementary locus oracle
+LOCUS_DIGITS = 110
+
+
+def locus_inv_theta(q_l: float, q2: float, q3: float) -> Decimal:
+    """1/theta of the contrast minimum over the elliptic beam, from the elementary closed form
+    tan^2(theta) = det M_y / det M_z with det M_y = k (4 q2^2 q3^2 k + q_l^2) and
+    det M_z = c_zz^2 + (q_l h)^2 ((q2 E)^2 + (q3 (E + 2))^2), E = sqrt(1 + q2^2 + q3^2 + q_l^2),
+    k = 1/(1 + q2^2 + q3^2), h = k/(E + 1), c_zz = (1 - q3^2 + q2^2) k + q_l^2 h, in
+    ``LOCUS_DIGITS`` digits.  Squares rather than hypot: decimal's exponent range has room."""
+    ql, q2, q3 = (Decimal(float(v)) for v in (q_l, q2, q3))
+    with localcontext() as ctx:
+        ctx.prec = LOCUS_DIGITS
+        d = 1 + q2 * q2 + q3 * q3
+        e, k = (d + ql * ql).sqrt(), 1 / d
+        h = k / (e + 1)
+        c_zz = (1 - q3 * q3 + q2 * q2) * k + ql * ql * h
+        det_y = k * (4 * q2 * q2 * q3 * q3 * k + ql * ql)
+        det_z = c_zz * c_zz + (ql * h) ** 2 * ((q2 * e) ** 2 + (q3 * (e + 2)) ** 2)
+        return 1 / atan((det_y / det_z).sqrt(), LOCUS_DIGITS)
 
 
 def modulus(z) -> Decimal:

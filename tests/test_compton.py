@@ -290,6 +290,32 @@ def test_spin_matrix_is_batch_of_one():
         assert spin_matrix(cfg, pol).tobytes() == batch[i].tobytes()
 
 
+def test_batch_of_one_is_its_row():
+    # every layout that broadcasts to one point runs on numpy scalars: shape (1, 2, 2), and the
+    # bits of the same point in a batch of 200
+    q_l, q2, q3, left, right = random_configurations(200, seed=11)
+    for i in (0, 1, 57, 198):
+        row = spin_matrix_batch(q_l[i], q2, q3, left, right)[i]
+        alone = spin_matrix_batch(q_l[i], q2[i], q3[i], left[i], right[i])
+        assert alone.shape == (2, 2) and alone.tobytes() == row.tobytes()
+        layouts = {
+            "q2": (q2[i : i + 1], q3[i], left[i], right[i]),
+            "q3": (q2[i], q3[i : i + 1], left[i], right[i]),
+            "left": (q2[i], q3[i], left[i : i + 1], right[i]),
+            "right": (q2[i], q3[i], left[i], right[i : i + 1]),
+            "all": (q2[i : i + 1], q3[i : i + 1], left[i : i + 1], right[i : i + 1]),
+        }
+        for name, args in layouts.items():
+            one = spin_matrix_batch(q_l[i], *args)
+            assert one.shape == (1, 2, 2), name
+            assert one.tobytes() == row.tobytes(), name
+    # a (1, 1) broadcast is no batch of one
+    deep = CIRCULAR[None, None]
+    for q2_one, left_one in ((np.zeros((1, 1)), CIRCULAR), (0.0, deep), (np.zeros(1), deep)):
+        with pytest.raises(ValueError, match=r"must broadcast to shape \(N,\)"):
+            spin_matrix_batch(0.02, q2_one, 0.5, left_one, E3)
+
+
 def test_batch_matches_decimal_block_formula():
     # the closed form against the block formula it was derived from, evaluated
     # with 50 digits to spare: nothing cancels, so the error stays near eps max|M|

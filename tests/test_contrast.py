@@ -422,6 +422,23 @@ def test_batch_minimizer_matches_scalar():
         assert got == expected, f"matrix {i}"
 
 
+def test_batch_of_one_is_its_row():
+    # a batch of one runs on numpy scalars: its fields are (1,) arrays with the bits of its row,
+    # rank-one (the Dot2 determinant), zero and NaN matrices included
+    nan = np.full((2, 2), np.nan)
+    stack = np.concatenate(list(minimizer_stacks().values()) + [np.zeros((1, 2, 2)), nan[None]])
+    batch = minimize_contrast_batch(stack)
+    fields = ("value", "alpha", "phi", "prob_a", "prob_b")
+    for i in range(len(stack)):
+        one = minimize_contrast_batch(stack[i : i + 1])
+        for name in fields:
+            got, row = getattr(one, name), getattr(batch, name)[i : i + 1]
+            assert got.shape == (1,) and got.tobytes() == row.tobytes(), (i, name)
+    assert np.isnan(batch.value[-2:]).all()
+    empty = minimize_contrast_batch(np.zeros((0, 2, 2)))
+    assert all(getattr(empty, name).shape == (0,) for name in fields)
+
+
 def exact_ratio(m):
     """|det M|^2 / (tr M^dag M)^2 of a float matrix, in exact rational arithmetic."""
     (m00, m01), (m10, m11) = [[(Fraction(z.real), Fraction(z.imag)) for z in row] for row in m]

@@ -227,7 +227,7 @@ def test_minimum_locus_flags_unbracketed():
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("q_l, q3", [(1e-20, 0.9992), (1e-18, 0.9), (1e-16, 0.5)])
 def test_minimum_locus_rounding_dip_is_unbracketed(q_l, q3):
-    # these scan rows dip only 1-1.5 eps below their lower end: rounding, not a minimum
+    # the minima of these rows lie near 1/theta ~ 1/q_l, far above the range
     (point,) = minimum_locus([q3], fixed=FixedParams(q_l=q_l))
     assert not point.bracketed and point.status == "unbracketed"
     assert math.isnan(point.inv_theta)
@@ -251,7 +251,7 @@ def oracle_contrast(fixed, q3, inv_theta):
 
 
 def direct_minima(fixed, q3, inv_theta):
-    """Contrast minima through the kernel at each (q3, 1/theta) point, without the M_y, M_z superposition."""
+    """Contrast minima through the kernel at each (q3, 1/theta) point."""
     q3, inv_theta = np.broadcast_arrays(np.asarray(q3, dtype=float), np.asarray(inv_theta, dtype=float))
     left = elliptic_left(1.0 / inv_theta)
     return minimize_contrast_batch(
@@ -348,18 +348,47 @@ def test_minimum_locus_matches_50_digit_oracle(q_l, q2):
             assert abs(p.inv_theta - inv_theta) <= 1e-15 * inv_theta
 
 
+#: a 1/theta range that holds every minimum of the tested domains: 1/theta runs from 2/pi
+#: to about sqrt(1 + q2^2) / q_l
+WIDE = (0.5, 1e30)
+
+
 def test_minimum_locus_brackets_no_rounding_minimum():
-    # at q_l = 1e-16 the valley at q2 != 0 is ~1e-32 deep, below rounding: a point may be left
-    # unbracketed there, but one that is bracketed must be a minimum in 50 digits
+    # at these q_l the valley at q2 != 0 is ~q_l^2 deep, far below rounding of the spin matrix,
+    # yet the closed form keeps its digits: a point is bracketed exactly where the 110-digit
+    # elementary locus lies inside the range, and is within 1e-15 of it there
     q3 = np.linspace(0.0, 1.0, 41)
-    for q2 in (0.0, 0.01, 0.05, 0.3):
-        for p in minimum_locus(q3, fixed=FixedParams(q_l=1e-16, q2=q2)):
-            if p.bracketed:
-                bracketed, inv_theta = oracle_locus(1e-16, q2, p.q3)
-                assert bracketed and abs(p.inv_theta - inv_theta) <= 1e-15 * inv_theta
-    # at q_l = 1e-20 the discriminant is rounding alone wherever the cross term survives
-    for q2 in (0.01, 0.05, 0.3):
-        assert not any(p.bracketed for p in minimum_locus(q3, fixed=FixedParams(q_l=1e-20, q2=q2)))
+    for q_l in (1e-16, 1e-20):
+        bracketed = 0
+        for q2 in (0.0, 0.01, 0.05, 0.3):
+            for p in minimum_locus(q3, fixed=FixedParams(q_l=q_l, q2=q2)):
+                inv_theta = decimal_kernel.locus_inv_theta(q_l, q2, p.q3)
+                assert p.bracketed == (1 < inv_theta < 100), (q_l, q2, p.q3)
+                if p.bracketed:
+                    assert abs(Decimal(p.inv_theta) - inv_theta) <= Decimal(1e-15) * inv_theta, (q_l, q2, p.q3)
+                    bracketed += 1
+        assert bracketed >= 60, q_l  # most of the q2 != 0 rows, and q3 = 1
+
+
+def test_minimum_locus_matches_elementary_oracle():
+    # the closed form against itself in 110 digits over the whole domain, and against the
+    # 50-digit spin matrices' 1/atan(sqrt(det M_y / det M_z)) where 50 digits suffice
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(st.floats(-20.0, -1.0), st.floats(-2.0, 2.0), st.floats(0.0, 2.0))
+    def check(log_ql, q2, q3):
+        q_l = 10.0**log_ql
+        (point,) = minimum_locus([q3], inv_theta_range=WIDE, fixed=FixedParams(q_l=q_l, q2=q2))
+        expected = decimal_kernel.locus_inv_theta(q_l, q2, q3)
+        assert point.bracketed
+        assert abs(Decimal(point.inv_theta) - expected) <= Decimal(1e-15) * expected
+        if q_l >= 1e-12:
+            r = decimal_kernel.locus_invariants(q_l, q2, q3)[0][0]
+            assert abs(point.inv_theta - float(1 / decimal_kernel.atan(r.sqrt()))) <= 1e-15 * point.inv_theta
+
+    check()
 
 
 def test_minimum_locus_takes_root_at_zero_q2():
@@ -392,7 +421,7 @@ def test_minimum_locus_beats_grid_where_cross_term_survives(q2, q_l):
             continue
         direct = direct_minima(fixed, p.q3, [p.inv_theta])
         assert direct.value[0] <= values.min() * (1.0 + 1e-12), p.q3
-        # the superposition of M_y and M_z reproduces the kernel at the reported 1/theta
+        # the locus point is the kernel's at the reported 1/theta
         assert abs(p.alpha - direct.alpha[0]) <= 1e-12 and abs(p.phi - direct.phi[0]) <= 1e-12
         assert abs(p.prob_a - direct.prob_a[0]) <= 1e-12 * direct.prob_b[0]
         assert abs(p.prob_b - direct.prob_b[0]) <= 1e-12 * direct.prob_b[0]
@@ -414,9 +443,9 @@ def test_minimum_locus_extreme_momentum_keeps_its_minimum(q_l, q3):
     assert abs(point.inv_theta - 4.0 / math.pi) <= 1e-15 * 4.0 / math.pi
 
 
-def test_locus_builds_two_matrices_per_q3(monkeypatch):
-    # every locus matrix is a superposition of M_y and M_z, so the kernel
-    # runs on exactly two matrices per q3, also where the cross term survives
+def test_locus_builds_one_matrix_per_q3(monkeypatch):
+    # the locus is a closed form in (q_l, q2, q3), so the kernel runs on exactly
+    # one matrix per q3, at its 1/theta, also where the cross term survives
     built = []
 
     def counting_kernel(q_l, q2, q3, left, right):
@@ -428,10 +457,10 @@ def test_locus_builds_two_matrices_per_q3(monkeypatch):
     fixed = FixedParams(q2=0.01)
     q3 = np.linspace(0.0, 1.0, 41)
     assert all(p.bracketed for p in minimum_locus(q3, fixed=fixed))
-    assert sum(built) == 2 * len(q3)
+    assert sum(built) == len(q3)
     built.clear()
     locus_probabilities(left_model(PAPER_LEFT), right_model(PAPER_RIGHT), q3, fixed=fixed)
-    assert sum(built) == 2 * len(q3)
+    assert sum(built) == len(q3)
 
 
 def test_minimum_locus_root_at_zero_q3_for_any_q2():
@@ -465,25 +494,49 @@ def locus_numbers(p):
     return [p.q3, p.inv_theta, p.alpha, p.phi, p.prob_a, p.prob_b]
 
 
+#: the (q_l, q2) grid on which the locus is checked against the point path
+POINT_PATH_GRID = [(q_l, q2) for q_l in (0.02, 1e-4, 1e-8) for q2 in (0.0, 0.01, 0.05, 0.3)]
+
+
+@pytest.mark.parametrize("q_l, q2", POINT_PATH_GRID)
+def test_locus_point_is_the_point_path(q_l, q2):
+    # each locus point, on the minimum locus and along a fit, is the point command's result
+    # at theta = 1/inv_theta, bit for bit
+    fixed = FixedParams(q_l=q_l, q2=q2)
+    q3 = np.linspace(0.0, 1.0, 41)
+    points = minimum_locus(q3, inv_theta_range=WIDE, fixed=fixed)
+    points += locus_probabilities(left_model(PAPER_LEFT), right_model(PAPER_RIGHT), q3, fixed=fixed)
+    for p in points:
+        assert p.bracketed
+        ref = minimize_contrast(spin_matrix(ScatterConfig(q_l, q2, p.q3), elliptic_polarization(1.0 / p.inv_theta)))
+        expected = [ref.alpha, ref.phi, ref.prob_a, ref.prob_b]
+        assert [x.hex() for x in expected] == [x.hex() for x in locus_numbers(p)[2:]], p.q3
+
+
 @pytest.mark.parametrize(
-    "q2, count, inv_theta_range",
+    "q_l, q2, count, inv_theta_range",
     [
-        pytest.param(0.0, 201, (1.0, 100.0), id="0.0-201"),
-        pytest.param(0.01, 41, (1.0, 100.0), id="0.01-41"),
+        pytest.param(0.02, 0.0, 201, (1.0, 100.0), id="0.0-201"),
+        pytest.param(0.02, 0.01, 41, (1.0, 100.0), id="0.01-41"),
         # 27 of 41 points unbracketed, and the q3 = 0 root above the range
-        pytest.param(0.01, 41, (1.0, 20.0), id="0.01-41-unbracketed"),
+        pytest.param(0.02, 0.01, 41, (1.0, 20.0), id="0.01-41-unbracketed"),
+        *(
+            pytest.param(q_l, q2, 41, bounds, id=f"{q_l}-{q2}-{name}")
+            for q_l, q2 in POINT_PATH_GRID
+            for name, bounds in (("default", (1.0, 100.0)), ("wide", WIDE))
+        ),
     ],
 )
-def test_minimum_locus_point_independent_of_request(q2, count, inv_theta_range):
-    # a one-q3 request reproduces its row of the whole locus, on both paths;
-    # NaN compares equal, because an unbracketed row is all NaN
-    fixed = FixedParams(q2=q2)
+def test_minimum_locus_point_independent_of_request(q_l, q2, count, inv_theta_range):
+    # a one-q3 request, which runs on numpy scalars, reproduces its row of the whole locus bit
+    # for bit; NaN compares equal, because an unbracketed row is all NaN
+    fixed = FixedParams(q_l=q_l, q2=q2)
     grid = np.linspace(0.0, 1.0, count)
     whole = minimum_locus(grid, inv_theta_range=inv_theta_range, fixed=fixed)
-    for i in (0, count // 5, count // 2, count - 5, count - 1):
-        (one,) = minimum_locus([grid[i]], inv_theta_range=inv_theta_range, fixed=fixed)
-        assert np.array_equal(locus_numbers(one), locus_numbers(whole[i]), equal_nan=True)
-        assert (one.bracketed, one.status) == (whole[i].bracketed, whole[i].status)
+    for q3, row in zip(grid, whole):
+        (one,) = minimum_locus([q3], inv_theta_range=inv_theta_range, fixed=fixed)
+        assert np.array_equal(locus_numbers(one), locus_numbers(row), equal_nan=True), q3
+        assert (one.bracketed, one.status) == (row.bracketed, row.status)
 
 
 @pytest.mark.parametrize(
@@ -512,6 +565,18 @@ def test_locus_entry_checks_every_input():
     for call, message in cases:
         with pytest.raises(ValueError, match=message):
             call()
+
+
+def test_locus_rejects_fixed_theta():
+    # the locus sets theta itself; only the default, which cannot be told from a given pi/4, passes
+    left, right = left_model(PAPER_LEFT), right_model(PAPER_RIGHT)
+    for theta in (0.3, math.nan):
+        fixed = FixedParams(theta=theta)
+        with pytest.raises(ValueError, match="the locus sets theta itself"):
+            minimum_locus([0.5], fixed=fixed)
+        with pytest.raises(ValueError, match="the locus sets theta itself"):
+            locus_probabilities(left, right, [0.5], fixed=fixed)
+    assert minimum_locus([0.5], fixed=FixedParams(theta=math.pi / 4.0))[0].bracketed
 
 
 def test_locus_probabilities_names_point_without_minimum():
