@@ -331,10 +331,15 @@ def cmd_taylor_check(args) -> int:
     return 0
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The kdspin parser, built once per process and shared by every ``main()``
     call (each ``parse_args`` returns a fresh namespace); callers must not mutate it."""
+    return _parsers()[0]
+
+
+@functools.cache
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """``build_parser()`` and its command parsers by name, the ``choices`` of its subparsers action."""
     parser = argparse.ArgumentParser(
         prog="kdspin",
         description="Spin-dependent two-photon Bragg diffraction: contrast maps and fits.",
@@ -403,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_taylor.add_argument("--halvings", type=parse_positive_int, default=4)
     p_taylor.set_defaults(func=cmd_taylor_check)
 
-    return parser
+    return parser, sub.choices
 
 
 def _join_dashed_values(argv: list[str]) -> list[str]:
@@ -430,11 +435,26 @@ def _join_dashed_values(argv: list[str]) -> list[str]:
     return joined
 
 
+def parse_argv(argv) -> argparse.Namespace:
+    """``build_parser().parse_args`` of ``argv``, dashed values joined, in one pass: a first token that
+    names a command goes to that command's parser alone, and the top-level parser does the rest."""
+    argv = _join_dashed_values(list(argv))
+    parser, commands = _parsers()
+    if argv and argv[0] in commands:
+        args, extras = commands[argv[0]].parse_known_args(argv[1:])
+        if extras:
+            parser.error(f"unrecognized arguments: {' '.join(extras)}")
+        return args
+    return parser.parse_args(argv)
+
+
 def main(argv=None) -> int:
     """Run one kdspin command; returns its exit code.
 
-    A flag value that argparse rejects (an unparsable number or angle, a
-    count such as ``--workers`` below 1, a missing required flag) raises
+    ``argv`` is parsed once, by its command's parser (``parse_argv``); the
+    top-level parser serves help, unknown commands and leftover tokens.  A
+    flag value that argparse rejects (an unparsable number or angle, a count
+    such as ``--workers`` below 1, a missing required flag) raises
     ``SystemExit(2)`` after argparse prints its usage and ``error:`` line.
     Otherwise an exception from the command prints one ``error:`` line on
     stderr and sets the exit code: 2 for a ValueError (a rejected combination
@@ -444,7 +464,7 @@ def main(argv=None) -> int:
     """
     if argv is None:
         argv = sys.argv[1:]
-    args = build_parser().parse_args(_join_dashed_values(list(argv)))
+    args = parse_argv(argv)
     try:
         return args.func(args)
     except (ValueError, MemoryError) as exc:  # invalid parameters, or a grid too large for memory

@@ -394,19 +394,21 @@ def fit_locus(locus) -> tuple[FitModel, FitModel]:
     distinct q3 to overdetermine its 3 parameters; around 30 per branch is
     needed for coefficients stable at the few percent level.
     """
-    data = np.asarray([(float(a), float(b)) for a, b in locus])
-    if data.size == 0:
+    pairs = [(float(a), float(b)) for a, b in locus]  # checked before any array is built
+    if not pairs:
         raise ValueError("empty locus")
-    outside = ~((data[:, 0] >= -1e-12) & (data[:, 0] <= 1.0 + 1e-12))
-    if outside.any():
-        raise ValueError(f"q3={float(data[outside, 0][0])!r} outside fit domain [0, 1]")
-    finite = np.isfinite(data[:, 1])
-    q3, inv_theta = data[finite, 0], data[finite, 1]
-    left_mask = q3 <= BRANCH_SPLIT + 1e-12
-    right_mask = q3 >= BRANCH_SPLIT - 1e-12
-    distinct = [len(set(q3[mask].tolist())) for mask in (left_mask, right_mask)]  # -0.0 == 0.0
+    for q, _ in pairs:
+        if not -1e-12 <= q <= 1.0 + 1e-12:  # NaN included
+            raise ValueError(f"q3={q!r} outside fit domain [0, 1]")
+    finite = [q for q, v in pairs if math.isfinite(v)]
+    distinct = [len({q for q in finite if q <= BRANCH_SPLIT + 1e-12}),  # -0.0 == 0.0
+                len({q for q in finite if q >= BRANCH_SPLIT - 1e-12})]
     if min(distinct) < 4:
         raise ValueError(f"need at least 4 distinct q3 per branch, got {distinct[0]} left / {distinct[1]} right")
+    data = np.asarray(pairs)
+    q3, inv_theta = data[np.isfinite(data[:, 1])].T
+    left_mask = q3 <= BRANCH_SPLIT + 1e-12
+    right_mask = q3 >= BRANCH_SPLIT - 1e-12
     left = _fit_branch(q3[left_mask], inv_theta[left_mask], "left", (0.0, BRANCH_SPLIT))
     right = _fit_branch(q3[right_mask], inv_theta[right_mask], "right", (BRANCH_SPLIT, 1.0))
     return left, right

@@ -1,3 +1,4 @@
+import argparse
 import io
 import math
 import os
@@ -488,6 +489,70 @@ def test_one_parser_serves_many_calls(tmp_path, capsys, monkeypatch):
         assert files[0] == files[1]
     assert sorted(p.name for p in (tmp_path / "here2").iterdir()) == ["tile.csv"]
     assert written == {"tile.csv", "tile.pgm", "tile.pgm.txt", "run_locus.csv", "run_fit.txt", "run_probabilities.csv"}
+
+
+_SWEEP = ["sweep", "--axes", "q2,q3", "--x-range", "-0.05,0.05", "--y-range", "0.95,1.05", "--out", "t.csv"]
+_LOCUS = ["locus-fit", "--out", "run"]
+PARSE_CORPUS = [
+    [], ["-h"], ["--help"], ["bogus"], ["bogus", "--q3", "1"], ["Point"], ["--", "point"], ["-h", "point"],
+    ["--q3", "1", "point"], ["point"], ["point", "-h"], ["point", "--q3", "1", "--theta", "pi/4"], ["point", "--q3=1"],
+    ["point", "--q3", "-1"], ["point", "--theta", "-pi/2"], ["point", "--q3", "x"], ["point", "--bogus"],
+    ["point", "-x"], ["point", "extra"], ["point", "--q3", "1", "extra", "--bogus", "2"], ["point", "point"],
+    ["point", "--", "--q3", "1"], ["point", "--q", "1"], ["point", "--q3", "1", "--q3", "2"],
+    ["point", "--pol-l", "0,0,1,0,0,1", "--pol-r", "1,2,3"], ["point", "--pol-r", "0,0,0,0,1,0", "--ql", "1e-3"],
+    ["sweep"], ["sweep", "--help"], _SWEEP, [*_SWEEP, "--nx", "x"], [*_SWEEP, "--workers", "0"],
+    ["sweep", "--axes", "q2,q3", "--x-range=-0.05,0.05", "--y-range", "-1,1", "--out", "t.csv"],
+    [*_SWEEP, "--heatmap-column", "bogus"], [*_SWEEP, "--log"], [*_SWEEP, "--heat", "contrast"],
+    [*_SWEEP, "--q2", "nan", "--theta", "-0.5"], ["sweep", "--out", "a", "b"],
+    ["locus-fit"], _LOCUS, [*_LOCUS, "--q3-m", "0.5"], [*_LOCUS, "--q3-p", "5"], ["locus-fit", "--out"],
+    [*_LOCUS, "--q3-min", "-0.5", "--q3-max", "-0.1"], [*_LOCUS, "--q3-points", "0"], [*_LOCUS, "extra"],
+    ["taylor-check"], ["taylor-check", "-h"], ["taylor-check", "--scale", "-1"],
+    ["taylor-check", "--halvings", "-2"], ["taylor-check", "--scale=1e-3", "--halvings", "3"],
+    # the benchmark's requests: one two-row tile strip and one locus point
+    ["sweep", "--axes", "q2,q3", "--x-range", "-0.05,0.05", "--y-range", "0.9535,0.954", "--theta", "pi/4",
+     "--nx", "41", "--ny", "2", "--heatmap-column", "contrast", "--log-scale", "--workers", "1",
+     "--out", "strip.csv"],
+    ["locus-fit", "--q3-min", "0.035", "--q3-max", "0.035", "--q3-points", "1", "--workers", "1",
+     "--out", "point"],
+]
+
+
+def _parse_outcome(parse, argv, capsys):
+    """Namespace (without ``command``, arrays as lists, as a repr so that NaN equals NaN) or
+    SystemExit code, with what was printed."""
+    try:
+        args = parse(argv)
+    except SystemExit as exc:
+        outcome = ("exit", exc.code)
+    else:
+        fields = vars(args)
+        fields.pop("command", None)
+        outcome = repr({k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in fields.items()})
+    return outcome, capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", PARSE_CORPUS, ids=lambda argv: " ".join(argv) or "<none>")
+def test_one_pass_parse_equals_two_pass_parse(argv, capsys):
+    def reference(argv):
+        return cli.build_parser().parse_args(cli._join_dashed_values(list(argv)))
+
+    assert _parse_outcome(cli.parse_argv, argv, capsys) == _parse_outcome(reference, argv, capsys)
+
+
+@pytest.mark.parametrize("argv", [
+    ["point", "--q3", "1"],
+    ["sweep", "--axes", "q2,q3", "--x-range", "0,1", "--y-range", "0,1", "--nx", "2", "--ny", "2", "--out", "t.csv"],
+    ["locus-fit", "--q3-min", "0.5", "--q3-max", "0.5", "--q3-points", "1", "--out", "run"],
+    ["taylor-check", "--halvings", "2"],
+], ids=lambda argv: argv[0])
+def test_one_parse_per_call(argv, tmp_path, capsys, monkeypatch):
+    calls = []
+    parse_known_args = argparse.ArgumentParser.parse_known_args
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args",
+                        lambda self, *a, **k: calls.append(self.prog) or parse_known_args(self, *a, **k))
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 0
+    assert calls == [f"kdspin {argv[0]}"]
 
 
 def test_sweep_to_dev_null():

@@ -616,6 +616,23 @@ def test_fit_requires_minimum_points():
         fit_locus(data)
     with pytest.raises(ValueError, match="need at least 4 distinct q3 per branch, got 1 left / 1 right"):
         fit_locus([(0.9, 7.0)] * 10)  # ten points, but one q3 on each branch
+    # the rejections come in order: an empty locus, the first q3 outside [0, 1] (NaN included),
+    # then the count of distinct q3 with a finite inv_theta on each branch
+    right = [(q, 2.0) for q in (0.92, 0.94, 0.96, 0.98)]
+    count = "need at least 4 distinct q3 per branch, got "
+    for locus, message in [
+        ([], "empty locus"),
+        ([(0.5, 10.0), (math.nan, 5.0)], "q3=nan outside fit domain [0, 1]"),
+        ([(0.5, 10.0), (1.5, 1.0), (-0.5, 1.0)], "q3=1.5 outside fit domain [0, 1]"),
+        ([(0.0, 9.0), (0.1, math.nan), (0.2, math.inf), (0.3, -math.inf), (0.4, 8.0), *right],
+         count + "2 left / 4 right"),
+        ([(-0.0, 9.0), (0.0, 9.0), (0.1, 8.0), (0.2, 7.0), *right], count + "3 left / 4 right"),
+        ([(0.5, 10.0)], count + "1 left / 0 right"),
+        ([(0.9, 7.0)], count + "1 left / 1 right"),
+    ]:
+        with pytest.raises(ValueError) as info:
+            fit_locus(locus)
+        assert str(info.value) == message
 
 
 @pytest.mark.parametrize(
