@@ -9,7 +9,6 @@ parameters, 3 locus bracketing or fit failure, 4 unwritable output.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
 import math
 import os
@@ -100,22 +99,32 @@ def _polarization_from_args(args) -> PolarizationPair:
     return elliptic_polarization(theta)
 
 
-@contextlib.contextmanager
-def _overwrite(path, binary: bool = False):
-    """ASCII text (or byte) stream over ``path``, cut to the written length on close, not emptied on
-    open: on ext4 a truncate to zero makes ``close`` start writeback. Keeps inode, links and mode."""
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
-    try:
-        handle = open(fd, "wb") if binary else open(fd, "w", encoding="ascii", newline="\n")
-    except BaseException:
-        os.close(fd)
-        raise
-    with handle:
+class _overwrite:
+    """ASCII text (or bytes) written straight to ``path``'s descriptor, not emptied on open: on ext4 a
+    truncate to zero makes ``close`` start writeback. Cut on close only where the old file was longer;
+    keeps inode, links and mode."""
+
+    def __init__(self, path):
+        self.fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+
+    def __enter__(self):
+        return self
+
+    def write(self, data) -> None:
+        view = memoryview(data.encode("ascii") if isinstance(data, str) else data)
+        while view:  # a short write leaves the rest for the next call
+            view = view[os.write(self.fd, view):]
+
+    def tell(self) -> int:
+        return os.lseek(self.fd, 0, os.SEEK_CUR)
+
+    def __exit__(self, *exc) -> None:
         try:
-            yield handle
+            info = os.fstat(self.fd)
+            if stat.S_ISREG(info.st_mode) and info.st_size > (end := self.tell()):  # not /dev/null or a FIFO
+                os.ftruncate(self.fd, end)
         finally:
-            if stat.S_ISREG(os.fstat(fd).st_mode):  # not /dev/null or a FIFO
-                handle.truncate()
+            os.close(self.fd)
 
 
 def _same_file(a, b) -> bool:
@@ -128,8 +137,7 @@ def _same_file(a, b) -> bool:
 
 def _write_csv(stream, header: str, rows) -> None:
     """Header line, then one comma-joined line per row; ``str`` of a Python float is its repr."""
-    stream.write(header + "\n")
-    stream.writelines(",".join(map(str, row)) + "\n" for row in rows)
+    stream.write("".join([header + "\n", *(",".join(map(str, row)) + "\n" for row in rows)]))
 
 
 def write_tile_csv(tile: SweepTile, stream) -> None:
@@ -154,20 +162,19 @@ def write_heatmap_pgm(tile: SweepTile, column: str, path: Path, log_scale: bool)
     if log_scale:
         positive = values[finite & (values > 0.0)]
         floor = float(positive.min()) if positive.size else 1.0
-        values = np.log10(np.clip(values, floor, None))
+        values = np.log10(np.maximum(values, floor))
         finite = np.isfinite(values)
-    vmin = float(values[finite].min()) if finite.any() else 0.0
-    vmax = float(values[finite].max()) if finite.any() else 0.0
+    kept = values[finite]
+    vmin, vmax = (float(kept.min()), float(kept.max())) if kept.size else (0.0, 0.0)
     if vmax > vmin:
         scaled = (values - vmin) / (vmax - vmin) * 255.0
     else:
         scaled = np.zeros_like(values)
     scaled[~np.isfinite(scaled)] = 0.0
-    pixels = np.clip(np.rint(scaled), 0, 255).astype(np.uint8)
+    pixels = np.minimum(np.maximum(np.rint(scaled), 0.0), 255.0).astype(np.uint8)
     ny, nx = pixels.shape
-    with _overwrite(path, binary=True) as handle:
-        handle.write(f"P5\n{nx} {ny}\n255\n".encode("ascii"))
-        handle.write(pixels.tobytes())
+    with _overwrite(path) as handle:
+        handle.write(f"P5\n{nx} {ny}\n255\n".encode("ascii") + pixels.tobytes())
     sidecar = [
         f"column={column}",
         f"scale={'log10' if log_scale else 'linear'}",

@@ -111,9 +111,12 @@ def contract_polarization(tensor: np.ndarray, pol: PolarizationPair) -> np.ndarr
 
 
 def elliptic_left(theta) -> np.ndarray:
-    """Left-beam amplitudes (0, cos theta, i sin theta) for an array of angles, shape (N, 3)."""
+    """Left-beam amplitudes (0, cos theta, i sin theta) for an array of angles, shape ``theta.shape + (3,)``."""
     theta = np.asarray(theta, dtype=float)
-    return np.stack([np.zeros_like(theta), np.cos(theta), 1j * np.sin(theta)], axis=-1)
+    left = np.zeros(theta.shape + (3,), complex)
+    left[..., 1] = np.cos(theta)
+    left[..., 2] = 1j * np.sin(theta)
+    return left
 
 
 @np.errstate(over="ignore", invalid="ignore")

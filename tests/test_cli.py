@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -604,15 +605,142 @@ def test_directory_output_exits_4(command, tmp_path, capsys):
 
 
 def test_writer_closes_fd_when_stream_fails(tmp_path, monkeypatch):
-    def refuse(*args, **kwargs):
-        raise LookupError("no stream")
+    # an os.write failing partway propagates, leaves no descriptor open and cuts the file to the bytes written
+    path = tmp_path / "out.csv"
+    path.write_bytes(b"x" * 8192)
+    real_write = os.write
+    calls = []
 
-    monkeypatch.setattr(cli, "open", refuse, raising=False)
+    def fail_third_call(fd, data):
+        calls.append(fd)
+        if len(calls) == 3:
+            raise OSError(28, "No space left on device")
+        return real_write(fd, data[:1000])
+
     before = len(os.listdir("/proc/self/fd"))
-    with pytest.raises(LookupError):
-        with cli._overwrite(tmp_path / "out.csv"):
-            pass
+    with monkeypatch.context() as m:
+        m.setattr(os, "write", fail_third_call)
+        with pytest.raises(OSError, match="No space left"):
+            with cli._overwrite(path) as handle:
+                handle.write("a" * 1500)
+                assert handle.tell() == 1500
+                handle.write("b" * 4096)
     assert len(os.listdir("/proc/self/fd")) == before
+    assert path.read_bytes() == b"a" * 1500
+
+
+def test_writer_streams_to_a_fifo(tmp_path):
+    # a FIFO, like /dev/null, is written through and never sought or cut
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    with cli._overwrite(fifo) as handle:
+        handle.write("x" * 100_000)
+    reader.join(timeout=10)
+    assert not reader.is_alive()
+    assert received == [b"x" * 100_000]
+
+
+def rendered_outputs(monkeypatch, *argvs):
+    """The files ``main`` writes for each of ``argvs``, as its writers render them in memory (text into
+    io.StringIO, bytes into io.BytesIO), keyed by path; nothing reaches the disk."""
+    files = {}
+
+    class Render:
+        def __init__(self, path):
+            self.path, self.text, self.data = Path(path), io.StringIO(), io.BytesIO()
+
+        def __enter__(self):
+            return self
+
+        def write(self, chunk):
+            (self.text if isinstance(chunk, str) else self.data).write(chunk)
+
+        def __exit__(self, *exc):
+            files[self.path] = self.text.getvalue().encode("ascii") + self.data.getvalue()
+
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_overwrite", Render)
+        for argv in argvs:
+            assert main(argv) == 0
+    return files
+
+
+# every writer: tile CSV, log-scale P5 heatmap and sidecar, then the locus CSV, fit report and probabilities
+WRITER_COMMANDS = [
+    ["sweep", "--axes", "q2,q3", "--x-range", "-0.05,0.05", "--y-range", "0.95,1.05", "--theta", "pi/4",
+     "--nx", "9", "--ny", "7", "--heatmap-column", "contrast", "--log-scale", "--out", "tile.csv"],
+    ["locus-fit", "--q3-points", "41", "--inv-theta-points", "100", "--out", "run"],
+]
+WRITER_OUTPUTS = ["run_fit.txt", "run_locus.csv", "run_probabilities.csv", "tile.csv", "tile.pgm", "tile.pgm.txt"]
+
+
+def counted_ftruncate(monkeypatch):
+    """Lengths passed to os.ftruncate from now on; the calls still run."""
+    cuts, real_ftruncate = [], os.ftruncate
+
+    def ftruncate(fd, length):
+        cuts.append(length)
+        real_ftruncate(fd, length)
+
+    monkeypatch.setattr(os, "ftruncate", ftruncate)
+    return cuts
+
+
+@pytest.mark.parametrize("old", ["fresh", "longer", "equal", "shorter"])
+def test_writers_match_their_in_memory_rendering(old, tmp_path, monkeypatch, capsys):
+    # the bytes on disk are the rendering, whatever the old file held; only a longer old file is cut
+    monkeypatch.chdir(tmp_path)
+    rendered = rendered_outputs(monkeypatch, *WRITER_COMMANDS)
+    assert sorted(map(str, rendered)) == WRITER_OUTPUTS
+    assert not any(path.exists() for path in rendered)
+    if old != "fresh":
+        for path, data in rendered.items():
+            path.write_bytes(b"x" * (len(data) + {"longer": 4096, "equal": 0, "shorter": -len(data) // 2}[old]))
+    cuts = counted_ftruncate(monkeypatch)
+    for argv in WRITER_COMMANDS:
+        assert main(argv) == 0
+    assert {path: path.read_bytes() for path in rendered} == rendered
+    assert sorted(cuts) == (sorted(map(len, rendered.values())) if old == "longer" else [])
+
+
+def test_writers_survive_short_writes(tmp_path, monkeypatch, capsys):
+    # an os.write that takes at most 1 KB per call still gets every byte out
+    monkeypatch.chdir(tmp_path)
+    rendered = rendered_outputs(monkeypatch, *WRITER_COMMANDS)
+    real_write, sizes = os.write, []
+
+    def write_1k(fd, data):
+        sizes.append(real_write(fd, data[:1024]))
+        return sizes[-1]
+
+    monkeypatch.setattr(os, "write", write_1k)
+    for argv in WRITER_COMMANDS:
+        assert main(argv) == 0
+    assert {path: path.read_bytes() for path in rendered} == rendered
+    assert max(sizes) == 1024 and sum(sizes) == sum(map(len, rendered.values()))
+
+
+def test_writers_to_dev_null(tmp_path, monkeypatch, capsys):
+    # every byte of the CSV goes to /dev/null, which is never cut; the heatmap still lands on disk
+    monkeypatch.chdir(tmp_path)
+    argv = [*WRITER_COMMANDS[0][:-1], os.devnull, "--heatmap-out", "tile.pgm"]
+    rendered = rendered_outputs(monkeypatch, argv)
+    null, real_write, sent = os.stat(os.devnull), os.write, []
+
+    def write(fd, data):
+        if os.path.samestat(os.fstat(fd), null):
+            sent.append(bytes(data))
+        return real_write(fd, data)
+
+    monkeypatch.setattr(os, "write", write)
+    cuts = counted_ftruncate(monkeypatch)
+    assert main(argv) == 0
+    assert b"".join(sent) == rendered.pop(Path(os.devnull))
+    assert {path: path.read_bytes() for path in rendered} == rendered
+    assert cuts == []
 
 
 def test_taylor_check_default_ladder(capsys):

@@ -47,6 +47,19 @@ def test_elliptic_polarization_squeezed():
     assert pol.left[2] == pytest.approx(0.02j, rel=1e-15)
 
 
+@np.errstate(invalid="ignore")
+def test_elliptic_left_matches_stack_bits():
+    # the (0, cos, i sin) rows bit for bit as np.stack builds them, on seeded and special angles
+    special = [0.0, -0.0, math.inf, -math.inf, math.nan, 1e300, -1e-320, math.pi / 2.0, -math.pi]
+    angles = np.concatenate([np.random.default_rng(24).uniform(-10.0, 10.0, 1000), special])
+    for theta in (angles, angles.reshape(-1, 1), angles[:1004].reshape(4, 251), *map(np.float64, special), 0.5):
+        theta = np.asarray(theta, dtype=float)
+        stacked = np.stack([np.zeros_like(theta), np.cos(theta), 1j * np.sin(theta)], axis=-1)
+        left = elliptic_left(theta)
+        assert left.shape == stacked.shape and left.dtype == stacked.dtype
+        assert left.tobytes() == stacked.tobytes()
+
+
 def test_polarization_validation():
     nan, inf = math.nan, math.inf
     cases = [
