@@ -91,12 +91,11 @@ def _format(value) -> str:
 def _polarization_from_args(args) -> PolarizationPair:
     if args.pol_l is not None and args.theta is not None:
         raise ValueError("--theta is not read when --pol-l is given: --pol-l sets the left beam")
-    theta = FixedParams.theta if args.theta is None else args.theta  # --theta is None unless given
-    if args.pol_l is not None or args.pol_r is not None:
-        left = args.pol_l if args.pol_l is not None else elliptic_polarization(theta).left
-        right = args.pol_r if args.pol_r is not None else np.array([0.0, 0.0, 1.0 + 0.0j])
-        return PolarizationPair(left=left, right=right)
-    return elliptic_polarization(theta)
+    pol = elliptic_polarization(FixedParams.theta if args.theta is None else args.theta)  # --theta is None unless given
+    if args.pol_l is None and args.pol_r is None:
+        return pol
+    return PolarizationPair(left=pol.left if args.pol_l is None else args.pol_l,
+                            right=pol.right if args.pol_r is None else args.pol_r)
 
 
 class _overwrite:
@@ -224,6 +223,8 @@ def cmd_sweep(args) -> int:
     spec = GridSpec(x_name, y_name, tuple(args.x_range), tuple(args.y_range), args.nx, args.ny, fixed)
     if given is not None:  # after GridSpec, which reports an unsupported pair or a non-finite value first
         raise ValueError(f"{flag} is not read on a {x_name},{y_name} sweep: its {setter} sets it")
+    if args.heatmap_column is None and (args.heatmap_out is not None or args.log_scale):
+        raise ValueError(f"{'--log-scale' if args.log_scale else '--heatmap-out'} is not read without --heatmap-column")
     out = Path(args.out)
     # a nameless --out ("." or "/") is a directory, whose write exits 4
     pgm = Path(args.heatmap_out) if args.heatmap_out else out.with_suffix(".pgm") if out.name else None
@@ -251,6 +252,9 @@ def cmd_locus_fit(args) -> int:
     for flag, value in (("--q3-min", args.q3_min), ("--q3-max", args.q3_max)):
         if not math.isfinite(value):
             raise ValueError(f"{flag} must be finite, got {value!r}")
+    if not math.isfinite(args.q3_max - args.q3_min):  # linspace would overflow to inf and NaN
+        raise ValueError("--q3-min and --q3-max must be finite with a finite width, "
+                         f"got {args.q3_min!r}, {args.q3_max!r}")
     q3_values = np.linspace(args.q3_min, args.q3_max, args.q3_points)
     points = minimum_locus(
         q3_values,
@@ -422,23 +426,14 @@ def _join_dashed_values(argv: list[str]) -> list[str]:
     """Merge '--flag -0.05,0.05' into '--flag=-0.05,0.05' so argparse does not
     mistake leading-dash values (negative ranges, '-pi/2') for option names."""
     joined: list[str] = []
-    skip = False
-    for i, token in enumerate(argv):
-        if skip:
-            skip = False
-            continue
-        nxt = argv[i + 1] if i + 1 < len(argv) else None
-        if (
-            token.startswith("--")
-            and "=" not in token
-            and nxt is not None
-            and nxt.startswith("-")
-            and not nxt.startswith("--")
-        ):
-            joined.append(f"{token}={nxt}")
-            skip = True
+    open_flag = False  # the last kept token is a '--flag' with no '='
+    for token in argv:
+        if open_flag and token.startswith("-") and not token.startswith("--"):
+            joined[-1] += f"={token}"
+            open_flag = False
         else:
             joined.append(token)
+            open_flag = token.startswith("--") and "=" not in token
     return joined
 
 

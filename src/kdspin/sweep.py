@@ -400,18 +400,14 @@ def fit_locus(locus) -> tuple[FitModel, FitModel]:
     for q, _ in pairs:
         if not -1e-12 <= q <= 1.0 + 1e-12:  # NaN included
             raise ValueError(f"q3={q!r} outside fit domain [0, 1]")
-    finite = [q for q, v in pairs if math.isfinite(v)]
-    distinct = [len({q for q in finite if q <= BRANCH_SPLIT + 1e-12}),  # -0.0 == 0.0
-                len({q for q in finite if q >= BRANCH_SPLIT - 1e-12})]
+    finite = [(q, v) for q, v in pairs if math.isfinite(v)]
+    left = [p for p in finite if p[0] <= BRANCH_SPLIT + 1e-12]
+    right = [p for p in finite if p[0] >= BRANCH_SPLIT - 1e-12]
+    distinct = [len({q for q, _ in branch}) for branch in (left, right)]  # -0.0 == 0.0
     if min(distinct) < 4:
         raise ValueError(f"need at least 4 distinct q3 per branch, got {distinct[0]} left / {distinct[1]} right")
-    data = np.asarray(pairs)
-    q3, inv_theta = data[np.isfinite(data[:, 1])].T
-    left_mask = q3 <= BRANCH_SPLIT + 1e-12
-    right_mask = q3 >= BRANCH_SPLIT - 1e-12
-    left = _fit_branch(q3[left_mask], inv_theta[left_mask], "left", (0.0, BRANCH_SPLIT))
-    right = _fit_branch(q3[right_mask], inv_theta[right_mask], "right", (BRANCH_SPLIT, 1.0))
-    return left, right
+    return (_fit_branch(*np.array(left).T, "left", (0.0, BRANCH_SPLIT)),
+            _fit_branch(*np.array(right).T, "right", (BRANCH_SPLIT, 1.0)))
 
 
 def locus_probabilities(

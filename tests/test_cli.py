@@ -13,6 +13,8 @@ import pytest
 import kdspin
 from kdspin import cli
 from kdspin.cli import main, parse_angle, parse_polarization
+from kdspin.compton import PolarizationPair, elliptic_polarization, spin_matrix
+from kdspin.kinematics import ScatterConfig
 from kdspin.sweep import FixedParams, GridSpec, SweepTile, run_sweep
 
 
@@ -72,6 +74,25 @@ def test_point_bad_polarization(capsys):
     code = main(["point", "--pol-l", "1,0,0,0,0,0"])  # beam-axis component
     assert code == 2
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags, left, right", [
+    ([], None, None),
+    (["--theta", "0.3"], None, None),
+    (["--pol-l", "0,0,1,0,0,1"], [0.0, 1.0, 1.0j], None),
+    (["--pol-r", "0,0,0,0,1,1"], None, [0.0, 0.0, 1.0 + 1.0j]),
+    (["--theta", "0.3", "--pol-r", "0,0,1,0,0,0"], None, [0.0, 1.0, 0.0]),
+    (["--pol-l", "0,0,0,1,0,0", "--pol-r", "0,0,1,0,0,0"], [0.0, 1.0j, 0.0], [0.0, 1.0, 0.0]),
+])
+def test_point_beam_flags_replace_one_elliptic_beam(flags, left, right, capsys):
+    # each of --pol-l and --pol-r replaces its beam of the elliptic pair at --theta (default pi/4)
+    assert main(["point", "--q3", "0.5", *flags]) == 0
+    out = parse_kv(capsys.readouterr().out)
+    pol = elliptic_polarization(0.3 if "--theta" in flags else math.pi / 4.0)
+    pair = PolarizationPair(left=pol.left if left is None else left, right=pol.right if right is None else right)
+    matrix = spin_matrix(ScatterConfig(q_l=0.02, q2=0.0, q3=0.5), pair)
+    printed = [complex(float(out[f"m{r}{c}_re"]), float(out[f"m{r}{c}_im"])) for r in range(2) for c in range(2)]
+    assert printed == matrix.ravel().tolist()
 
 
 def test_sweep_minimal_csv(tmp_path, capsys):
@@ -370,7 +391,11 @@ def test_locus_fit_bad_search_range_exits_2(flags, tmp_path, capsys):
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("flags", [["--q3-max", "inf"], ["--q3-min", "nan"], ["--q2", "nan"]])
+@pytest.mark.parametrize("flags", [
+    ["--q3-max", "inf"], ["--q3-min", "nan"], ["--q2", "nan"],
+    # finite ends whose width overflows: linspace would warn and give inf and NaN
+    ["--q3-min", "-1e308", "--q3-max", "1e308"], ["--q3-min", "-1e308", "--q3-max", "1e308", "--q3-points", "1"],
+])
 def test_locus_fit_nonfinite_momentum_exits_2(flags, tmp_path, capsys):
     code = main(["locus-fit", "--q3-points", "3", "--out", str(tmp_path / "run"), *flags])
     err = capsys.readouterr().err
@@ -538,6 +563,28 @@ def test_one_pass_parse_equals_two_pass_parse(argv, capsys):
         return cli.build_parser().parse_args(cli._join_dashed_values(list(argv)))
 
     assert _parse_outcome(cli.parse_argv, argv, capsys) == _parse_outcome(reference, argv, capsys)
+
+
+@pytest.mark.parametrize("argv, joined", [
+    ([], []),
+    (["--"], ["--"]),
+    (["-"], ["-"]),
+    (["---"], ["---"]),
+    ([""], [""]),
+    (["--a=-1", "-2"], ["--a=-1", "-2"]),
+    (["--a", "-1", "-2"], ["--a=-1", "-2"]),
+    (["--a", "--b", "-1"], ["--a", "--b=-1"]),
+    (["--theta", "-pi/2"], ["--theta=-pi/2"]),
+    (["--", "-1"], ["--=-1"]),
+    (["--a", "-"], ["--a=-"]),
+    (["--a", ""], ["--a", ""]),
+    (["--a", "x", "-1"], ["--a", "x", "-1"]),
+    (["point", "--q3", "-1"], ["point", "--q3=-1"]),
+    (["point", "--q3", "1", "-x"], ["point", "--q3", "1", "-x"]),
+])
+def test_join_dashed_values(argv, joined):
+    # a '--flag' with no '=' takes a following single-dash token as its value, once
+    assert cli._join_dashed_values(argv) == joined
 
 
 @pytest.mark.parametrize("argv", [
@@ -841,10 +888,15 @@ HEATMAP_SWEEP = ["sweep", "--axes", "q2,q3", "--x-range", "-0.05,0.05", "--y-ran
         ([*HEATMAP_SWEEP, "--out", "t.pgm"], "the heatmap t.pgm or its sidecar t.pgm.txt would overwrite the CSV"),
         ([*HEATMAP_SWEEP, "--heatmap-out", "./tile.csv"], "the heatmap tile.csv or its sidecar"),
         ([*HEATMAP_SWEEP, "--heatmap-out", "t", "--out", "t.txt"], "the heatmap t or its sidecar t.txt"),
+        # a heatmap flag without a heatmap column would go unread
+        (["sweep", "--axes", "q2,q3", "--x-range", "0,1", "--y-range", "0,1", "--heatmap-out", "t.pgm"],
+         "--heatmap-out is not read without --heatmap-column"),
+        (["sweep", "--axes", "q2,q3", "--x-range", "0,1", "--y-range", "0,1", "--log-scale"],
+         "--log-scale is not read without --heatmap-column"),
     ],
     ids=["one-axis", "three-ends", "unread-q2", "unread-theta", "unread-theta-inv", "negative-scale",
          "point-theta-pol-l", "taylor-theta-pol-l", "sweep-theta-pol-l", "pgm-is-out", "heatmap-out-is-out",
-         "sidecar-is-out"],
+         "sidecar-is-out", "heatmap-out-without-column", "log-scale-without-column"],
 )
 def test_rejected_input_exits_2(argv, message, tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
