@@ -9,6 +9,7 @@ parameters, 3 locus bracketing or fit failure, 4 unwritable output.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import math
 import os
@@ -21,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .compton import PolarizationPair, elliptic_polarization, spin_matrix
-from .contrast import minimize_contrast
+from .contrast import DEGENERATE_FLOOR, minimize_contrast
 from .kinematics import ScatterConfig
 from .sweep import (
     FitConvergenceError,
@@ -226,10 +227,12 @@ def cmd_sweep(args) -> int:
     if args.heatmap_column is None and (args.heatmap_out is not None or args.log_scale):
         raise ValueError(f"{'--log-scale' if args.log_scale else '--heatmap-out'} is not read without --heatmap-column")
     out = Path(args.out)
-    # a nameless --out ("." or "/") is a directory, whose write exits 4
+    # a nameless --out ("." or "/") is a directory, rejected below
     pgm = Path(args.heatmap_out) if args.heatmap_out else out.with_suffix(".pgm") if out.name else None
     if args.heatmap_column is not None and pgm and (_same_file(out, pgm) or _same_file(out, f"{pgm}.txt")):
         raise ValueError(f"the heatmap {pgm} or its sidecar {pgm}.txt would overwrite the CSV {out}")
+    if out.is_dir():  # the error its write would raise, before the grid rather than after it
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(out))
     tile = run_sweep(spec, workers=args.workers)
     with _overwrite(out) as handle:
         write_tile_csv(tile, handle)
@@ -329,7 +332,10 @@ def cmd_taylor_check(args) -> int:
         h = math.ldexp(args.scale, -k)
         cfg = ScatterConfig(q_l=h, q2=h, q3=h)
         err = taylor_error(cfg, pol)
-        floor = 8.0 * np.finfo(float).eps * float(np.abs(spin_matrix(cfg, pol)).max())
+        matrix = spin_matrix(cfg, pol)
+        if np.abs(matrix.view(float)).max() <= DEGENERATE_FLOOR:  # minimize_contrast's zero matrix
+            raise ValueError(f"spin-propagation matrix is numerically zero at scale {_format(h)}")
+        floor = 8.0 * np.finfo(float).eps * float(np.abs(matrix).max())
         if err <= floor:
             raise ValueError(f"the expansion's error {_format(err)} at scale {_format(h)} is at the rounding "
                              f"floor 8 eps max|M| = {_format(floor)}, where no convergence order can be read")

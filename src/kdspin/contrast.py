@@ -166,7 +166,8 @@ def _closed_form(m: np.ndarray) -> tuple[np.ndarray, ...]:
 
     ``scale`` is the largest real or imaginary part; the power of two that brings it into
     [1/2, 1) scales the matrix exactly, so t >= 1/4 and lambda_max >= 1/8.  The fields mean
-    nothing where ``ok`` is False (scale 0 or not finite, |M|_F^2 overflowing)."""
+    nothing where ``ok`` is False (scale 0 or not finite, |M|_F^2 overflowing).  Where det u
+    cancels, ``_dot2`` recomputes it: on one matrix's parts as floats, or on a stack's rows."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # contiguous rows over the stack (numpy loops slowly over a short inner axis), or scalars
         parts = np.ascontiguousarray(m).view(float).reshape(m.shape[:-2] + (8,)).T
@@ -186,9 +187,12 @@ def _closed_form(m: np.ndarray) -> tuple[np.ndarray, ...]:
         # where det u cancelled by more than 10 bits, recompute it error-free; the
         # choice is per matrix, so a stack rounds each matrix as it rounds alone
         low = det2 < 2.0**-20 * (t * t)
-        if np.count_nonzero(low):
-            det2 = np.array(det2)
-            det2[low] = np.square(_dot2(parts[..., low])).sum(axis=0)
+        if low.ndim == 0 and low:  # one matrix: Python floats round as numpy's do, at half the cost
+            re, im = _dot2(*parts.tolist())
+            det2 = re * re + im * im
+        elif low.ndim and np.count_nonzero(low):  # those rows of a stack
+            re, im = _dot2(*parts[:, low])
+            det2[low] = re * re + im * im
         ratio_b = 0.5 * t + r
         ratio_a = det2 / ratio_b
         # ratios of the scaled matrix cannot underflow; the probabilities are |M psi|^2 again
@@ -199,27 +203,31 @@ def _closed_form(m: np.ndarray) -> tuple[np.ndarray, ...]:
         return scale, ok, value, alpha, phi, ratio_a * size * size, ratio_b * size * size
 
 
-#: det u = sum over axis 0 of sign x y, x, y = parts[_DET_XY], for parts (r00, i00, r01, i01, r10,
-#: i10, r11, i11); _DOT2_TAKE takes x y, x_hi y_hi, x_lo y_hi, x_hi y_lo, x_lo y_lo from the halves
-_DET_XY = np.array([[[0, 0], [1, 1], [2, 2], [3, 3]], [[6, 7], [7, 6], [4, 5], [5, 4]]])
-_DET_SIGN = np.array([[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]])[..., None]
-_DOT2_TAKE = 8 * np.array([[0, 1, 2, 1, 2], [0, 1, 1, 2, 2]])[..., None, None] + _DET_XY[:, None]
-
-
-def _dot2(parts: np.ndarray) -> np.ndarray:
-    """(Re, Im) of det u per column of the (8, K) ``parts`` below ~1e300, by Dot2 of Ogita, Rump and
-    Oishi (2005): TwoProduct on halves split by Veltkamp's 2^27 + 1 (numpy has no fma), split once
-    per part as the split is odd (the signs go on the exact products), then TwoSum, then rounded."""
-    big = 134217729.0 * parts
-    high = big - (big - parts)
-    x, y = np.concatenate((parts, high, parts - high))[_DOT2_TAKE]
-    products = x * y * _DET_SIGN
-    errs = products[4] - np.subtract.reduce(products[:4])  # TwoProduct: x y - fl(x y)
-    # TwoSum of each running sum and the next product, all at once: accumulate adds in order
-    sums = np.add.accumulate(products[0])
-    back = sums[1:] - sums[:-1]
-    errs[1:] += (sums[:-1] - (sums[1:] - back)) + (products[0, 1:] - back)
-    return sums[-1] + np.add.accumulate(errs)[-1]
+def _dot2(*parts):
+    """(Re, Im) of det u = u00 u11 - u01 u10, elementwise over the parts (r00, i00, r01, i01, r10,
+    i10, r11, i11) of the entries below ~1e300, by Dot2 of Ogita, Rump and Oishi (2005): TwoProduct
+    on halves split by Veltkamp's 2^27 + 1 (numpy has no fma), then TwoSum over the four terms.  The
+    split is odd, so each part is split once and a negated factor takes its halves negated."""
+    halves = []
+    for part in parts:
+        big = 134217729.0 * part
+        high = big - (big - part)
+        halves.append((part, high, part - high))
+    r00, i00, r01, i01, r10, i10, r11, i11 = halves
+    n_i00, n_r01, n_i01 = ((-part, -high, -low) for part, high, low in (i00, r01, i01))
+    det = []
+    for terms in (((r00, r11), (n_i00, i11), (n_r01, r10), (i01, i10)),
+                  ((r00, i11), (i00, r11), (n_r01, i10), (n_i01, r10))):
+        # TwoProduct of each term: x y and its rounding error x y - fl(x y)
+        (total, err), *rest = [(xy := x * y, x_lo * y_lo - (((xy - x_hi * y_hi) - x_lo * y_hi) - x_hi * y_lo))
+                               for (x, x_hi, x_lo), (y, y_hi, y_lo) in terms]
+        for prod, prod_err in rest:  # TwoSum of the running sum and the next product
+            new = total + prod
+            back = new - total
+            err = err + (((total - (new - back)) + (prod - back)) + prod_err)
+            total = new
+        det.append(total + err)
+    return det
 
 
 def minimize_contrast(m: np.ndarray) -> ContrastResult:

@@ -12,6 +12,7 @@ import io
 import math
 import time
 
+import brute_force
 import numpy as np
 import pytest
 
@@ -252,25 +253,11 @@ def test_criterion_7d_newton_beats_brute_force():
     rng = np.random.RandomState(107)
     alphas = np.linspace(0.0, 2.0 * math.pi, 2000, endpoint=False)
     phis = np.linspace(0.0, math.pi, 1000, endpoint=False)
-    ca = np.cos(alphas / 2.0)[:, None]
-    sa = np.sin(alphas / 2.0)[:, None]
-    phase = np.exp(1j * phis)[None, :]
-    a0 = ca * np.ones_like(phase)
-    a1 = sa * phase
-    b0 = sa * np.conj(phase)
-    b1 = -a0
+    sample = np.random.default_rng(107)
     worst = -np.inf
     for _ in range(50):
         m = random_matrix(rng)
-        num = (
-            np.abs(m[0, 0] * a0 + m[0, 1] * a1) ** 2
-            + np.abs(m[1, 0] * a0 + m[1, 1] * a1) ** 2
-        )
-        den = (
-            np.abs(m[0, 0] * b0 + m[0, 1] * b1) ** 2
-            + np.abs(m[1, 0] * b0 + m[1, 1] * b1) ** 2
-        )
-        brute = float(np.min(num / den))
+        brute = brute_force.grid_minimum(m, alphas, phis, sample)
         found = minimize_contrast(m).value
         worst = max(worst, found - brute)
     ok = worst <= 1e-6

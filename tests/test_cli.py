@@ -1,4 +1,5 @@
 import argparse
+import errno
 import io
 import math
 import os
@@ -836,6 +837,36 @@ def test_sweep_out_of_memory_exits_2(tmp_path, capsys, monkeypatch):
     assert code == 2
     assert captured.err == "error: Unable to allocate 373. GiB for an array with shape (5, 100000, 100000)\n"
     assert not (tmp_path / "big.csv").exists()
+
+
+@pytest.mark.parametrize("out", [".", "/", "tile"])
+def test_sweep_out_directory_exits_4_before_the_grid(out, tmp_path, capsys, monkeypatch):
+    # the CSV write would fail on a directory: that is known before any point is evaluated
+    def evaluate(spec, workers=1):
+        raise AssertionError("the grid was evaluated")
+
+    monkeypatch.setattr("kdspin.cli.run_sweep", evaluate)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "tile").mkdir()
+    argv = ["sweep", "--axes", "q2,q3", "--x-range", "0,1", "--y-range", "0,1", "--out", out,
+            "--heatmap-column", "contrast"]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.err == f"error: [Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: '{out}'\n"
+    assert captured.out == "" and os.listdir(tmp_path) == ["tile"] and os.listdir(tmp_path / "tile") == []
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("beam", [["--pol-l", "0,0,0,0,0,0"], ["--pol-r", "0,0,5e-324,0,0,0"]])
+def test_taylor_check_dark_beam_names_zero_matrix(beam, capsys):
+    # a dark beam zeroes the spin matrix: no rounding is involved, and point names it so too
+    code = main(["taylor-check", *beam])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: spin-propagation matrix is numerically zero at scale 0.01\n"
+    assert main(["point", *beam]) == 2
+    assert capsys.readouterr().err == "error: spin-propagation matrix is numerically zero\n"
 
 
 @pytest.mark.filterwarnings("error")

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import brute_force
 import numpy as np
 import pytest
 
@@ -183,18 +184,31 @@ def _dot2_reference(x, y):
     return total + err
 
 
-def test_dot2_matches_reference_on_rank_one():
-    # det u of rank-one and near-rank-one matrices, the inputs that take the error-free path
+def _rank_one_parts(n=12000):
+    """(8, n) parts (r00, i00, r01, i01, r10, i10, r11, i11) of rank-one and near-rank-one matrices,
+    the inputs that take the error-free path, and their det u by ``_dot2_reference``."""
     rng = np.random.default_rng(20261018)
-    n = 12000
     u, v, noise = (rng.normal(size=(n, 2, 2)) @ np.array([1.0, 1j]) for _ in range(3))
     m = u[:, :, None] * v[:, None, :] + 10.0 ** rng.uniform(-18, -6, n)[:, None, None] * noise.reshape(n, 1, 2)
     m[: n // 4] = m[: n // 4].real  # real rank-one factors, with exact zeros in the imaginary parts
-    r00, i00, r01, i01, r10, i10, r11, i11 = np.ascontiguousarray(m).view(float).reshape(n, 8).T
+    parts = np.ascontiguousarray(m).view(float).reshape(n, 8).T
+    r00, i00, r01, i01, r10, i10, r11, i11 = parts
     x = np.array([[r00, r00], [-i00, i00], [-r01, -r01], [i01, -i01]])
     y = np.array([[r11, i11], [i11, r11], [r10, i10], [i10, r10]])
-    expected = _dot2_reference(x, y)
-    assert _dot2(np.array([r00, i00, r01, i01, r10, i10, r11, i11])).tobytes() == expected.tobytes()
+    return parts, _dot2_reference(x, y)
+
+
+def test_dot2_matches_reference_on_rank_one():
+    parts, expected = _rank_one_parts()
+    assert np.array(_dot2(*parts)).tobytes() == expected.tobytes()
+
+
+def test_dot2_one_matrix_matches_reference_on_rank_one():
+    # one matrix at a time, on its numpy scalars and on the Python floats that _closed_form passes
+    parts, expected = _rank_one_parts()
+    for column, want in zip(parts.T, expected.T):
+        assert np.array(_dot2(*column)).tobytes() == want.tobytes()
+        assert np.array(_dot2(*column.tolist())).tobytes() == want.tobytes()
 
 
 def test_canonicalize_periodic_alpha():
@@ -352,9 +366,10 @@ def test_minimize_beats_brute_force_grid():
     rng = np.random.RandomState(29)
     alphas = np.linspace(0.0, TWO_PI, 2000, endpoint=False)
     phis = np.linspace(0.0, math.pi, 1000, endpoint=False)
+    sample = np.random.default_rng(29)
     for _ in range(50):
         m = random_matrix(rng)
-        brute = float(np.min(grid_contrast(m, alphas, phis)))
+        brute = brute_force.grid_minimum(m, alphas, phis, sample)
         result = minimize_contrast(m)
         assert brute >= result.value - 1e-6
 
