@@ -127,12 +127,21 @@ class _overwrite:
             os.close(self.fd)
 
 
-def _same_file(a, b) -> bool:
-    """Whether paths ``a`` and ``b`` name one file: one inode if both exist, else one resolved path."""
+def _stat(path):
+    """``os.stat(path)``, or the errno of the OSError it raises (not the exception, whose traceback
+    would tie the caller's frame, and the tile it comes to hold, into a cycle)."""
     try:
-        return os.path.samestat(os.stat(a), os.stat(b))
-    except OSError:
+        return os.stat(path)
+    except OSError as exc:
+        return exc.errno
+
+
+def _same_file(a, a_stat, b, b_stat) -> bool:
+    """Whether paths ``a`` and ``b``, of these ``_stat``s, name one file: one inode if both exist,
+    else one resolved path."""
+    if isinstance(a_stat, int) or isinstance(b_stat, int):
         return os.path.realpath(a) == os.path.realpath(b)
+    return os.path.samestat(a_stat, b_stat)
 
 
 def _write_csv(stream, header: str, rows) -> None:
@@ -229,10 +238,16 @@ def cmd_sweep(args) -> int:
     out = Path(args.out)
     # a nameless --out ("." or "/") is a directory, rejected below
     pgm = Path(args.heatmap_out) if args.heatmap_out else out.with_suffix(".pgm") if out.name else None
-    if args.heatmap_column is not None and pgm and (_same_file(out, pgm) or _same_file(out, f"{pgm}.txt")):
+    outputs = [out, pgm, f"{pgm}.txt"] if args.heatmap_column is not None and pgm else [out]
+    stats = [_stat(path) for path in outputs]
+    if any(_same_file(out, stats[0], path, path_stat) for path, path_stat in zip(outputs[1:], stats[1:])):
         raise ValueError(f"the heatmap {pgm} or its sidecar {pgm}.txt would overwrite the CSV {out}")
-    if out.is_dir():  # the error its write would raise, before the grid rather than after it
-        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(out))
+    for path, path_stat in zip(outputs, stats):  # the error its write would raise, before the grid rather than after it
+        if isinstance(path_stat, int):  # OSError picks the errno's subclass, as os.open raises it
+            if path_stat != errno.ENOENT or not os.path.isdir(os.path.dirname(path) or "."):
+                raise OSError(path_stat, os.strerror(path_stat), str(path))
+        elif stat.S_ISDIR(path_stat.st_mode):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
     tile = run_sweep(spec, workers=args.workers)
     with _overwrite(out) as handle:
         write_tile_csv(tile, handle)
@@ -252,10 +267,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_locus_fit(args) -> int:
     fixed = FixedParams(q_l=args.ql, q2=args.q2)
-    for flag, value in (("--q3-min", args.q3_min), ("--q3-max", args.q3_max)):
-        if not math.isfinite(value):
-            raise ValueError(f"{flag} must be finite, got {value!r}")
-    if not math.isfinite(args.q3_max - args.q3_min):  # linspace would overflow to inf and NaN
+    if not math.isfinite(args.q3_max - args.q3_min):  # an inf or NaN end, or a width linspace would overflow
         raise ValueError("--q3-min and --q3-max must be finite with a finite width, "
                          f"got {args.q3_min!r}, {args.q3_max!r}")
     q3_values = np.linspace(args.q3_min, args.q3_max, args.q3_points)
@@ -308,7 +320,7 @@ def cmd_locus_fit(args) -> int:
     for line in report:
         print(line)
 
-    trace = locus_probabilities(left, right, [p.q3 for p in points if p.bracketed], fixed=fixed)
+    trace = locus_probabilities(left, right, [q3 for q3, _ in good], fixed=fixed)
     prob_path = Path(f"{prefix}_probabilities.csv")
     with _overwrite(prob_path) as handle:
         rows = ((r.q3, r.prob_a, r.prob_b, r.alpha, r.phi) for r in trace)

@@ -396,6 +396,7 @@ def test_locus_fit_bad_search_range_exits_2(flags, tmp_path, capsys):
     ["--q3-max", "inf"], ["--q3-min", "nan"], ["--q2", "nan"],
     # finite ends whose width overflows: linspace would warn and give inf and NaN
     ["--q3-min", "-1e308", "--q3-max", "1e308"], ["--q3-min", "-1e308", "--q3-max", "1e308", "--q3-points", "1"],
+    ["--q3-min", "-inf", "--q3-max", "inf"],
 ])
 def test_locus_fit_nonfinite_momentum_exits_2(flags, tmp_path, capsys):
     code = main(["locus-fit", "--q3-points", "3", "--out", str(tmp_path / "run"), *flags])
@@ -839,22 +840,33 @@ def test_sweep_out_of_memory_exits_2(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "big.csv").exists()
 
 
-@pytest.mark.parametrize("out", [".", "/", "tile"])
-def test_sweep_out_directory_exits_4_before_the_grid(out, tmp_path, capsys, monkeypatch):
-    # the CSV write would fail on a directory: that is known before any point is evaluated
+@pytest.mark.parametrize("flags, path, code", [
+    pytest.param(["--out", "."], ".", errno.EISDIR, id="."),
+    pytest.param(["--out", "/"], "/", errno.EISDIR, id="/"),
+    pytest.param(["--out", "tile"], "tile", errno.EISDIR, id="tile"),
+    pytest.param(["--out", "t.csv", "--heatmap-out", "tile"], "tile", errno.EISDIR, id="heatmap-directory"),
+    pytest.param(["--out", "t.csv", "--heatmap-out", "h.pgm"], "h.pgm.txt", errno.EISDIR, id="sidecar-directory"),
+    pytest.param(["--out", "nodir/t.csv"], "nodir/t.csv", errno.ENOENT, id="out-missing-directory"),
+    pytest.param(["--out", "t.csv", "--heatmap-out", "nodir/h.pgm"], "nodir/h.pgm", errno.ENOENT,
+                 id="heatmap-missing-directory"),
+])
+def test_sweep_out_directory_exits_4_before_the_grid(flags, path, code, tmp_path, capsys, monkeypatch):
+    # each output's write would fail: that is known before any point is evaluated, and no CSV is written
     def evaluate(spec, workers=1):
         raise AssertionError("the grid was evaluated")
 
     monkeypatch.setattr("kdspin.cli.run_sweep", evaluate)
     monkeypatch.chdir(tmp_path)
     (tmp_path / "tile").mkdir()
-    argv = ["sweep", "--axes", "q2,q3", "--x-range", "0,1", "--y-range", "0,1", "--out", out,
+    (tmp_path / "h.pgm.txt").mkdir()
+    argv = ["sweep", "--axes", "q2,q3", "--x-range", "0,1", "--y-range", "0,1", *flags,
             "--heatmap-column", "contrast"]
-    code = main(argv)
+    exit_code = main(argv)
     captured = capsys.readouterr()
-    assert code == 4
-    assert captured.err == f"error: [Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: '{out}'\n"
-    assert captured.out == "" and os.listdir(tmp_path) == ["tile"] and os.listdir(tmp_path / "tile") == []
+    assert exit_code == 4
+    assert captured.err == f"error: [Errno {code}] {os.strerror(code)}: '{path}'\n"
+    assert captured.out == "" and sorted(os.listdir(tmp_path)) == ["h.pgm.txt", "tile"]
+    assert os.listdir(tmp_path / "tile") == [] and os.listdir(tmp_path / "h.pgm.txt") == []
 
 
 @pytest.mark.filterwarnings("error")
