@@ -227,14 +227,17 @@ def cmd_sweep(args) -> int:
     # --q2 and --theta are None unless given, and the grid's axes set one of them
     flag, given, setter = ("--q2", args.q2, "x axis") if x_name == "q2" else ("--theta", args.theta, "y axis")
     pol = _polarization_from_args(args) if (args.pol_l is not None or args.pol_r is not None) else None
-    args.q2 = FixedParams.q2 if args.q2 is None else args.q2
-    args.theta = FixedParams.theta if args.theta is None else args.theta
-    fixed = FixedParams(q_l=args.ql, q2=args.q2, theta=args.theta, pol=pol)
+    if given is not None and math.isfinite(given):  # GridSpec takes the default, so its checks come first
+        setattr(args, flag[2:], None)
+    fixed = FixedParams(q_l=args.ql, q2=FixedParams.q2 if args.q2 is None else args.q2,
+                        theta=FixedParams.theta if args.theta is None else args.theta, pol=pol)
     spec = GridSpec(x_name, y_name, tuple(args.x_range), tuple(args.y_range), args.nx, args.ny, fixed)
     if given is not None:  # after GridSpec, which reports an unsupported pair or a non-finite value first
         raise ValueError(f"{flag} is not read on a {x_name},{y_name} sweep: its {setter} sets it")
     if args.heatmap_column is None and (args.heatmap_out is not None or args.log_scale):
         raise ValueError(f"{'--log-scale' if args.log_scale else '--heatmap-out'} is not read without --heatmap-column")
+    if "" in (args.out, args.heatmap_out):  # Path("") is "."
+        raise ValueError(f"{'--out' if args.out == '' else '--heatmap-out'} must not be empty")
     out = Path(args.out)
     # a nameless --out ("." or "/") is a directory, rejected below
     pgm = Path(args.heatmap_out) if args.heatmap_out else out.with_suffix(".pgm") if out.name else None
@@ -266,6 +269,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_locus_fit(args) -> int:
+    if not args.out:  # a prefix "" would name "_locus.csv"
+        raise ValueError("--out must not be empty")
     fixed = FixedParams(q_l=args.ql, q2=args.q2)
     if not math.isfinite(args.q3_max - args.q3_min):  # an inf or NaN end, or a width linspace would overflow
         raise ValueError("--q3-min and --q3-max must be finite with a finite width, "

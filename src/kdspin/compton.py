@@ -8,8 +8,8 @@ coefficients of the diffracted electron (rows index the final spin).
 
 ``spin_matrix_batch`` computes that matrix for one configuration or many without
 the tensor, in a closed form of ten real coefficients and four beam bilinears with
-no cancelling diagrams, by elementwise real numpy operations only: one matrix
-computed on numpy scalars equals its row of any batch bit for bit.
+no cancelling diagrams, in elementwise real arithmetic only: one matrix, computed
+on Python floats, equals its row of any batch bit for bit.
 ``compton_tensor`` and ``contract_polarization`` stay as its reference.
 """
 
@@ -119,19 +119,19 @@ def elliptic_left(theta) -> np.ndarray:
     return left
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def spin_matrix_batch(q_l: float, q2, q3, left, right) -> np.ndarray:
     """Spin-propagation matrices of N configurations at once, shape (N, 2, 2).
 
     ``q2`` and ``q3`` are (N,) arrays of transverse momenta at the photon momentum ``q_l``;
     ``left`` and ``right`` are (N, 3) or (3,) complex beam amplitudes (x components unread,
     as transversality makes them 0).  Scalar momenta with (3,) beams give one (2, 2) matrix
-    from numpy scalars, by the same operations: bit for bit its row of any batch.  A batch
-    of one, where each input is scalar or holds one point, runs on those scalars too and
-    comes out (1, 2, 2); telling it apart reads shapes only.  Entries
-    are NaN or infinite, without a floating-point warning, for non-finite inputs, and all
-    NaN where a momentum's square overflows (above ~1.3e154).  Raises ValueError unless
-    q_l > 0 is finite, and where momenta and beams broadcast to more than one dimension.
+    from Python floats, by the same operations: bit for bit its row of any batch, but for a
+    NaN's sign (adding two NaNs, numpy's array loops keep the first's sign, floats the
+    second's).  A batch of one, where each input is scalar or holds one point, runs on floats
+    too and comes out (1, 2, 2); telling it apart reads shapes only.  Entries are NaN or
+    infinite, without a floating-point warning, for non-finite inputs, and all NaN where a
+    momentum's square overflows (above ~1.3e154).  Raises ValueError unless q_l > 0 is finite,
+    and where momenta and beams broadcast to more than one dimension.
 
     With a = sigma . conj(left), b = sigma . right, S = sigma . (0, q2, q3), S_i, S_f =
     S -+ q_l sigma_1, d_A = 1/(2 q_l (E + q_l)) and d_B = 1/(2 q_l (E - q_l)), the spinor
@@ -156,21 +156,31 @@ def spin_matrix_batch(q_l: float, q2, q3, left, right) -> np.ndarray:
         raise ValueError(f"q_l must be positive, got {q_l!r}")
     q2, q3 = np.asarray(q2, dtype=float), np.asarray(q3, dtype=float)
     left, right = np.ascontiguousarray(left, dtype=complex), np.ascontiguousarray(right, dtype=complex)
-    batched = q2.ndim + q3.ndim + left.ndim + right.ndim > 2  # scalar momenta and (3,) beams give 2
-    one = batched and {q2.shape, q3.shape, left.shape[:-1], right.shape[:-1]} <= {(), (1,)}
-    if one:
-        q2, q3, left, right = q2.reshape(()), q3.reshape(()), left.reshape(3), right.reshape(3)
-    q2, q3 = q2[()], q3[()]
-    # (re, im) of the y and z amplitudes; a (3,) beam unpacks into numpy scalars
-    _, _, ly, ly_i, lz, lz_i = left.view(float).T
-    _, _, ry, ry_i, rz, rz_i = right.view(float).T
+    if {q2.shape, q3.shape, left.shape[:-1], right.shape[:-1]} <= {(), (1,)}:  # one point, on Python floats
+        beams = left.view(float).ravel().tolist()[2:] + right.view(float).ravel().tolist()[2:]
+        parts = _kernel(float(q_l), q2.item(), q3.item(), *beams, math.sqrt)
+        batched = q2.ndim + q3.ndim + left.ndim + right.ndim > 2  # scalar momenta and (3,) beams give 2
+        return np.array(parts).view(complex).reshape((1, 2, 2) if batched else (2, 2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        # (re, im) of the y and z amplitudes, one row each
+        _, _, ly, ly_i, lz, lz_i = left.view(float).T
+        _, _, ry, ry_i, rz, rz_i = right.view(float).T
+        parts = np.array(_kernel(q_l, q2, q3, ly, ly_i, lz, lz_i, ry, ry_i, rz, rz_i, np.sqrt))
+    if parts.ndim > 2:  # parts.T reverses every axis, so only an (N,) batch reshapes right
+        raise ValueError(f"momenta and beams must broadcast to shape (N,), got {parts.shape[1:]}")
+    return np.ascontiguousarray(parts.T).view(complex).reshape(parts.shape[1:] + (2, 2))
+
+
+def _kernel(q_l, q2, q3, ly, ly_i, lz, lz_i, ry, ry_i, rz, rz_i, sqrt):
+    """(re, im) of M00, M01, M10 and M11 from the momenta and the beams' y and z (re, im), elementwise:
+    ``spin_matrix_batch``'s arithmetic, on arrays with ``np.sqrt`` or on floats with ``math.sqrt``."""
     yy, yy_i = ly * ry + ly_i * ry_i, ly * ry_i - ly_i * ry
     zz, zz_i = lz * rz + lz_i * rz_i, lz * rz_i - lz_i * rz
     yz, yz_i = ly * rz + ly_i * rz_i, ly * rz_i - ly_i * rz
     zy, zy_i = lz * ry + lz_i * ry_i, lz * ry_i - lz_i * ry
     s, s_i, w, w_i = yz + zy, yz_i + zy_i, yz - zy, yz_i - zy_i
     d = 1.0 + q2 * q2 + q3 * q3
-    e, k = np.sqrt(d + q_l * q_l), 1.0 / d
+    e, k = sqrt(d + q_l * q_l), 1.0 / d
     h = k / (e + 1.0)
     c_yy = ((1.0 - q2) * (1.0 + q2) + q3 * q3) * k + q_l * q_l * h
     c_zz = ((1.0 - q3) * (1.0 + q3) + q2 * q2) * k + q_l * q_l * h
@@ -180,10 +190,7 @@ def spin_matrix_batch(q_l: float, q2, q3, left, right) -> np.ndarray:
     y, y_i = y_h * (e_2 * yy - e * zz) + y_k * s, y_h * (e_2 * yy_i - e * zz_i) + y_k * s_i
     u, u_i = u_h * (e_2 * zz - e * yy) + u_k * s, u_h * (e_2 * zz_i - e * yy_i) + u_k * s_i
     v, v_i = v_k * w_i, -(v_k * w)
-    parts = np.array([x + y_i, x_i - y, u + v, u_i + v_i, v - u, v_i - u_i, x - y_i, x_i + y])
-    if parts.ndim > 2:  # parts.T reverses every axis, so only an (N,) batch reshapes right
-        raise ValueError(f"momenta and beams must broadcast to shape (N,), got {parts.shape[1:]}")
-    return np.ascontiguousarray(parts.T).view(complex).reshape((1, 2, 2) if one else np.shape(x) + (2, 2))
+    return x + y_i, x_i - y, u + v, u_i + v_i, v - u, v_i - u_i, x - y_i, x_i + y
 
 
 def spin_matrix(cfg: ScatterConfig, pol: PolarizationPair) -> np.ndarray:

@@ -10,7 +10,7 @@ ellipticity 1/theta at which the contrast valley bottoms out: an elementary
 function of (q_l, q2, q3), tan^2(theta) = det M_y / det M_z (see
 ``_locus_inv_theta``).  Each locus point is then evaluated as the ``point``
 command evaluates one, at theta = 1/inv_theta: one kernel row per q3 and the
-minimizer, a single q3 on numpy scalars.  The locus is fitted per branch by
+minimizer, on Python floats for a single q3.  The locus is fitted per branch by
 least squares against 1/theta = c1 + c2 sqrt((q3 - q0)^2 + c3), with q0 = 0
 on the left branch and q0 = 1 on the right, by variable projection: (c1, c2)
 are linear for fixed c3, so the fit is a one-dimensional problem in c3.
@@ -59,7 +59,8 @@ class FixedParams:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Regular evaluation grid over one supported axis pair."""
+    """Regular evaluation grid over one supported axis pair.  Its axes set q2 on a q2,q3 grid and
+    theta on the others, so ``fixed`` must leave that value at its default."""
 
     x_name: str
     y_name: str
@@ -85,6 +86,10 @@ class GridSpec:
         for name in ("q_l", "q2", "theta"):
             if not math.isfinite(value := getattr(self.fixed, name)):
                 raise ValueError(f"{name} must be finite, got {value!r}")
+        unread = "q2" if self.y_name == "q3" else "theta"  # the axes set it; the default passes
+        if (value := getattr(self.fixed, unread)) != getattr(FixedParams, unread):
+            raise ValueError(f"a {self.x_name},{self.y_name} grid sets {unread} itself: a fixed {unread}={value!r} "
+                             "would go unread")
         if self.fixed.pol is not None and self.y_name != "q3":
             raise ValueError(f"a fixed beam pair applies only to a q2,q3 grid; on a {self.x_name},{self.y_name} "
                              "grid the y axis sets the left beam")
@@ -290,7 +295,7 @@ def minimum_locus(
     if inv_theta_points < 3:
         raise ValueError(f"inv_theta_points must be at least 3, got {inv_theta_points!r}")
     fixed, q3 = _locus_entry(fixed, q3_values)
-    # one q3 runs on its numpy scalar, as a batch of one does in the kernel and the minimizer
+    # one q3 takes 1/theta on its numpy scalar, then the kernel and the minimizer on Python floats
     inv_theta = np.reshape(_locus_inv_theta(fixed, q3[0] if len(q3) == 1 else q3), len(q3))
     return _locus_points(fixed, q3, inv_theta, (inv_theta > lo) & (inv_theta < hi))
 

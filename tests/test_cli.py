@@ -936,10 +936,15 @@ HEATMAP_SWEEP = ["sweep", "--axes", "q2,q3", "--x-range", "-0.05,0.05", "--y-ran
          "--heatmap-out is not read without --heatmap-column"),
         (["sweep", "--axes", "q2,q3", "--x-range", "0,1", "--y-range", "0,1", "--log-scale"],
          "--log-scale is not read without --heatmap-column"),
+        # an empty path names no file: not the default heatmap, ".", or a prefix "" for "_locus.csv"
+        ([*HEATMAP_SWEEP, "--heatmap-out="], "--heatmap-out must not be empty"),
+        (["sweep", "--axes", "q2,q3", "--x-range", "0,1", "--y-range", "0,1", "--out="], "--out must not be empty"),
+        (["locus-fit", "--q3-points", "1", "--out="], "--out must not be empty"),
     ],
     ids=["one-axis", "three-ends", "unread-q2", "unread-theta", "unread-theta-inv", "negative-scale",
          "point-theta-pol-l", "taylor-theta-pol-l", "sweep-theta-pol-l", "pgm-is-out", "heatmap-out-is-out",
-         "sidecar-is-out", "heatmap-out-without-column", "log-scale-without-column"],
+         "sidecar-is-out", "heatmap-out-without-column", "log-scale-without-column", "empty-heatmap-out",
+         "empty-out", "empty-locus-out"],
 )
 def test_rejected_input_exits_2(argv, message, tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)

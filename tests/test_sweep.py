@@ -60,6 +60,19 @@ def test_grid_spec_validation():
         GridSpec("q3", "theta", (0, 1), (0, 1), 5, 5, fixed=FixedParams(pol=elliptic_polarization(0.3)))
 
 
+def test_grid_spec_rejects_a_fixed_value_its_axes_set():
+    # the axes set q2 on a q2,q3 grid and theta on the others; the default passes, as in the locus
+    for x_name, y_name, name, value in (("q2", "q3", "q2", 0.7), ("q3", "theta", "theta", 0.3),
+                                        ("q3", "inv_theta", "theta", 0.3)):
+        message = f"a {x_name},{y_name} grid sets {name} itself: a fixed {name}={value!r} would go unread"
+        with pytest.raises(ValueError, match=message):
+            GridSpec(x_name, y_name, (0, 1), (1, 2), 3, 3, fixed=FixedParams(**{name: value}))
+        GridSpec(x_name, y_name, (0, 1), (1, 2), 3, 3, fixed=FixedParams(**{name: getattr(FixedParams, name)}))
+    # the value each grid does read stays free
+    GridSpec("q2", "q3", (0, 1), (1, 2), 3, 3, fixed=FixedParams(theta=0.3))
+    GridSpec("q3", "theta", (0, 1), (1, 2), 3, 3, fixed=FixedParams(q2=0.7))
+
+
 def test_momentum_sweep_around_reference_point():
     spec = GridSpec(
         x_name="q2",
