@@ -229,8 +229,9 @@ def cmd_sweep(args) -> int:
     pol = _polarization_from_args(args) if (args.pol_l is not None or args.pol_r is not None) else None
     if given is not None and math.isfinite(given):  # GridSpec takes the default, so its checks come first
         setattr(args, flag[2:], None)
+    # a beam pair has read --theta already, so FixedParams takes the default theta beside it
     fixed = FixedParams(q_l=args.ql, q2=FixedParams.q2 if args.q2 is None else args.q2,
-                        theta=FixedParams.theta if args.theta is None else args.theta, pol=pol)
+                        theta=FixedParams.theta if args.theta is None or pol is not None else args.theta, pol=pol)
     spec = GridSpec(x_name, y_name, tuple(args.x_range), tuple(args.y_range), args.nx, args.ny, fixed)
     if given is not None:  # after GridSpec, which reports an unsupported pair or a non-finite value first
         raise ValueError(f"{flag} is not read on a {x_name},{y_name} sweep: its {setter} sets it")

@@ -10,6 +10,7 @@ coefficients of the diffracted electron (rows index the final spin).
 the tensor, in a closed form of ten real coefficients and four beam bilinears with
 no cancelling diagrams, in elementwise real arithmetic only: one matrix, computed
 on Python floats, equals its row of any batch bit for bit.
+``_locus_inv_theta`` reads the minimum locus of the elliptic beam off the same coefficients.
 ``compton_tensor`` and ``contract_polarization`` stay as its reference.
 """
 
@@ -23,6 +24,9 @@ import numpy as np
 
 from .dirac import GAMMA_MATRICES, IDENTITY_4, bispinor_u, dirac_adjoint, slash
 from .kinematics import ScatterConfig, build_kinematics, minkowski_dot
+
+#: unit amplitude along z: the absorption beam against every elliptic emission beam
+_UNIT_Z = np.array([0.0, 0.0, 1.0], dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -63,7 +67,7 @@ def elliptic_polarization(theta: float) -> PolarizationPair:
         raise ValueError(f"theta must be finite, got {theta!r}")
     return PolarizationPair(
         left=[0.0, np.cos(theta), 1j * np.sin(theta)],
-        right=[0.0, 0.0, 1.0],
+        right=_UNIT_Z,
     )
 
 
@@ -179,11 +183,8 @@ def _kernel(q_l, q2, q3, ly, ly_i, lz, lz_i, ry, ry_i, rz, rz_i, sqrt):
     yz, yz_i = ly * rz + ly_i * rz_i, ly * rz_i - ly_i * rz
     zy, zy_i = lz * ry + lz_i * ry_i, lz * ry_i - lz_i * ry
     s, s_i, w, w_i = yz + zy, yz_i + zy_i, yz - zy, yz_i - zy_i
-    d = 1.0 + q2 * q2 + q3 * q3
-    e, k = sqrt(d + q_l * q_l), 1.0 / d
-    h = k / (e + 1.0)
+    e, k, h, c_zz = _momentum_terms(q_l, q2, q3, sqrt)
     c_yy = ((1.0 - q2) * (1.0 + q2) + q3 * q3) * k + q_l * q_l * h
-    c_zz = ((1.0 - q3) * (1.0 + q3) + q2 * q2) * k + q_l * q_l * h
     c_s, e_2 = 2.0 * q2 * q3 * k, e + 2.0
     y_h, y_k, u_h, u_k, v_k = q_l * q2 * h, q_l * q3 * k, q_l * q3 * h, q_l * q2 * k, q_l * k
     x, x_i = c_yy * yy + c_zz * zz - c_s * s, c_yy * yy_i + c_zz * zz_i - c_s * s_i
@@ -191,6 +192,53 @@ def _kernel(q_l, q2, q3, ly, ly_i, lz, lz_i, ry, ry_i, rz, rz_i, sqrt):
     u, u_i = u_h * (e_2 * zz - e * yy) + u_k * s, u_h * (e_2 * zz_i - e * yy_i) + u_k * s_i
     v, v_i = v_k * w_i, -(v_k * w)
     return x + y_i, x_i - y, u + v, u_i + v_i, v - u, v_i - u_i, x - y_i, x_i + y
+
+
+def _momentum_terms(q_l, q2, q3, sqrt):
+    """E = sqrt(D + q_l^2), k = 1/D, h = k/(E + 1) and c_zz = ((1 - q3)(1 + q3) + q2^2) k + q_l^2 h at D =
+    1 + q2^2 + q3^2, elementwise: the terms ``_kernel`` and ``_locus_inv_theta`` share, with either sqrt."""
+    d = 1.0 + q2 * q2 + q3 * q3
+    e, k = sqrt(d + q_l * q_l), 1.0 / d
+    h = k / (e + 1.0)
+    return e, k, h, ((1.0 - q3) * (1.0 + q3) + q2 * q2) * k + q_l * q_l * h
+
+
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
+def _locus_inv_theta(q_l, q2, q3):
+    """1/theta of the contrast minimum over the elliptic beam (0, cos theta, i sin theta) against
+    (0, 0, 1) at each q3 (an array or a scalar), in elementary functions of (q_l, q2, q3); NaN
+    where a momentum's square overflows, as in the kernel.
+
+    The kernel is linear in the conjugated emission amplitude, so M(theta) = cos(theta)
+    (M_y - i u M_z), u = tan(theta), with M_y, M_z the spin matrices of the unit y and z beams.
+    In the notation of ``spin_matrix_batch``, M = [[X - iY, U + V], [V - U, X + iY]], their
+    coefficients P = (X, Y, U) and V are
+
+        P_y = (-2 q2 q3 k, q_l q3 k, q_l q2 k),   V_y = -i q_l k,
+        P_z = (c_zz, -q_l q2 h E, q_l q3 h (E + 2)),   V_z = 0,
+
+    with E, k, h and c_zz of ``_momentum_terms``.  So det M_y = |P_y|^2 + (q_l k)^2, det M_z = |P_z|^2,
+    and with T = tr(adj M_y . M_z), 4 det M_y det M_z - T^2 = 4 (|P_y x P_z|^2 + (q_l k)^2 |P_z|^2):
+    r = det M_y / det M_z and s = T / det M_z are real, r > 0 and s^2 < 4 r at every q_l > 0, and
+    tr M^dag M = cos^2(theta) (r + u^2) ||M_z||_F^2.  The contrast c = lambda_min / lambda_max
+    obeys c / (1 + c)^2 = |det M|^2 / (tr M^dag M)^2, with det M = cos^2(theta) (det M_y - i T u
+    - det M_z u^2), so it rises with F = ((w - r)^2 + s^2 w) / (w + r)^2 in w = u^2, and
+    dF/dw ~ (w - r)(4 r - s^2) / (w + r)^3: one minimum, at tan^2(theta) = r (the tests pin
+    these identities in 50 digits).  Both determinants are sums of squares, so nothing cancels,
+    and ``hypot`` keeps every square from underflowing or overflowing:
+
+        tan(theta) = sqrt(k) hypot(2 q2 q3 sqrt(k), q_l) / hypot(c_zz, q_l h hypot(q2 E, q3 (E + 2))),
+
+    taken as theta = atan2 of the two, in (0, pi/2], so 1/theta >= 2/pi.  At q2 = 0 this is a
+    zero of the contrast, tan^2(theta) = q_l^2 (1 + q3^2) / (x^2 + v^2) with x = 1 - q3^2 +
+    q_l^2 / (E + 1) and v = q_l q3 (E + 2) / (E + 1); at q3 = 0 one with tan^2(theta) =
+    q_l^2 / ((1 + q2^2) ((1 + q_l^2 h)^2 + (q_l q2 E h)^2)).
+    """
+    e, k, h, c_zz = _momentum_terms(q_l, q2, q3, np.sqrt)
+    root_k = np.sqrt(k)
+    tan_num = root_k * np.hypot(2.0 * q2 * q3 * root_k, q_l)
+    tan_den = np.hypot(c_zz, q_l * h * np.hypot(q2 * e, q3 * (e + 2.0)))
+    return 1.0 / np.arctan2(tan_num, tan_den)
 
 
 def spin_matrix(cfg: ScatterConfig, pol: PolarizationPair) -> np.ndarray:

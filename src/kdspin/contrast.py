@@ -25,6 +25,11 @@ with that vector along -(v, a, -b), where it equals lambda_min/lambda_max of
 P: the exact minimum that a Newton iteration on C' reaches when it converges.
 With r = |(v, a, -b)|, lambda_max = t/2 + r and lambda_min = |det M|^2 / lambda_max.
 One elementwise closed form takes this minimum for one matrix or a stack.
+The contrast c of a kernel matrix is within 12 eps sqrt(c50) + (6 eps)^2, eps = 2^-52, of
+the exact contrast c50 of its float configuration: the kernel's entries are good to a few eps
+of max|M|, so by Weyl's inequality sqrt(c) = sigma_min/sigma_max moves by some kappa eps and c
+by 2 kappa eps sqrt(c) + (kappa eps)^2; kappa = 6 is over twice the worst on four whole swept
+tiles in 50 digits.  A contrast below (6 eps)^2 ~ 1.8e-30 cannot be told from 0.
 """
 
 from __future__ import annotations
@@ -194,18 +199,16 @@ def _scaled_minimum(parts, size):
     r00, i00, r01, i01, r10, i10, r11, i11 = parts
     t, v, a, b = _bloch_form(r00, i00, r01, i01, r10, i10, r11, i11)
     r = (math.sqrt if one else np.sqrt)(v * v + a * a + b * b)
+    # r == 0: C' == 1 everywhere and (0, 0) is returned; the 0/0 clips to cos(alpha) = 1
+    # (fmin takes NaN there, and floats take 1.0), and the factor (r > 0) zeroes phi
     if not one:
-        # r == 0: C' == 1 everywhere and (0, 0) is returned; fmin takes the 0/0
-        # there to cos(alpha) = 1, and the factor (r > 0) zeroes phi
         alpha = np.arccos(np.fmax(np.fmin(-v / r, 1.0), -1.0))  # in [0, pi]
         alpha, phi = _fold(alpha, np.arctan2(b, -a) * (r > 0.0) % TWO_PI)
-    elif r:  # the clip and _fold on floats
-        alpha = float(np.arccos(max(min(-v / r, 1.0), -1.0)))
-        phi = float(np.arctan2(b, -a)) % TWO_PI
+    else:  # the clip and _fold on floats
+        alpha = float(np.arccos(max(min(-v / r if r else 1.0, 1.0), -1.0)))
+        phi = float(np.arctan2(b, -a)) * (r > 0.0) % TWO_PI
         if phi >= math.pi:
             alpha, phi = (TWO_PI - alpha) % TWO_PI, phi - math.pi
-    else:  # r == 0 gives (0, 0), as on a stack
-        alpha = phi = 0.0
     det_re = r00 * r11 - i00 * i11 - (r01 * r10 - i01 * i10)
     det_im = r00 * i11 + i00 * r11 - (r01 * i10 + i01 * r10)
     det2 = det_re * det_re + det_im * det_im

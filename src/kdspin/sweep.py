@@ -8,12 +8,13 @@ scalar forms raise for it.
 The minimum locus traces, for each transverse momentum q3, the inverse
 ellipticity 1/theta at which the contrast valley bottoms out: an elementary
 function of (q_l, q2, q3), tan^2(theta) = det M_y / det M_z (see
-``_locus_inv_theta``).  Each locus point is then evaluated as the ``point``
-command evaluates one, at theta = 1/inv_theta: one kernel row per q3 and the
-minimizer, on Python floats for a single q3.  The locus is fitted per branch by
-least squares against 1/theta = c1 + c2 sqrt((q3 - q0)^2 + c3), with q0 = 0
-on the left branch and q0 = 1 on the right, by variable projection: (c1, c2)
-are linear for fixed c3, so the fit is a one-dimensional problem in c3.
+``compton._locus_inv_theta``, beside the kernel whose coefficients it reads).
+Each locus point is then evaluated as the ``point`` command evaluates one, at
+theta = 1/inv_theta: one kernel row per q3 and the minimizer, on Python floats
+for a single q3.  The locus is fitted per branch by least squares against
+1/theta = c1 + c2 sqrt((q3 - q0)^2 + c3), with q0 = 0 on the left branch and
+q0 = 1 on the right, by variable projection: (c1, c2) are linear for fixed c3,
+so the fit is a one-dimensional problem in c3.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .compton import PolarizationPair, elliptic_left, elliptic_polarization, spin_matrix_batch
+from .compton import (_UNIT_Z, PolarizationPair, _locus_inv_theta, elliptic_left, elliptic_polarization,
+                      spin_matrix_batch)
 from .contrast import NewtonStatus, minimize_contrast_batch
 from .kinematics import ScatterConfig
 
@@ -40,16 +42,13 @@ _CONVERGED = NewtonStatus.CONVERGED_GRADIENT.value
 #: q0 of each branch of the fit c1 + c2 sqrt((q3 - q0)^2 + c3)
 _BRANCH_OFFSET = {"left": 0.0, "right": 1.0}
 
-#: unit amplitude along z: the absorption beam against every elliptic emission beam
-_UNIT_Z = np.array([0.0, 0.0, 1.0], dtype=complex)
-
 
 @dataclass(frozen=True)
 class FixedParams:
     """Values held constant over a sweep (q3 is an axis of every supported pair).
-    ``theta``, or ``pol`` when given, sets the beams of a q2,q3 grid only; the locus, which
-    is defined on the elliptic beam and sets theta itself, rejects ``pol`` and any theta but
-    the default."""
+    ``theta``, or ``pol`` with theta at its default, sets the beams of a q2,q3 grid only; the
+    locus, which is defined on the elliptic beam and sets theta itself, rejects ``pol`` and any
+    theta but the default."""
 
     q_l: float = 0.02
     q2: float = 0.0
@@ -60,7 +59,8 @@ class FixedParams:
 @dataclass(frozen=True)
 class GridSpec:
     """Regular evaluation grid over one supported axis pair.  Its axes set q2 on a q2,q3 grid and
-    theta on the others, so ``fixed`` must leave that value at its default."""
+    theta on the others, and a fixed beam pair sets the left beam, so ``fixed`` must leave each
+    value that one of them sets at its default."""
 
     x_name: str
     y_name: str
@@ -93,6 +93,8 @@ class GridSpec:
         if self.fixed.pol is not None and self.y_name != "q3":
             raise ValueError(f"a fixed beam pair applies only to a q2,q3 grid; on a {self.x_name},{self.y_name} "
                              "grid the y axis sets the left beam")
+        if self.fixed.pol is not None and (value := self.fixed.theta) != FixedParams.theta:
+            raise ValueError(f"a fixed beam pair sets the left beam itself: a fixed theta={value!r} would go unread")
         if not (self.x_range[0] < self.x_range[1] and self.y_range[0] < self.y_range[1]):
             raise ValueError("axis ranges must be nondegenerate increasing intervals")
 
@@ -193,18 +195,7 @@ def run_sweep(spec: GridSpec, workers: int = 1) -> SweepTile:
     status = np.where(np.isnan(fields[0]), failed, converged)
     if spec.y_name == "inv_theta" and spec.fixed.q_l > 0.0:
         status[ys == 0.0] = "failed_ZeroDivisionError"  # 1.0 / 0.0 raises before any beam is built
-    contrast, alpha, phi, prob_a, prob_b = fields
-    return SweepTile(
-        spec=spec,
-        x=xs,
-        y=ys,
-        contrast=contrast,
-        alpha=alpha,
-        phi=phi,
-        prob_a=prob_a,
-        prob_b=prob_b,
-        status=status,
-    )
+    return SweepTile(spec, xs, ys, *fields, status=status)  # fields: contrast, alpha, phi, prob_a, prob_b
 
 
 def _locus_entry(fixed: FixedParams | None, q3_values) -> tuple[FixedParams, np.ndarray]:
@@ -223,49 +214,6 @@ def _locus_entry(fixed: FixedParams | None, q3_values) -> tuple[FixedParams, np.
     if not np.isfinite(q3).all():
         raise ValueError(f"q3 must be finite, got {float(q3[~np.isfinite(q3)][0])!r}")
     return fixed, q3
-
-
-@np.errstate(divide="ignore", over="ignore", invalid="ignore")
-def _locus_inv_theta(fixed: FixedParams, q3):
-    """1/theta of the contrast minimum over the elliptic beam (0, cos theta, i sin theta) against
-    (0, 0, 1) at each q3 (an array or a scalar), in elementary functions of (q_l, q2, q3); NaN
-    where a momentum's square overflows, as in the kernel.
-
-    The kernel is linear in the conjugated emission amplitude, so M(theta) = cos(theta)
-    (M_y - i u M_z), u = tan(theta), with M_y, M_z the spin matrices of the unit y and z beams.
-    In the notation of ``spin_matrix_batch``, M = [[X - iY, U + V], [V - U, X + iY]], their
-    coefficients P = (X, Y, U) and V are
-
-        P_y = (-2 q2 q3 k, q_l q3 k, q_l q2 k),   V_y = -i q_l k,
-        P_z = (c_zz, -q_l q2 h E, q_l q3 h (E + 2)),   V_z = 0,
-
-    E = sqrt(1 + q2^2 + q3^2 + q_l^2), k = 1/(1 + q2^2 + q3^2), h = k/(E + 1) and c_zz =
-    ((1 - q3)(1 + q3) + q2^2) k + q_l^2 h.  So det M_y = |P_y|^2 + (q_l k)^2, det M_z = |P_z|^2,
-    and with T = tr(adj M_y . M_z), 4 det M_y det M_z - T^2 = 4 (|P_y x P_z|^2 + (q_l k)^2 |P_z|^2):
-    r = det M_y / det M_z and s = T / det M_z are real, r > 0 and s^2 < 4 r at every q_l > 0, and
-    tr M^dag M = cos^2(theta) (r + u^2) ||M_z||_F^2.  The contrast c = lambda_min / lambda_max
-    obeys c / (1 + c)^2 = |det M|^2 / (tr M^dag M)^2, with det M = cos^2(theta) (det M_y - i T u
-    - det M_z u^2), so it rises with F = ((w - r)^2 + s^2 w) / (w + r)^2 in w = u^2, and
-    dF/dw ~ (w - r)(4 r - s^2) / (w + r)^3: one minimum, at tan^2(theta) = r (the tests pin
-    these identities in 50 digits).  Both determinants are sums of squares, so nothing cancels,
-    and ``hypot`` keeps every square from underflowing or overflowing:
-
-        tan(theta) = sqrt(k) hypot(2 q2 q3 sqrt(k), q_l) / hypot(c_zz, q_l h hypot(q2 E, q3 (E + 2))),
-
-    taken as theta = atan2 of the two, in (0, pi/2], so 1/theta >= 2/pi.  At q2 = 0 this is a
-    zero of the contrast, tan^2(theta) = q_l^2 (1 + q3^2) / (x^2 + v^2) with x = 1 - q3^2 +
-    q_l^2 / (E + 1) and v = q_l q3 (E + 2) / (E + 1); at q3 = 0 one with tan^2(theta) =
-    q_l^2 / ((1 + q2^2) ((1 + q_l^2 h)^2 + (q_l q2 E h)^2)).
-    """
-    q_l, q2 = fixed.q_l, fixed.q2
-    d = 1.0 + q2 * q2 + q3 * q3
-    e, k = np.sqrt(d + q_l * q_l), 1.0 / d
-    h = k / (e + 1.0)
-    c_zz = ((1.0 - q3) * (1.0 + q3) + q2 * q2) * k + q_l * q_l * h
-    root_k = np.sqrt(k)
-    tan_num = root_k * np.hypot(2.0 * q2 * q3 * root_k, q_l)
-    tan_den = np.hypot(c_zz, q_l * h * np.hypot(q2 * e, q3 * (e + 2.0)))
-    return 1.0 / np.arctan2(tan_num, tan_den)
 
 
 def minimum_locus(
@@ -296,7 +244,7 @@ def minimum_locus(
         raise ValueError(f"inv_theta_points must be at least 3, got {inv_theta_points!r}")
     fixed, q3 = _locus_entry(fixed, q3_values)
     # one q3 takes 1/theta on its numpy scalar, then the kernel and the minimizer on Python floats
-    inv_theta = np.reshape(_locus_inv_theta(fixed, q3[0] if len(q3) == 1 else q3), len(q3))
+    inv_theta = np.reshape(_locus_inv_theta(fixed.q_l, fixed.q2, q3[0] if len(q3) == 1 else q3), len(q3))
     return _locus_points(fixed, q3, inv_theta, (inv_theta > lo) & (inv_theta < hi))
 
 

@@ -374,6 +374,25 @@ def test_locus_fit_unconverged_fit_exits_3(tmp_path, capsys):
     assert not (tmp_path / "run_probabilities.csv").exists()
 
 
+@pytest.mark.filterwarnings("error")
+def test_locus_fit_profile_without_a_minimum_exits_3(monkeypatch, tmp_path, capsys):
+    # c3 profile slopes of one sign leave no root to refine: the fit is reported, not written
+    profile = kdspin.sweep._fit_profile
+
+    def one_sign(x, y, c3):
+        c1, c2, ss, slope = profile(x, y, c3)
+        return c1, c2, ss, np.abs(slope)
+
+    monkeypatch.setattr(kdspin.sweep, "_fit_profile", one_sign)
+    code = main(["locus-fit", "--out", str(tmp_path / "run")])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.count("error:") == 1 and "error: left branch: the c3 profile has no minimum between" in err
+    assert "Traceback" not in err
+    assert (tmp_path / "run_locus.csv").is_file()
+    assert not (tmp_path / "run_fit.txt").exists()
+
+
 @pytest.mark.parametrize(
     "flags",
     [

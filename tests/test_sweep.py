@@ -71,6 +71,11 @@ def test_grid_spec_rejects_a_fixed_value_its_axes_set():
     # the value each grid does read stays free
     GridSpec("q2", "q3", (0, 1), (1, 2), 3, 3, fixed=FixedParams(theta=0.3))
     GridSpec("q3", "theta", (0, 1), (1, 2), 3, 3, fixed=FixedParams(q2=0.7))
+    # a fixed beam pair sets the left beam on a q2,q3 grid, so a theta beside it would go unread too
+    pair = elliptic_polarization(0.7)
+    with pytest.raises(ValueError, match="a fixed beam pair sets the left beam itself: a fixed theta=0.3 would go unread"):
+        GridSpec("q2", "q3", (0, 1), (1, 2), 3, 3, fixed=FixedParams(theta=0.3, pol=pair))
+    GridSpec("q2", "q3", (0, 1), (1, 2), 3, 3, fixed=FixedParams(theta=FixedParams.theta, pol=pair))
 
 
 def test_momentum_sweep_around_reference_point():
@@ -270,6 +275,37 @@ def direct_minima(fixed, q3, inv_theta):
     return minimize_contrast_batch(
         spin_matrix_batch(fixed.q_l, np.full(q3.shape, fixed.q2), q3, left, np.array([0.0, 0.0, 1.0]))
     )
+
+
+#: machine epsilon of a double, 2^-52
+EPS = float(np.finfo(float).eps)
+
+
+@pytest.mark.parametrize("spec", [
+    pytest.param(GridSpec("q2", "q3", (-0.05, 0.05), (0.95, 1.05), 201, 201), id="readme-q2q3"),
+    pytest.param(GridSpec("q3", "inv_theta", (0.0, 1.0), (1.0, 100.0), 101, 199), id="inv_theta-ql0.02"),
+    pytest.param(GridSpec("q3", "inv_theta", (0.0, 1.0), (1.0, 100.0), 101, 199, FixedParams(q_l=1e-4)),
+                 id="inv_theta-ql1e-4"),
+    pytest.param(GridSpec("q3", "theta", (0.0, 1.0), (0.01, 1.5), 101, 199), id="theta"),
+])
+def test_sweep_contrast_within_stated_bound_of_50_digit_kernel(spec):
+    # contrast.py's stated accuracy, |c - c50| <= 12 eps sqrt(c50) + (6 eps)^2 against the exact contrast
+    # of the float configuration, at the 20 smallest contrasts of the tile and 200 seeded points; on
+    # whole tiles the worst |c - c50| / (eps sqrt(c50)) is 2.9, 3.0, 5.6 and 4.1, half the bound or less
+    tile = run_sweep(spec)
+    fixed, contrast = spec.fixed, tile.contrast.ravel()
+    picks = np.concatenate([np.argsort(contrast)[:20], np.random.default_rng(2907).choice(contrast.size, 200, replace=False)])
+    for j, i in zip(*np.unravel_index(picks, tile.contrast.shape)):
+        x, y = float(tile.x[i]), float(tile.y[j])
+        if spec.x_name == "q2":
+            pol = elliptic_polarization(fixed.theta)
+            q2, q3, left, right = x, y, pol.left, pol.right
+        else:  # the float theta that the sweep takes for its row, and its left beam
+            theta = np.array([y]) if spec.y_name == "theta" else 1.0 / np.array([y])
+            q2, q3, left, right = fixed.q2, x, elliptic_left(theta)[0], (0.0, 0.0, 1.0)
+        exact = decimal_kernel.contrast(decimal_kernel.spin_matrix(fixed.q_l, q2, q3, left, right))
+        bound = 12.0 * EPS * math.sqrt(exact) + (6.0 * EPS) ** 2
+        assert float(abs(Decimal(float(tile.contrast[j, i])) - exact)) <= bound, (x, y)
 
 
 def test_minimum_locus_roots_match_reference_path():
@@ -661,6 +697,67 @@ def test_fit_degenerate_branch_raises(right, bound):
     data += [(q, right(q)) for q in np.linspace(0.9, 1.0, 30)]
     with pytest.raises(FitConvergenceError, match=f"right branch degenerates: {bound}"):
         fit_locus(data)
+
+
+def default_left_branch():
+    """(q3, inv_theta) of the default locus on the left branch of the fit."""
+    points = minimum_locus(np.linspace(0.0, 0.9, 91))
+    return np.array([p.q3 for p in points]), np.array([p.inv_theta for p in points])
+
+
+def test_fit_branch_rejects_a_profile_without_a_minimum(monkeypatch):
+    # slopes of one sign at the grid neighbours of the smallest sum of squares: no root to refine
+    profile = sweep._fit_profile
+
+    def one_sign(x, y, c3):
+        c1, c2, ss, slope = profile(x, y, c3)
+        return c1, c2, ss, np.abs(slope)
+
+    monkeypatch.setattr(sweep, "_fit_profile", one_sign)
+    with pytest.raises(FitConvergenceError, match=r"left branch: the c3 profile has no minimum between \S+ and \S+$"):
+        sweep._fit_branch(*default_left_branch(), "left", (0.0, sweep.BRANCH_SPLIT))
+
+
+def test_fit_branch_stops_at_a_zero_slope(monkeypatch):
+    # a slope of exactly 0 is the root: the refinement ends there, with that c3's (c1, c2)
+    profile = sweep._fit_profile
+    steps = []
+
+    def flat(x, y, c3):
+        c1, c2, ss, slope = profile(x, y, c3)
+        if len(c3) == 1:  # a regula falsi step, not the grid or its bracket
+            steps.append(c3[0])
+            slope = np.zeros(1)
+        return c1, c2, ss, slope
+
+    monkeypatch.setattr(sweep, "_fit_profile", flat)
+    q3, inv_theta = default_left_branch()
+    model = sweep._fit_branch(q3, inv_theta, "left", (0.0, sweep.BRANCH_SPLIT))
+    assert len(steps) == 1
+    c1, c2, _, _ = profile(q3, inv_theta, np.array(steps))
+    assert model.params.tolist() == [c1[0], c2[0], steps[0]]
+
+
+def test_fit_branch_bisects_where_regula_falsi_lands_on_an_end(monkeypatch):
+    # an upper slope of 1e-300 against -1 puts the regula falsi point on the upper end in floats,
+    # so the step bisects the bracket in log c3 instead; the refinement still converges
+    profile = sweep._fit_profile
+    brackets, steps = [], []
+
+    def lopsided(x, y, c3):
+        c1, c2, ss, slope = profile(x, y, c3)
+        if len(c3) == 2:
+            brackets.append(np.log(c3))
+            slope = np.array([-1.0, 1e-300])
+        elif len(c3) == 1:
+            steps.append(math.log(c3[0]))
+        return c1, c2, ss, slope
+
+    monkeypatch.setattr(sweep, "_fit_profile", lopsided)
+    model = sweep._fit_branch(*default_left_branch(), "left", (0.0, sweep.BRANCH_SPLIT))
+    (lo, hi), = brackets
+    assert abs(steps[0] - 0.5 * (lo + hi)) <= 1e-12 * (hi - lo)
+    assert lo < math.log(model.params[2]) < hi
 
 
 @pytest.mark.parametrize("q3", [-0.2, 1.05, math.nan])
