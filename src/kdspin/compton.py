@@ -117,10 +117,18 @@ def contract_polarization(tensor: np.ndarray, pol: PolarizationPair) -> np.ndarr
 def elliptic_left(theta) -> np.ndarray:
     """Left-beam amplitudes (0, cos theta, i sin theta) for an array of angles, shape ``theta.shape + (3,)``."""
     theta = np.asarray(theta, dtype=float)
-    left = np.zeros(theta.shape + (3,), complex)
-    left[..., 1] = np.cos(theta)
-    left[..., 2] = 1j * np.sin(theta)
-    return left
+    left = np.zeros(theta.shape + (6,))  # (re, im) of the x, y and z amplitudes
+    left[..., 2], left[..., 3], left[..., 4], left[..., 5] = _elliptic_parts(theta)
+    return left.view(complex)
+
+
+def _elliptic_parts(theta):
+    """(re, im) of the y and z amplitudes of the left beam (0, cos theta, i sin theta), elementwise on an array
+    or a Python float: numpy's cos and sin, and 1j sin theta as numpy rounds it, (0 sin - 1 * 0, 0 * 0 + 1 sin)."""
+    cos, sin = np.cos(theta), np.sin(theta)
+    if isinstance(theta, float):  # numpy's scalars back to Python floats, whose arithmetic costs less
+        cos, sin = float(cos), float(sin)
+    return cos, 0.0, 0.0 * sin - 0.0, 0.0 + sin
 
 
 def spin_matrix_batch(q_l: float, q2, q3, left, right) -> np.ndarray:
@@ -204,10 +212,11 @@ def _momentum_terms(q_l, q2, q3, sqrt):
 
 
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")
-def _locus_inv_theta(q_l, q2, q3):
+def _locus_inv_theta(q_l, q2, q3, sqrt):
     """1/theta of the contrast minimum over the elliptic beam (0, cos theta, i sin theta) against
-    (0, 0, 1) at each q3 (an array or a scalar), in elementary functions of (q_l, q2, q3); NaN
-    where a momentum's square overflows, as in the kernel.
+    (0, 0, 1) at each q3, in elementary functions of (q_l, q2, q3); NaN where a momentum's square
+    overflows, as in the kernel.  Elementwise, as ``_kernel`` is: on an array of q3 with ``np.sqrt``,
+    or on Python floats with ``math.sqrt`` (numpy's hypot and arctan2 on them give a numpy scalar).
 
     The kernel is linear in the conjugated emission amplitude, so M(theta) = cos(theta)
     (M_y - i u M_z), u = tan(theta), with M_y, M_z the spin matrices of the unit y and z beams.
@@ -234,8 +243,8 @@ def _locus_inv_theta(q_l, q2, q3):
     q_l^2 / (E + 1) and v = q_l q3 (E + 2) / (E + 1); at q3 = 0 one with tan^2(theta) =
     q_l^2 / ((1 + q2^2) ((1 + q_l^2 h)^2 + (q_l q2 E h)^2)).
     """
-    e, k, h, c_zz = _momentum_terms(q_l, q2, q3, np.sqrt)
-    root_k = np.sqrt(k)
+    e, k, h, c_zz = _momentum_terms(q_l, q2, q3, sqrt)
+    root_k = sqrt(k)
     tan_num = root_k * np.hypot(2.0 * q2 * q3 * root_k, q_l)
     tan_den = np.hypot(c_zz, q_l * h * np.hypot(q2 * e, q3 * (e + 2.0)))
     return 1.0 / np.arctan2(tan_num, tan_den)

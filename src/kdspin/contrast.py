@@ -166,21 +166,21 @@ def contrast_derivatives(m: np.ndarray, pair: BlochPair) -> tuple[np.ndarray, np
     return t * grad / den**2, hess
 
 
-def _closed_form(m: np.ndarray) -> tuple:
-    """(scale, ok, value, alpha, phi, prob_a, prob_b) of each (2, 2) matrix in m, elementwise.
+def _closed_form(m) -> tuple:
+    """(scale, ok, value, alpha, phi, prob_a, prob_b) of each (2, 2) matrix of an array m, elementwise,
+    or of one matrix given as its eight parts (r00, i00, r01, i01, r10, i10, r11, i11), Python floats.
 
     ``scale`` is the largest real or imaginary part; the power of two that brings it into
     [1/2, 1) scales the matrix exactly, so t >= 1/4 and lambda_max >= 1/8.  The fields mean
-    nothing where ``ok`` is False (scale 0 or not finite, |M|_F^2 overflowing).  One matrix
-    runs on its parts as Python floats, and returns early where Python would raise and numpy
-    gives inf or NaN: at a non-finite or zero scale, and where 2^1024 overflows."""
-    if m.ndim == 2:
-        parts = m.ravel().view(float).tolist()
-        scale = max(map(abs, parts)) if all(map(math.isfinite, parts)) else math.nan
+    nothing where ``ok`` is False (scale 0 or not finite, |M|_F^2 overflowing).  One matrix's
+    parts return early where Python would raise and numpy gives inf or NaN: at a non-finite or
+    zero scale, and where 2^1024 overflows."""
+    if not isinstance(m, np.ndarray):  # one matrix's parts
+        scale = max(map(abs, m)) if all(map(math.isfinite, m)) else math.nan
         exp = math.frexp(scale)[1]
         if not scale > DEGENERATE_FLOOR or exp == 1024:
             return (scale, False) + (math.nan,) * 5
-        return scale, *_scaled_minimum([math.ldexp(part, -exp) for part in parts], math.ldexp(1.0, exp))
+        return scale, *_scaled_minimum([math.ldexp(part, -exp) for part in m], math.ldexp(1.0, exp))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # contiguous rows over the stack: numpy loops slowly over a short inner axis
         parts = np.ascontiguousarray(m).view(float).reshape(m.shape[:-2] + (8,)).T
@@ -268,7 +268,7 @@ def minimize_contrast(m: np.ndarray) -> ContrastResult:
     m = np.asarray(m, dtype=complex)
     if m.shape != (2, 2):
         raise ValueError(f"expected a 2x2 matrix, got shape {m.shape}")
-    scale, ok, *fields = _closed_form(m)
+    scale, ok, *fields = _closed_form(m.ravel().view(float).tolist())
     if not math.isfinite(scale):  # NaN where an entry is not finite
         raise ValueError("spin-propagation matrix has non-finite entries")
     if not scale > DEGENERATE_FLOOR:
@@ -288,5 +288,7 @@ def minimize_contrast_batch(m: np.ndarray) -> ContrastBatch:
     m = np.asarray(m, dtype=complex)
     if m.ndim != 3 or m.shape[1:] != (2, 2):
         raise ValueError(f"expected a stack of 2x2 matrices, got shape {m.shape}")
-    _, ok, *fields = _closed_form(m[0] if len(m) == 1 else m)
-    return ContrastBatch(*np.where(ok, fields, math.nan).reshape(5, len(m)))
+    _, ok, *fields = _closed_form(m.ravel().view(float).tolist() if len(m) == 1 else m)
+    # one matrix's floats go into one array as they are, or as NaN where ok is False
+    fields = np.array(fields if ok else [math.nan] * 5) if len(m) == 1 else np.where(ok, fields, math.nan)
+    return ContrastBatch(*fields.reshape(5, len(m)))

@@ -449,6 +449,24 @@ def test_locus_fit_tiny_momentum_is_unbracketed(ql, tmp_path, capsys):
 
 
 @pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("ql", ["1e-301", "1e-320"])
+def test_locus_fit_point_without_minimum_outside_range_is_unbracketed(ql, tmp_path, capsys):
+    # at q3 = 0.5, 1/theta ~ 1/q_l (6.7e300, or inf at 1e-320) lies far above the range, where the matrix
+    # is too small to have a minimum: the point is unbracketed, and the run exits 3, not 2
+    one_q3 = ["--q3-points", "1", "--q3-min", "0.5", "--q3-max", "0.5"]
+    code = main(["locus-fit", "--ql", ql, *one_q3, "--out", str(tmp_path / "run")])
+    assert (code, capsys.readouterr().err) == (3, "unbracketed: q3=0.5\n")
+    assert (tmp_path / "run_locus.csv").read_text() == "q3,inv_theta,alpha\n0.5,nan,nan\n"
+
+
+@pytest.mark.filterwarnings("error")
+def test_locus_fit_bracketed_point_without_minimum_exits_2(tmp_path, capsys):
+    # at q_l = 1e-301 only q3 = 1 is bracketed, at 1/theta = 4/pi, and its matrix lies under DEGENERATE_FLOOR
+    code = main(["locus-fit", "--ql", "1e-301", "--out", str(tmp_path / "run")])
+    assert (code, capsys.readouterr().err) == (2, "error: no contrast minimum at q3=1.0, 1/theta=1.2732395447351628\n")
+
+
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize(
     "flags",
     [

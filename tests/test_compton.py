@@ -6,6 +6,7 @@ import pytest
 
 from kdspin.compton import (
     PolarizationPair,
+    _elliptic_parts,
     compton_tensor,
     contract_polarization,
     elliptic_left,
@@ -58,6 +59,11 @@ def test_elliptic_left_matches_stack_bits():
         left = elliptic_left(theta)
         assert left.shape == stacked.shape and left.dtype == stacked.dtype
         assert left.tobytes() == stacked.tobytes()
+    # one angle's parts on Python floats, as the one-q3 locus takes them
+    for theta in angles.tolist():
+        parts = _elliptic_parts(theta)
+        assert all(type(part) is float for part in parts)
+        assert np.array(parts).tobytes() == elliptic_left(theta).view(float)[2:].tobytes(), theta
 
 
 def test_polarization_validation():

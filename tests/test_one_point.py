@@ -1,10 +1,11 @@
 """One point runs on Python floats, a batch on arrays: the same bits either way.
 
-``spin_matrix_batch`` of one point and ``minimize_contrast`` of one matrix take their own
-path, which returns early where Python would raise and numpy gives inf or NaN.  These tests
-hold each point to its row of a batch at that path's edges, and on random points.  NaN
-entries must sit in the same places; their sign bits may differ: adding two NaNs, numpy's
-array loops keep the first's sign and Python floats (or numpy scalars) the second's.
+``spin_matrix_batch`` of one point, ``minimize_contrast`` of one matrix and a one-q3 locus
+(``minimum_locus`` and ``locus_probabilities``) take their own path, which returns early where
+Python would raise and numpy gives inf or NaN.  These tests hold each point to its row of a
+batch at that path's edges, and on random points.  NaN entries must sit in the same places;
+their sign bits may differ: adding two NaNs, numpy's array loops keep the first's sign and
+Python floats (or numpy scalars) the second's.
 """
 
 import math
@@ -17,6 +18,7 @@ import pytest
 from kdspin.compton import elliptic_left, elliptic_polarization, spin_matrix, spin_matrix_batch
 from kdspin.contrast import DEGENERATE_FLOOR, minimize_contrast, minimize_contrast_batch
 from kdspin.kinematics import ScatterConfig
+from kdspin.sweep import FitModel, FixedParams, locus_probabilities, minimum_locus
 
 E3 = np.array([0.0, 0.0, 1.0 + 0.0j])
 CIRCULAR = np.array([0.0, 1.0, 1.0j]) / math.sqrt(2.0)
@@ -160,3 +162,91 @@ def test_one_point_is_its_row_of_a_batch_of_64():
                 assert_same_bits([getattr(result, f) for f in FIELDS], want, ("minimizer", i))
 
     check()
+
+
+#: the published fit, whose branches give every q3 in [0, 1] a 1/theta
+PAPER_FIT = (FitModel("left", np.array([96.71, -85.10, 0.2996]), (0.0, 0.9)),
+             FitModel("right", np.array([0.02771, 70.41, 3.137e-4]), (0.9, 1.0)))
+
+
+def locus_row(p):
+    """A LocusPoint's fields as hex, NaN as one token, so a row compares bit for bit."""
+    floats = (p.q3, p.inv_theta, p.alpha, p.phi, p.prob_a, p.prob_b)
+    return tuple("nan" if math.isnan(x) else x.hex() for x in floats) + (p.bracketed, p.status)
+
+
+def outcome(call, q3):
+    """The locus rows of ``call(q3)``, or the message it raises."""
+    try:
+        return [locus_row(p) for p in call(q3)]
+    except ValueError as exc:
+        return str(exc)
+
+
+def assert_one_q3_is_its_batch_row(call, values):
+    # every value, alone, either equals its row of a batch of all that are left bit for bit, or
+    # raises the message the batch raises; a batch raises for one value, which then leaves it
+    alone = {v: outcome(call, [v]) for v in values}
+    left = list(values)
+    while left:
+        rows = left + left[:3]  # as in ``offsets``: each value at i and at i + pad
+        pad = len(rows)
+        batch = outcome(call, rows * 2)
+        if isinstance(batch, str):
+            failing = [v for v in left if alone[v] == batch]
+            assert failing, batch
+            left.remove(failing[0])
+            continue
+        for i, v in enumerate(left):
+            assert alone[v] == [batch[i]] == [batch[i + pad]], v
+        return
+    assert all(isinstance(result, str) for result in alone.values())
+
+
+LOCUS_EDGES = [(q_l, q2) for q_l in (1e-301, 1e-160, 1e-20, 0.02, 1e150) for q2 in (0.0, -0.3, 1e154, 1e160)]
+LOCUS_EDGE_Q3 = (0.0, 0.5, 1.0, 2.0, 1e154, 2e154, 1e160, 1.7e308)
+
+
+@pytest.mark.parametrize("q_l, q2", LOCUS_EDGES)
+def test_one_q3_locus_edges_match_batch_rows(q_l, q2):
+    fixed = FixedParams(q_l=q_l, q2=q2)
+    assert_one_q3_is_its_batch_row(lambda q3: minimum_locus(q3, fixed=fixed), LOCUS_EDGE_Q3)
+    assert_one_q3_is_its_batch_row(lambda q3: locus_probabilities(*PAPER_FIT, q3, fixed=fixed), LOCUS_EDGE_Q3)
+
+
+def test_one_q3_locus_is_its_row_among_seeded_neighbours():
+    @hypothesis.settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(st.floats(-20.0, -1.0), st.floats(-2.0, 2.0), st.floats(0.0, 2.0),
+                      st.integers(0, 2**32 - 1), st.integers(0, 15))
+    def check(log_q_l, q2, q3, seed, index):
+        # the drawn q3 among 15 from the seed, at the drawn index; on the minimum locus over the default
+        # and a wide 1/theta range, and along the published fit, whose domain is [0, 1]
+        fixed = FixedParams(q_l=10.0**log_q_l, q2=q2)
+        grid = np.insert(np.random.default_rng(seed).uniform(0.0, 2.0, 15), index, q3)
+        for bounds in ((1.0, 100.0), (1e-3, 1e300)):
+            batch = minimum_locus(grid, inv_theta_range=bounds, fixed=fixed)
+            (one,) = minimum_locus([q3], inv_theta_range=bounds, fixed=fixed)
+            assert locus_row(one) == locus_row(batch[index]), bounds
+        batch = locus_probabilities(*PAPER_FIT, grid / 2.0, fixed=fixed)
+        (one,) = locus_probabilities(*PAPER_FIT, [q3 / 2.0], fixed=fixed)
+        assert locus_row(one) == locus_row(batch[index])
+
+    check()
+
+
+def test_one_q3_locus_unbracketed_without_minimum():
+    # at q_l = 1e-301 the minimum of every q3 but 1 lies far above the 1/theta range, where the matrix is
+    # too small to have one (at 1e-320 1/theta is inf): the point is unbracketed, alone or in a batch;
+    # q3 = 1 is bracketed at 1/theta = 4/pi, and its matrix has no minimum either
+    for q_l in (1e-301, 1e-320):
+        for q3 in ([0.5], [0.0, 0.5, 2.0]):
+            points = minimum_locus(q3, fixed=FixedParams(q_l=q_l))
+            assert [(p.bracketed, p.status) for p in points] == [(False, "unbracketed")] * len(q3)
+            assert all(math.isnan(v) for p in points for v in (p.inv_theta, p.alpha, p.phi, p.prob_a, p.prob_b))
+        for q3 in ([1.0], [0.5, 1.0, 2.0]):
+            with pytest.raises(ValueError, match=r"^no contrast minimum at q3=1\.0, 1/theta=1\.2732395447351628$"):
+                minimum_locus(q3, fixed=FixedParams(q_l=q_l))
+    # a NaN 1/theta, where a momentum's square overflows, still raises, alone or in a batch
+    for q3 in ([1e160], [0.5, 1e160]):
+        with pytest.raises(ValueError, match=r"^no contrast minimum at q3=1e\+160: its spin matrices are not finite$"):
+            minimum_locus(q3, fixed=FixedParams(q2=0.01))

@@ -577,7 +577,7 @@ def test_locus_point_is_the_point_path(q_l, q2):
     ],
 )
 def test_minimum_locus_point_independent_of_request(q_l, q2, count, inv_theta_range):
-    # a one-q3 request, which runs on numpy scalars, reproduces its row of the whole locus bit
+    # a one-q3 request, which runs on Python floats, reproduces its row of the whole locus bit
     # for bit; NaN compares equal, because an unbracketed row is all NaN
     fixed = FixedParams(q_l=q_l, q2=q2)
     grid = np.linspace(0.0, 1.0, count)
