@@ -27,6 +27,8 @@ from .kinematics import ScatterConfig, build_kinematics, minkowski_dot
 
 #: unit amplitude along z: the absorption beam against every elliptic emission beam
 _UNIT_Z = np.array([0.0, 0.0, 1.0], dtype=complex)
+#: (re, im) of its y and z amplitudes, as ``_kernel`` takes them
+_UNIT_Z_PARTS = _UNIT_Z.view(float).tolist()[2:]
 
 
 @dataclass(frozen=True)

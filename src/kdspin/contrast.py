@@ -282,13 +282,9 @@ def minimize_contrast(m: np.ndarray) -> ContrastResult:
 def minimize_contrast_batch(m: np.ndarray) -> ContrastBatch:
     """``minimize_contrast`` for a stack of N matrices of shape (N, 2, 2), NaN in every
     field where it raises.  The closed form is elementwise: no result depends on its batch.
-    A stack of one runs on Python floats, as ``minimize_contrast`` does: (1,) fields with
-    the bits of its row, at an eighth of the cost of one-element arrays.
     """
     m = np.asarray(m, dtype=complex)
     if m.ndim != 3 or m.shape[1:] != (2, 2):
         raise ValueError(f"expected a stack of 2x2 matrices, got shape {m.shape}")
-    _, ok, *fields = _closed_form(m.ravel().view(float).tolist() if len(m) == 1 else m)
-    # one matrix's floats go into one array as they are, or as NaN where ok is False
-    fields = np.array(fields if ok else [math.nan] * 5) if len(m) == 1 else np.where(ok, fields, math.nan)
-    return ContrastBatch(*fields.reshape(5, len(m)))
+    _, ok, *fields = _closed_form(m)
+    return ContrastBatch(*np.where(ok, fields, math.nan).reshape(5, len(m)))

@@ -10,12 +10,12 @@ ellipticity 1/theta at which the contrast valley bottoms out: an elementary
 function of (q_l, q2, q3), tan^2(theta) = det M_y / det M_z (see
 ``compton._locus_inv_theta``, beside the kernel whose coefficients it reads).
 Each locus point is then evaluated as the ``point`` command evaluates one, at
-theta = 1/inv_theta: one kernel row per q3 and the minimizer.  A single q3 runs
-on Python floats from its 1/theta to its ``LocusPoint``, with no array built;
-more q3 run as arrays.  The locus is fitted per branch by least squares against
-1/theta = c1 + c2 sqrt((q3 - q0)^2 + c3), with q0 = 0 on the left branch and
-q0 = 1 on the right, by variable projection: (c1, c2) are linear for fixed c3,
-so the fit is a one-dimensional problem in c3.
+theta = 1/inv_theta: one kernel row per q3 and the minimizer.  A single q3 of
+``minimum_locus`` runs on Python floats from its 1/theta to its ``LocusPoint``,
+with no array built; more q3 run as arrays.  The locus is fitted per branch by
+least squares against 1/theta = c1 + c2 sqrt((q3 - q0)^2 + c3), with q0 = 0 on
+the left branch and q0 = 1 on the right, by variable projection: (c1, c2) are
+linear for fixed c3, so the fit is a one-dimensional problem in c3.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .compton import (_UNIT_Z, PolarizationPair, _elliptic_parts, _kernel, _locus_inv_theta, elliptic_left,
-                      elliptic_polarization, spin_matrix_batch)
+from .compton import (_UNIT_Z, _UNIT_Z_PARTS, PolarizationPair, _elliptic_parts, _kernel, _locus_inv_theta,
+                      elliptic_left, elliptic_polarization, spin_matrix_batch)
 from .contrast import NewtonStatus, _closed_form, minimize_contrast_batch
 from .kinematics import ScatterConfig
 
@@ -39,9 +39,6 @@ BRANCH_SPLIT = 0.9
 SWEEP_CHUNK_POINTS = 4096
 
 _CONVERGED = NewtonStatus.CONVERGED_GRADIENT.value
-
-#: (re, im) of the y and z amplitudes of the absorption beam, as ``_kernel`` takes them
-_UNIT_Z_PARTS = _UNIT_Z.view(float).tolist()[2:]
 
 #: q0 of each branch of the fit c1 + c2 sqrt((q3 - q0)^2 + c3)
 _BRANCH_OFFSET = {"left": 0.0, "right": 1.0}
@@ -202,11 +199,11 @@ def run_sweep(spec: GridSpec, workers: int = 1) -> SweepTile:
     return SweepTile(spec, xs, ys, *fields, status=status)  # fields: contrast, alpha, phi, prob_a, prob_b
 
 
-def _locus_entry(fixed: FixedParams | None, q3_values) -> tuple[float, float, float | np.ndarray]:
+def _locus_entry(fixed: FixedParams | None, q3_values) -> tuple[float, float, np.ndarray]:
     """The checked entry of the locus: q_l and q2 of ``fixed`` (``FixedParams()`` if None) as floats, and
-    ``q3_values`` as a float if it holds one value, else an (N,) float array.  Raises ValueError for a fixed
-    beam pair or a theta other than the default (the locus is defined on the elliptic beam and sets theta
-    itself, so either would go unread), and for a non-finite q_l, q2 or q3.
+    ``q3_values`` as an (N,) float array.  Raises ValueError for a fixed beam pair or a theta other than the
+    default (the locus is defined on the elliptic beam and sets theta itself, so either would go unread), and
+    for a non-finite q_l, q2 or q3.
     """
     fixed = fixed or FixedParams()
     if fixed.pol is not None:
@@ -217,7 +214,7 @@ def _locus_entry(fixed: FixedParams | None, q3_values) -> tuple[float, float, fl
     q3 = [float(v) for v in q3_values]
     if not all(map(math.isfinite, q3)):
         raise ValueError(f"q3 must be finite, got {next(v for v in q3 if not math.isfinite(v))!r}")
-    return float(fixed.q_l), float(fixed.q2), q3[0] if len(q3) == 1 else np.array(q3)
+    return float(fixed.q_l), float(fixed.q2), np.array(q3)
 
 
 def minimum_locus(
@@ -246,30 +243,26 @@ def minimum_locus(
         raise ValueError(f"1/theta range must satisfy 0 < low < high, got {inv_theta_range!r}")
     if inv_theta_points < 3:
         raise ValueError(f"inv_theta_points must be at least 3, got {inv_theta_points!r}")
-    q_l, q2, q3 = _locus_entry(fixed, q3_values)  # one q3 is a float, and runs on Python floats
+    q_l, q2, q3 = _locus_entry(fixed, q3_values)
+    q3 = q3.item() if len(q3) == 1 else q3  # one q3 runs on Python floats, to the bits of its batch row
     inv_theta = _locus_inv_theta(q_l, q2, q3, math.sqrt if isinstance(q3, float) else np.sqrt)
     return _locus_points(q_l, q2, q3, inv_theta, (inv_theta > lo) & (inv_theta < hi))
 
 
 def _locus_points(q_l: float, q2: float, q3, inv_theta, bracketed) -> list[LocusPoint]:
     """One ``LocusPoint`` per q3: the contrast minimum over the Bloch angles of the elliptic beam at theta
-    = 1 / inv_theta, with NaN results where ``bracketed`` is False.  A float q3 runs on Python floats (the
-    beam's parts, one kernel row, the minimizer's closed form), an (N,) array as arrays.  Raises ValueError
-    at a point with no minimum that is bracketed or has a NaN 1/theta, naming its q3 and, where 1/theta = 0
-    gives no angle or the matrix is finite, its 1/theta, else that its spin matrices are not finite."""
+    = 1 / inv_theta, with NaN results where ``bracketed`` is False.  A float q3, from ``minimum_locus`` with
+    a 1/theta inside its range above 0 or NaN, runs on Python floats (the beam's parts, one kernel row, the
+    minimizer's closed form), an (N,) array as arrays.  Raises ``_no_minimum``'s ValueError at a point with
+    no minimum that is bracketed or has a NaN 1/theta."""
     if isinstance(q3, float):
         inv_theta = float(inv_theta)
         if not (bracketed or math.isnan(inv_theta)):
             return [LocusPoint(q3, *[math.nan] * 5, False, "unbracketed")]
-        theta = 1.0 / inv_theta if inv_theta else math.inf
-        scale, ok = 0.0, False  # 1/theta = 0 gives no angle, and is named as at a finite matrix
-        if not math.isinf(theta):
-            scale, ok, *fields = _closed_form(_kernel(q_l, q2, q3, *_elliptic_parts(theta), *_UNIT_Z_PARTS, math.sqrt))
+        beam = _elliptic_parts(1.0 / inv_theta)
+        scale, ok, *fields = _closed_form(_kernel(q_l, q2, q3, *beam, *_UNIT_Z_PARTS, math.sqrt))
         if not ok:
-            at = f"q3={q3!r}"
-            if math.isfinite(scale):
-                raise ValueError(f"no contrast minimum at {at}, 1/theta={inv_theta!r}")
-            raise ValueError(f"no contrast minimum at {at}: its spin matrices are not finite")
+            raise _no_minimum(q3, inv_theta, math.isfinite(scale))
         return [LocusPoint(q3, inv_theta, *fields[1:], True, _CONVERGED)]
     with np.errstate(divide="ignore", invalid="ignore"):  # 1/theta = 0: no angle, a NaN beam
         theta = 1.0 / inv_theta
@@ -277,11 +270,20 @@ def _locus_points(q_l: float, q2: float, q3, inv_theta, bracketed) -> list[Locus
     m = spin_matrix_batch(q_l, q2, q3, left, _UNIT_Z)
     res = minimize_contrast_batch(m)
     failed = np.flatnonzero(np.isnan(res.value) & (bracketed | np.isnan(inv_theta)))
-    if failed.size:  # the row alone raises its error: it runs on floats to the same bits
-        _locus_points(q_l, q2, float(q3[failed[0]]), inv_theta[failed[0]], True)
+    if failed.size:
+        i = failed[0]
+        raise _no_minimum(float(q3[i]), float(inv_theta[i]), bool(np.isinf(theta[i]) or np.isfinite(m[i]).all()))
     fields = np.where(bracketed, (inv_theta, res.alpha, res.phi, res.prob_a, res.prob_b), math.nan)
     rows = zip(q3.tolist(), *fields.tolist(), bracketed.tolist())
     return [LocusPoint(*row, status=_CONVERGED if row[-1] else "unbracketed") for row in rows]
+
+
+def _no_minimum(q3: float, inv_theta: float, finite: bool) -> ValueError:
+    """The error of a locus point with no minimum: its 1/theta where its matrix is finite or
+    1/theta = 0 gives no angle, else that its spin matrices are not finite."""
+    if finite:
+        return ValueError(f"no contrast minimum at q3={q3!r}, 1/theta={inv_theta!r}")
+    return ValueError(f"no contrast minimum at q3={q3!r}: its spin matrices are not finite")
 
 
 def evaluate_fit(model: FitModel, q3: float) -> float:
@@ -387,15 +389,10 @@ def locus_probabilities(
     (``left`` up to ``BRANCH_SPLIT``), with |M psi_A|^2, |M psi_B|^2 and the optimal
     angles there.  Every point is bracketed.
 
-    All q3 values share one kernel call and one minimizer call, and one q3 runs on Python floats,
-    as in ``minimum_locus``.  Raises ValueError as ``minimum_locus`` does for ``fixed`` and q3, for a
-    q3 outside its branch's domain, and at a point with no minimum, as where the fit gives 1/theta = 0.
+    All q3 values share one kernel call and one minimizer call, as in ``minimum_locus``.
+    Raises ValueError as ``minimum_locus`` does for ``fixed`` and q3, for a q3 outside its
+    branch's domain, and at a point with no minimum, as where the fit gives 1/theta = 0.
     """
     q_l, q2, q3 = _locus_entry(fixed, q3_values)
-
-    def fit(v):
-        return evaluate_fit(left if v <= BRANCH_SPLIT else right, v)
-
-    if isinstance(q3, float):
-        return _locus_points(q_l, q2, q3, fit(q3), True)
-    return _locus_points(q_l, q2, q3, np.array([fit(v) for v in q3.tolist()]), np.full(len(q3), True))
+    inv_theta = np.array([evaluate_fit(left if v <= BRANCH_SPLIT else right, v) for v in q3.tolist()])
+    return _locus_points(q_l, q2, q3, inv_theta, np.full(len(q3), True))

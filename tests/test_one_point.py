@@ -1,11 +1,11 @@
 """One point runs on Python floats, a batch on arrays: the same bits either way.
 
-``spin_matrix_batch`` of one point, ``minimize_contrast`` of one matrix and a one-q3 locus
-(``minimum_locus`` and ``locus_probabilities``) take their own path, which returns early where
-Python would raise and numpy gives inf or NaN.  These tests hold each point to its row of a
-batch at that path's edges, and on random points.  NaN entries must sit in the same places;
-their sign bits may differ: adding two NaNs, numpy's array loops keep the first's sign and
-Python floats (or numpy scalars) the second's.
+``spin_matrix_batch`` of one point, ``minimize_contrast`` of one matrix and a one-q3
+``minimum_locus`` take their own path, which returns early where Python would raise and numpy
+gives inf or NaN.  These tests hold each point, and a one-q3 ``locus_probabilities`` (a batch
+of one), to its row of a batch at that path's edges, and on random points.  NaN entries must
+sit in the same places; their sign bits may differ: adding two NaNs, numpy's array loops keep
+the first's sign and Python floats (or numpy scalars) the second's.
 """
 
 import math
