@@ -343,6 +343,8 @@ def cmd_taylor_check(args) -> int:
         return 0
     if args.scale < 0.0:
         raise ValueError("--scale must be nonnegative")
+    if not math.isfinite(args.scale):  # inf or nan, before the domain warning prints
+        raise ValueError(f"--scale must be finite, got {args.scale!r}")
     if args.scale > DOMAIN_LIMIT:
         print(f"warning: scale {args.scale} exceeds the expansion domain ({DOMAIN_LIMIT})")
     scales, errors = [], []

@@ -6,10 +6,11 @@ amplitude of the emission beam and the plain amplitude of the absorption
 beam yields the complex 2x2 matrix that maps initial to final spin
 coefficients of the diffracted electron (rows index the final spin).
 
-``spin_matrix_batch`` computes that matrix for one configuration or many without
-the tensor, in a closed form of ten real coefficients and four beam bilinears with
-no cancelling diagrams, in elementwise real arithmetic only: one matrix, computed
-on Python floats, equals its row of any batch bit for bit.
+``spin_matrix_batch`` computes that matrix for many configurations without the
+tensor, in a closed form of ten real coefficients and four beam bilinears with no
+cancelling diagrams, in elementwise real arithmetic only, on arrays at every size.
+``spin_matrix`` runs the same arithmetic on one configuration's Python floats,
+bit for bit its row of any batch.
 ``_locus_inv_theta`` reads the minimum locus of the elliptic beam off the same coefficients.
 ``compton_tensor`` and ``contract_polarization`` stay as its reference.
 """
@@ -67,10 +68,8 @@ def elliptic_polarization(theta: float) -> PolarizationPair:
     a linearly polarized right beam (0, 0, 1).  Raises ValueError for a non-finite theta."""
     if not math.isfinite(theta):
         raise ValueError(f"theta must be finite, got {theta!r}")
-    return PolarizationPair(
-        left=[0.0, np.cos(theta), 1j * np.sin(theta)],
-        right=_UNIT_Z,
-    )
+    y, y_i, z, z_i = _elliptic_parts(float(theta))
+    return PolarizationPair(left=[0.0, complex(y, y_i), complex(z, z_i)], right=_UNIT_Z)
 
 
 def compton_tensor(cfg: ScatterConfig) -> np.ndarray:
@@ -126,7 +125,8 @@ def elliptic_left(theta) -> np.ndarray:
 
 def _elliptic_parts(theta):
     """(re, im) of the y and z amplitudes of the left beam (0, cos theta, i sin theta), elementwise on an array
-    or a Python float: numpy's cos and sin, and 1j sin theta as numpy rounds it, (0 sin - 1 * 0, 0 * 0 + 1 sin)."""
+    or a Python float: numpy's cos and sin, and 1j sin theta as numpy rounds it, (0 sin - 1 * 0, 0 * 0 + 1 sin).
+    The beam's one write-out: ``elliptic_polarization``, ``elliptic_left`` and the one-q3 locus read it."""
     cos, sin = np.cos(theta), np.sin(theta)
     if isinstance(theta, float):  # numpy's scalars back to Python floats, whose arithmetic costs less
         cos, sin = float(cos), float(sin)
@@ -138,11 +138,10 @@ def spin_matrix_batch(q_l: float, q2, q3, left, right) -> np.ndarray:
 
     ``q2`` and ``q3`` are (N,) arrays of transverse momenta at the photon momentum ``q_l``;
     ``left`` and ``right`` are (N, 3) or (3,) complex beam amplitudes (x components unread,
-    as transversality makes them 0).  Scalar momenta with (3,) beams give one (2, 2) matrix
-    from Python floats, by the same operations: bit for bit its row of any batch, but for a
-    NaN's sign (adding two NaNs, numpy's array loops keep the first's sign, floats the
-    second's).  A batch of one, where each input is scalar or holds one point, runs on floats
-    too and comes out (1, 2, 2); telling it apart reads shapes only.  Entries are NaN or
+    as transversality makes them 0).  Every size runs on arrays: scalar momenta with (3,) beams
+    give one (2, 2) matrix, and a batch of one (1, 2, 2), bit for bit its row of any batch but
+    for a NaN's sign (adding two NaNs, numpy's array loops keep the first's sign, numpy scalars
+    the second's); ``spin_matrix`` runs one point on Python floats.  Entries are NaN or
     infinite, without a floating-point warning, for non-finite inputs, and all NaN where a
     momentum's square overflows (above ~1.3e154).  Raises ValueError unless q_l > 0 is finite,
     and where momenta and beams broadcast to more than one dimension.
@@ -170,11 +169,6 @@ def spin_matrix_batch(q_l: float, q2, q3, left, right) -> np.ndarray:
         raise ValueError(f"q_l must be positive, got {q_l!r}")
     q2, q3 = np.asarray(q2, dtype=float), np.asarray(q3, dtype=float)
     left, right = np.ascontiguousarray(left, dtype=complex), np.ascontiguousarray(right, dtype=complex)
-    if {q2.shape, q3.shape, left.shape[:-1], right.shape[:-1]} <= {(), (1,)}:  # one point, on Python floats
-        beams = left.view(float).ravel().tolist()[2:] + right.view(float).ravel().tolist()[2:]
-        parts = _kernel(float(q_l), q2.item(), q3.item(), *beams, math.sqrt)
-        batched = q2.ndim + q3.ndim + left.ndim + right.ndim > 2  # scalar momenta and (3,) beams give 2
-        return np.array(parts).view(complex).reshape((1, 2, 2) if batched else (2, 2))
     with np.errstate(over="ignore", invalid="ignore"):
         # (re, im) of the y and z amplitudes, one row each
         _, _, ly, ly_i, lz, lz_i = left.view(float).T
@@ -253,6 +247,8 @@ def _locus_inv_theta(q_l, q2, q3, sqrt):
 
 
 def spin_matrix(cfg: ScatterConfig, pol: PolarizationPair) -> np.ndarray:
-    """Complex 2x2 spin-propagation matrix for one configuration and beam pair:
-    ``spin_matrix_batch`` on scalars, so bit for bit its row of any batch."""
-    return spin_matrix_batch(cfg.q_l, cfg.q2, cfg.q3, pol.left, pol.right)
+    """Complex 2x2 spin-propagation matrix for one configuration and beam pair: ``spin_matrix_batch``'s
+    arithmetic on Python floats (ints would round otherwise), so bit for bit its row of any batch."""
+    beams = pol.left.view(float).tolist()[2:] + pol.right.view(float).tolist()[2:]
+    parts = _kernel(float(cfg.q_l), float(cfg.q2), float(cfg.q3), *beams, math.sqrt)
+    return np.array(parts).view(complex).reshape(2, 2)

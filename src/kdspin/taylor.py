@@ -66,13 +66,9 @@ def low_momentum_matrix(q_l: float) -> np.ndarray:
 
 def _contract_blocks(blocks: TaylorTensor, pol: PolarizationPair) -> np.ndarray:
     """Polarization contraction over the expanded spatial blocks (axes 2, 3)."""
-    left = np.conj(pol.left)
-    right = pol.right
-    table = {(1, 1): blocks.m22, (1, 2): blocks.m23, (2, 1): blocks.m32, (2, 2): blocks.m33}
-    out = np.zeros((2, 2), dtype=complex)
-    for (i, j), block in table.items():
-        out += left[i] * right[j] * block
-    return out
+    ly, lz = np.conj(pol.left[1:])
+    ry, rz = pol.right[1:]
+    return ly * ry * blocks.m22 + ly * rz * blocks.m23 + lz * ry * blocks.m32 + lz * rz * blocks.m33
 
 
 def taylor_error(cfg: ScatterConfig, pol: PolarizationPair) -> float:

@@ -959,6 +959,9 @@ HEATMAP_SWEEP = ["sweep", "--axes", "q2,q3", "--x-range", "-0.05,0.05", "--y-ran
         (["sweep", "--axes", "q3,inv_theta", "--x-range", "0,1", "--y-range", "1,2", "--theta", "0.3"],
          "--theta is not read on a q3,inv_theta sweep: its y axis sets it"),
         (["taylor-check", "--scale", "-1"], "--scale must be nonnegative"),
+        # inf would print the domain warning, and nan would be blamed on q_l
+        (["taylor-check", "--scale", "inf"], "--scale must be finite, got inf"),
+        (["taylor-check", "--scale", "nan"], "--scale must be finite, got nan"),
         # --pol-l sets the left beam, so --theta would go unread
         (["point", "--q3", "0.5", "--pol-l", "0,0,1,0,0,0", "--theta", "0.3"], THETA_WITH_POL_L),
         (["taylor-check", "--scale", "0", "--pol-l", "0,0,1,0,0,0", "--theta", "0.3"], THETA_WITH_POL_L),
@@ -978,8 +981,8 @@ HEATMAP_SWEEP = ["sweep", "--axes", "q2,q3", "--x-range", "-0.05,0.05", "--y-ran
         (["sweep", "--axes", "q2,q3", "--x-range", "0,1", "--y-range", "0,1", "--out="], "--out must not be empty"),
         (["locus-fit", "--q3-points", "1", "--out="], "--out must not be empty"),
     ],
-    ids=["one-axis", "three-ends", "unread-q2", "unread-theta", "unread-theta-inv", "negative-scale",
-         "point-theta-pol-l", "taylor-theta-pol-l", "sweep-theta-pol-l", "pgm-is-out", "heatmap-out-is-out",
+    ids=["one-axis", "three-ends", "unread-q2", "unread-theta", "unread-theta-inv", "negative-scale", "inf-scale",
+         "nan-scale", "point-theta-pol-l", "taylor-theta-pol-l", "sweep-theta-pol-l", "pgm-is-out", "heatmap-out-is-out",
          "sidecar-is-out", "heatmap-out-without-column", "log-scale-without-column", "empty-heatmap-out",
          "empty-out", "empty-locus-out"],
 )

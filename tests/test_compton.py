@@ -59,11 +59,13 @@ def test_elliptic_left_matches_stack_bits():
         left = elliptic_left(theta)
         assert left.shape == stacked.shape and left.dtype == stacked.dtype
         assert left.tobytes() == stacked.tobytes()
-    # one angle's parts on Python floats, as the one-q3 locus takes them
+    # one angle's parts on Python floats, as the one-q3 locus takes them, and its beam pair
     for theta in angles.tolist():
         parts = _elliptic_parts(theta)
         assert all(type(part) is float for part in parts)
         assert np.array(parts).tobytes() == elliptic_left(theta).view(float)[2:].tobytes(), theta
+        if math.isfinite(theta):
+            assert elliptic_polarization(theta).left.tobytes() == elliptic_left(theta).tobytes(), theta
 
 
 def test_polarization_validation():
@@ -300,7 +302,7 @@ def test_spin_matrix_is_batch_of_one():
     pol = PolarizationPair(left=CIRCULAR, right=E3)
     batch = spin_matrix_batch(cfg.q_l, np.array([0.01, cfg.q2]), np.array([0.2, cfg.q3]), CIRCULAR, E3)
     assert spin_matrix(cfg, pol).tobytes() == batch[1].tobytes()
-    # one matrix runs on numpy scalars, a batch on arrays: the same bits either way
+    # spin_matrix runs on Python floats, a batch on arrays: the same bits either way
     q_l, q2, q3, left, right = random_configurations(200, seed=7)
     for i in range(200):
         batch = spin_matrix_batch(q_l[i], q2, q3, left, right)
@@ -310,8 +312,8 @@ def test_spin_matrix_is_batch_of_one():
 
 
 def test_batch_of_one_is_its_row():
-    # every layout that broadcasts to one point runs on numpy scalars: shape (1, 2, 2), and the
-    # bits of the same point in a batch of 200
+    # scalars and every layout that broadcasts to one point run on arrays: shape (2, 2) or (1, 2, 2),
+    # and the bits of the same point in a batch of 200
     q_l, q2, q3, left, right = random_configurations(200, seed=11)
     for i in (0, 1, 57, 198):
         row = spin_matrix_batch(q_l[i], q2, q3, left, right)[i]

@@ -1,11 +1,12 @@
 """One point runs on Python floats, a batch on arrays: the same bits either way.
 
-``spin_matrix_batch`` of one point, ``minimize_contrast`` of one matrix and a one-q3
-``minimum_locus`` take their own path, which returns early where Python would raise and numpy
-gives inf or NaN.  These tests hold each point, and a one-q3 ``locus_probabilities`` (a batch
-of one), to its row of a batch at that path's edges, and on random points.  NaN entries must
-sit in the same places; their sign bits may differ: adding two NaNs, numpy's array loops keep
-the first's sign and Python floats (or numpy scalars) the second's.
+``spin_matrix``, ``minimize_contrast`` of one matrix and a one-q3 ``minimum_locus`` take their
+own path, which returns early where Python would raise and numpy gives inf or NaN.  A ``*_batch``
+call runs arrays at every size, a scalar or a batch of one included.  These tests hold each point,
+and each scalar or batch of one (a one-q3 ``locus_probabilities`` among them), to its row of a
+batch at that path's edges, and on random points.  NaN entries must sit in the same places; their
+sign bits may differ: adding two NaNs, numpy's array loops keep the first's sign and Python floats
+(or numpy scalars) the second's.
 """
 
 import math
@@ -15,7 +16,7 @@ import hypothesis.strategies as st
 import numpy as np
 import pytest
 
-from kdspin.compton import elliptic_left, elliptic_polarization, spin_matrix, spin_matrix_batch
+from kdspin.compton import PolarizationPair, elliptic_left, elliptic_polarization, spin_matrix, spin_matrix_batch
 from kdspin.contrast import DEGENERATE_FLOOR, minimize_contrast, minimize_contrast_batch
 from kdspin.kinematics import ScatterConfig
 from kdspin.sweep import FitModel, FixedParams, locus_probabilities, minimum_locus
@@ -63,15 +64,28 @@ def test_kernel_edges_match_batch_rows():
     q2, q3, left, right = (np.array([KERNEL_EDGES[n][k] for n in names]) for k in range(4))
     take, pad = offsets(len(names))
     batch = spin_matrix_batch(0.02, q2[take], q3[take], left[take], right[take])
+    accepted = []  # the edges ScatterConfig and PolarizationPair take, which spin_matrix runs on floats
     for i, name in enumerate(names):
         alone = spin_matrix_batch(0.02, q2[i], q3[i], left[i], right[i])
         one = spin_matrix_batch(0.02, q2[i : i + 1], q3[i], left[i], right[i : i + 1])
         assert alone.shape == (2, 2) and one.shape == (1, 2, 2)
+        point = None
+        if np.isfinite(np.r_[q2[i], q3[i], left[i], right[i]]).all():
+            accepted.append(name)
+            point = spin_matrix(ScatterConfig(0.02, q2[i], q3[i]), PolarizationPair(left[i], right[i]))
+            assert point.shape == (2, 2)
         for j in (i, i + pad):
             assert_same_bits(alone, batch[j], (name, j))
             assert_same_bits(one, batch[j : j + 1], (name, j))
+            if point is not None:
+                assert_same_bits(point, batch[j], (name, j))
+    assert accepted == ["q3=1e154", "q3=2e154", "q2=1e160", "q2=-2e154", "signed-zeros"]
     assert np.isnan(batch[names.index("q3=2e154")]).all()
     assert np.isfinite(batch[names.index("q3=1e154")]).all()
+    # ScatterConfig keeps ints, which spin_matrix reads as floats: int arithmetic would round (2^53 + 1)^2
+    pol = PolarizationPair(CIRCULAR, E3)
+    ints = spin_matrix(ScatterConfig(q_l=1, q2=3, q3=2**53 + 1), pol)
+    assert ints.tobytes() == spin_matrix(ScatterConfig(q_l=1.0, q2=3.0, q3=2.0**53), pol).tobytes()
 
 
 MINIMIZER_EDGES = {
