@@ -10,7 +10,8 @@ coefficients of the diffracted electron (rows index the final spin).
 tensor, in a closed form of ten real coefficients and four beam bilinears with no
 cancelling diagrams, in elementwise real arithmetic only, on arrays at every size.
 ``spin_matrix`` runs the same arithmetic on one configuration's Python floats,
-bit for bit its row of any batch.
+bit for bit its row of any batch; sweeps and the locus pass ``_kernel``'s eight real
+parts, the one internal form of a matrix, straight to the minimizer.
 ``_locus_inv_theta`` reads the minimum locus of the elliptic beam off the same coefficients.
 ``compton_tensor`` and ``contract_polarization`` stay as its reference.
 """
@@ -126,7 +127,7 @@ def elliptic_left(theta) -> np.ndarray:
 def _elliptic_parts(theta):
     """(re, im) of the y and z amplitudes of the left beam (0, cos theta, i sin theta), elementwise on an array
     or a Python float: numpy's cos and sin, and 1j sin theta as numpy rounds it, (0 sin - 1 * 0, 0 * 0 + 1 sin).
-    The beam's one write-out: ``elliptic_polarization``, ``elliptic_left`` and the one-q3 locus read it."""
+    The beam's one write-out: ``elliptic_polarization``, ``elliptic_left``, sweeps and the locus read it."""
     cos, sin = np.cos(theta), np.sin(theta)
     if isinstance(theta, float):  # numpy's scalars back to Python floats, whose arithmetic costs less
         cos, sin = float(cos), float(sin)

@@ -1,10 +1,10 @@
 """Parameter-space studies: contrast maps, minimum-locus extraction and fits.
 
 A sweep evaluates the spin matrix and its minimized contrast on a regular
-grid over one of the supported axis pairs, in one process: chunks of whole
-grid rows go through the batched kernel and minimizer at once, with one beam
-array per chunk, and a point they leave NaN is named after the exception the
-scalar forms raise for it.
+grid over one of the supported axis pairs, in one process: for chunks of whole
+grid rows the kernel's eight real parts go straight into the minimizer's closed
+form, broadcast over rows and columns, and a point they leave NaN is named
+after the exception the scalar forms raise for it.
 The minimum locus traces, for each transverse momentum q3, the inverse
 ellipticity 1/theta at which the contrast valley bottoms out: an elementary
 function of (q_l, q2, q3), tan^2(theta) = det M_y / det M_z (see
@@ -25,9 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .compton import (_UNIT_Z, _UNIT_Z_PARTS, PolarizationPair, _elliptic_parts, _kernel, _locus_inv_theta,
-                      elliptic_left, elliptic_polarization, spin_matrix_batch)
-from .contrast import NewtonStatus, _closed_form, minimize_contrast_batch
+from .compton import _UNIT_Z_PARTS, PolarizationPair, _elliptic_parts, _kernel, _locus_inv_theta, elliptic_polarization
+from .contrast import NewtonStatus, _closed_form
 from .kinematics import ScatterConfig
 
 SUPPORTED_AXES = (("q2", "q3"), ("q3", "theta"), ("q3", "inv_theta"))
@@ -154,34 +153,35 @@ class FitConvergenceError(RuntimeError):
 
 
 def _batch_rows(spec: GridSpec, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """(5, len(ys), len(xs)) contrast, alpha, phi, prob_A, prob_B of whole grid rows: one (3,)
-    beam pair on a q2,q3 grid, else each row's elliptic left beam against (0, 0, 1).  NaN where
-    a beam is not finite (1/theta at 0 or overflowing) or ``minimize_contrast`` rejects a matrix."""
-    across = np.tile(xs, len(ys))
-    fixed = spec.fixed
-    if spec.x_name == "q2":
-        pol = fixed.pol if fixed.pol is not None else elliptic_polarization(fixed.theta)
-        q2, q3, left, right = across, np.repeat(ys, len(xs)), pol.left, pol.right
-    else:
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # 1/theta at 0 gives NaN beams
-            theta = ys if spec.y_name == "theta" else 1.0 / ys
-            left = np.repeat(elliptic_left(theta), len(xs), axis=0)
-        q2, q3, right = np.full_like(across, fixed.q2), across, _UNIT_Z
-    res = minimize_contrast_batch(spin_matrix_batch(fixed.q_l, q2, q3, left, right))
-    return np.reshape((res.value, res.alpha, res.phi, res.prob_a, res.prob_b), (5, len(ys), len(xs)))
+    """(5, len(ys), len(xs)) contrast, alpha, phi, prob_A, prob_B of whole grid rows at a finite q_l > 0 (as
+    ``run_sweep`` and ``GridSpec`` check), from the kernel's parts straight into the closed form, broadcast
+    over (row, column): one beam pair on a q2,q3 grid, as Python floats, else each row's elliptic left beam
+    against (0, 0, 1) at a float64 q2 (an int's arithmetic would round otherwise).  NaN where a beam is not
+    finite (1/theta at 0 or overflowing) or ``minimize_contrast`` rejects a matrix."""
+    fixed, column = spec.fixed, ys[:, None]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # 1/theta at 0 gives NaN beams
+        if spec.x_name == "q2":
+            pol = fixed.pol if fixed.pol is not None else elliptic_polarization(fixed.theta)
+            q2, q3, beams = xs, column, pol.left.view(float).tolist()[2:] + pol.right.view(float).tolist()[2:]
+        else:
+            theta = column if spec.y_name == "theta" else 1.0 / column
+            q2, q3, beams = np.float64(fixed.q2), xs, [*_elliptic_parts(theta), *_UNIT_Z_PARTS]
+        _, ok, *fields = _closed_form(_kernel(fixed.q_l, q2, q3, *beams, np.sqrt))
+    return np.where(ok, fields, math.nan)
 
 
 def run_sweep(spec: GridSpec, workers: int = 1) -> SweepTile:
     """Evaluate contrast minimization on every grid point of ``spec``.
 
-    Chunks of whole rows (fixed y) go through ``spin_matrix_batch`` and
-    ``minimize_contrast_batch`` in this process.  Each point's result is
-    independent of the chunk it lands in, so the tile is bit-identical for
-    any chunking.  A point the batch leaves NaN gets the status of the
-    exception the scalar forms raise for it: ``failed_ZeroDivisionError`` on
-    an ``inv_theta`` row at 0 when q_l > 0, ``failed_ValueError`` for every
-    other NaN point (q_l <= 0, a dark beam, an overflowing matrix or 1/theta).
-    ``workers`` is accepted for compatibility and has no effect.
+    Chunks of whole rows (fixed y) go through ``_batch_rows`` in this process:
+    the arithmetic of ``spin_matrix_batch`` and ``minimize_contrast_batch``
+    without their complex stack.  Each point's result is independent of the
+    chunk it lands in, so the tile is bit-identical for any chunking.  A point
+    the batch leaves NaN gets the status of the exception the scalar forms
+    raise for it: ``failed_ZeroDivisionError`` on an ``inv_theta`` row at 0
+    when q_l > 0, ``failed_ValueError`` for every other NaN point (q_l <= 0,
+    a dark beam, an overflowing matrix or 1/theta).  ``workers`` is accepted
+    for compatibility and has no effect.
     """
     xs = np.linspace(spec.x_range[0], spec.x_range[1], spec.nx)
     ys = np.linspace(spec.y_range[0], spec.y_range[1], spec.ny)
@@ -251,10 +251,10 @@ def minimum_locus(
 
 def _locus_points(q_l: float, q2: float, q3, inv_theta, bracketed) -> list[LocusPoint]:
     """One ``LocusPoint`` per q3: the contrast minimum over the Bloch angles of the elliptic beam at theta
-    = 1 / inv_theta, with NaN results where ``bracketed`` is False.  A float q3, from ``minimum_locus`` with
-    a 1/theta inside its range above 0 or NaN, runs on Python floats (the beam's parts, one kernel row, the
-    minimizer's closed form), an (N,) array as arrays.  Raises ``_no_minimum``'s ValueError at a point with
-    no minimum that is bracketed or has a NaN 1/theta."""
+    = 1 / inv_theta (the beam's parts, one kernel row, the minimizer's closed form), with NaN results where
+    ``bracketed`` is False.  A float q3, from ``minimum_locus`` with a 1/theta inside its range above 0 or
+    NaN, runs on Python floats, an (N,) array as arrays.  Raises ``_no_minimum``'s ValueError at a point
+    with no minimum that is bracketed or has a NaN 1/theta."""
     if isinstance(q3, float):
         inv_theta = float(inv_theta)
         if not (bracketed or math.isnan(inv_theta)):
@@ -264,16 +264,14 @@ def _locus_points(q_l: float, q2: float, q3, inv_theta, bracketed) -> list[Locus
         if not ok:
             raise _no_minimum(q3, inv_theta, math.isfinite(scale))
         return [LocusPoint(q3, inv_theta, *fields[1:], True, _CONVERGED)]
-    with np.errstate(divide="ignore", invalid="ignore"):  # 1/theta = 0: no angle, a NaN beam
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # 1/theta = 0: no angle, a NaN beam
         theta = 1.0 / inv_theta
-        left = elliptic_left(theta)
-    m = spin_matrix_batch(q_l, q2, q3, left, _UNIT_Z)
-    res = minimize_contrast_batch(m)
-    failed = np.flatnonzero(np.isnan(res.value) & (bracketed | np.isnan(inv_theta)))
+        scale, ok, *fields = _closed_form(_kernel(q_l, q2, q3, *_elliptic_parts(theta), *_UNIT_Z_PARTS, np.sqrt))
+    failed = np.flatnonzero(~ok & (bracketed | np.isnan(inv_theta)))
     if failed.size:
         i = failed[0]
-        raise _no_minimum(float(q3[i]), float(inv_theta[i]), bool(np.isinf(theta[i]) or np.isfinite(m[i]).all()))
-    fields = np.where(bracketed, (inv_theta, res.alpha, res.phi, res.prob_a, res.prob_b), math.nan)
+        raise _no_minimum(float(q3[i]), float(inv_theta[i]), bool(np.isinf(theta[i]) or np.isfinite(scale[i])))
+    fields = np.where(bracketed, (inv_theta, *fields[1:]), math.nan)
     rows = zip(q3.tolist(), *fields.tolist(), bracketed.tolist())
     return [LocusPoint(*row, status=_CONVERGED if row[-1] else "unbracketed") for row in rows]
 

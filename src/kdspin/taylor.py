@@ -72,9 +72,10 @@ def _contract_blocks(blocks: TaylorTensor, pol: PolarizationPair) -> np.ndarray:
 
 
 def taylor_error(cfg: ScatterConfig, pol: PolarizationPair) -> float:
-    """Max elementwise gap between the full and the expanded spin matrix."""
-    full = spin_matrix(cfg, pol)
-    if not np.isfinite(full).all():  # a momentum whose square overflows leaves every entry NaN
-        raise ValueError(f"spin matrix is not finite at q_l={cfg.q_l!r}, q2={cfg.q2!r}, q3={cfg.q3!r}")
-    approx = _contract_blocks(taylor_tensor(cfg), pol)
-    return float(np.max(np.abs(full - approx)))
+    """Max elementwise gap between the full and the expanded spin matrix; ValueError where it is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        gap = float(np.max(np.abs(spin_matrix(cfg, pol) - _contract_blocks(taylor_tensor(cfg), pol))))
+    if not np.isfinite(gap):
+        raise ValueError(f"spin matrix or its expansion is not finite at q_l={cfg.q_l!r}, q2={cfg.q2!r}, "
+                         f"q3={cfg.q3!r} with the given beams")
+    return gap

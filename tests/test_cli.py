@@ -962,6 +962,9 @@ HEATMAP_SWEEP = ["sweep", "--axes", "q2,q3", "--x-range", "-0.05,0.05", "--y-ran
         # inf would print the domain warning, and nan would be blamed on q_l
         (["taylor-check", "--scale", "inf"], "--scale must be finite, got inf"),
         (["taylor-check", "--scale", "nan"], "--scale must be finite, got nan"),
+        # the beams' product, not a momentum, overflows the spin matrix
+        (["taylor-check", "--pol-l", "0,0,1e200,0,0,0", "--pol-r", "0,0,1e200,0,0,0"],
+         "spin matrix or its expansion is not finite at q_l=0.01, q2=0.01, q3=0.01 with the given beams\n"),
         # --pol-l sets the left beam, so --theta would go unread
         (["point", "--q3", "0.5", "--pol-l", "0,0,1,0,0,0", "--theta", "0.3"], THETA_WITH_POL_L),
         (["taylor-check", "--scale", "0", "--pol-l", "0,0,1,0,0,0", "--theta", "0.3"], THETA_WITH_POL_L),
@@ -982,9 +985,9 @@ HEATMAP_SWEEP = ["sweep", "--axes", "q2,q3", "--x-range", "-0.05,0.05", "--y-ran
         (["locus-fit", "--q3-points", "1", "--out="], "--out must not be empty"),
     ],
     ids=["one-axis", "three-ends", "unread-q2", "unread-theta", "unread-theta-inv", "negative-scale", "inf-scale",
-         "nan-scale", "point-theta-pol-l", "taylor-theta-pol-l", "sweep-theta-pol-l", "pgm-is-out", "heatmap-out-is-out",
-         "sidecar-is-out", "heatmap-out-without-column", "log-scale-without-column", "empty-heatmap-out",
-         "empty-out", "empty-locus-out"],
+         "nan-scale", "taylor-beams-overflow", "point-theta-pol-l", "taylor-theta-pol-l", "sweep-theta-pol-l",
+         "pgm-is-out", "heatmap-out-is-out", "sidecar-is-out", "heatmap-out-without-column", "log-scale-without-column",
+         "empty-heatmap-out", "empty-out", "empty-locus-out"],
 )
 def test_rejected_input_exits_2(argv, message, tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)

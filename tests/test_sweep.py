@@ -9,6 +9,7 @@ import pytest
 from kdspin import sweep
 from kdspin.compton import (
     PolarizationPair,
+    _kernel,
     compton_tensor,
     contract_polarization,
     elliptic_left,
@@ -128,10 +129,10 @@ def test_sweep_deterministic_across_workers():
 
 
 def test_sweep_propagates_programming_errors(monkeypatch):
-    def broken(matrix):
+    def broken(parts):
         raise TypeError("not a recordable numeric failure")
 
-    monkeypatch.setattr("kdspin.sweep.minimize_contrast_batch", broken)
+    monkeypatch.setattr("kdspin.sweep._closed_form", broken)
     with pytest.raises(TypeError):
         run_sweep(GridSpec("q2", "q3", (-0.01, 0.01), (0.99, 1.01), 2, 2))
 
@@ -211,6 +212,34 @@ def test_sweep_status_names_scalar_exception(spec, statuses):
             status, expected = scalar_point(spec, x, y)
             assert tile.status[j, i] == status
             assert [float(f[j, i]).hex() for f in fields] == expected
+
+
+TILE_CELL_SPECS = [
+    GridSpec("q2", "q3", (-0.3, 0.3), (0.0, 1.2), 21, 19),
+    GridSpec("q2", "q3", (-0.3, 0.3), (0.0, 1.2), 21, 19, fixed=FixedParams(q_l=1e-4, pol=PolarizationPair(
+        left=np.array([0.0, 0.6 - 0.2j, 1.5j]), right=np.array([0.0, 1.0, 0.5 + 0.5j])))),
+    GridSpec("q3", "theta", (0.0, 1.2), (-1.5, 1.5), 21, 19, fixed=FixedParams(q2=0.1)),
+    GridSpec("q3", "inv_theta", (0.0, 1.0), (0.0, 100.0), 21, 17, fixed=FixedParams(q_l=1e-3)),
+]
+
+
+@pytest.mark.parametrize("spec", TILE_CELL_SPECS, ids=["q2q3-elliptic", "q2q3-fixed-pair", "q3-theta", "q3-inv-theta"])
+def test_tile_cell_is_the_point_path_for_any_chunking(spec, monkeypatch):
+    # every cell has the bits, NaN positions and status of minimize_contrast(spin_matrix(...)) at its
+    # point, and the tile keeps its bytes when each chunk holds one row or three
+    def fields(tile):
+        return np.array([tile.contrast, tile.alpha, tile.phi, tile.prob_a, tile.prob_b])
+
+    tile = run_sweep(spec)
+    cells = fields(tile)
+    for j, y in enumerate(tile.y.tolist()):
+        for i, x in enumerate(tile.x.tolist()):
+            assert (tile.status[j, i], [v.hex() for v in cells[:, j, i].tolist()]) == scalar_point(spec, x, y), (x, y)
+    for rows in (1, 3):
+        monkeypatch.setattr(sweep, "SWEEP_CHUNK_POINTS", rows * spec.nx)
+        chunked = run_sweep(spec)
+        assert fields(chunked).tobytes() == cells.tobytes()
+        assert np.array_equal(chunked.status, tile.status)
 
 
 def test_refinement_never_raises_minimum():
@@ -497,12 +526,11 @@ def test_locus_builds_one_matrix_per_q3(monkeypatch):
     # one matrix per q3, at its 1/theta, also where the cross term survives
     built = []
 
-    def counting_kernel(q_l, q2, q3, left, right):
-        m = spin_matrix_batch(q_l, q2, q3, left, right)
-        built.append(len(m))
-        return m
+    def counting_kernel(q_l, q2, q3, *args):
+        built.append(np.size(q3))
+        return _kernel(q_l, q2, q3, *args)
 
-    monkeypatch.setattr("kdspin.sweep.spin_matrix_batch", counting_kernel)
+    monkeypatch.setattr("kdspin.sweep._kernel", counting_kernel)
     fixed = FixedParams(q2=0.01)
     q3 = np.linspace(0.0, 1.0, 41)
     assert all(p.bracketed for p in minimum_locus(q3, fixed=fixed))

@@ -5,7 +5,7 @@ import decimal_kernel
 import numpy as np
 import pytest
 
-from kdspin.compton import elliptic_polarization
+from kdspin.compton import PolarizationPair, elliptic_polarization
 from kdspin.contrast import BlochPair, bloch_spinors
 from kdspin.dirac import PAULI_MATRICES
 from kdspin.kinematics import ScatterConfig
@@ -99,9 +99,14 @@ def test_error_vanishes_toward_origin():
         assert taylor_error(ScatterConfig(q_l=q, q2=q, q3=q), pol) == pytest.approx(remainder, rel=1e-6)
 
 
+@pytest.mark.filterwarnings("error")
 def test_error_rejects_nonfinite_spin_matrix():
     pol = elliptic_polarization(math.pi / 4.0)
     with pytest.raises(ValueError, match="not finite"):
         taylor_error(ScatterConfig(q_l=0.02, q3=1e200), pol)  # q3^2 overflows
+    # the spin matrix is finite, but the expanded blocks times the 1e150 beam overflow
+    big = PolarizationPair(left=np.array([0.0, 0.0, 1e150]), right=np.array([0.0, 0.0, 1.0]))
+    with pytest.raises(ValueError, match="expansion is not finite at q_l=1e[+]150, q2=1e[+]150, q3=1e[+]150 with"):
+        taylor_error(ScatterConfig(q_l=1e150, q2=1e150, q3=1e150), big)
     # a subnormal scale leaves the matrix finite, and equal to its expansion
     assert taylor_error(ScatterConfig(q_l=1e-320, q2=1e-320, q3=1e-320), pol) == 0.0
