@@ -92,7 +92,8 @@ def _format(value) -> str:
 def _polarization_from_args(args) -> PolarizationPair:
     if args.pol_l is not None and args.theta is not None:
         raise ValueError("--theta is not read when --pol-l is given: --pol-l sets the left beam")
-    pol = elliptic_polarization(FixedParams.theta if args.theta is None else args.theta)  # --theta is None unless given
+    theta = FixedParams._field_defaults["theta"] if args.theta is None else args.theta  # None unless given
+    pol = elliptic_polarization(theta)
     if args.pol_l is None and args.pol_r is None:
         return pol
     return PolarizationPair(left=pol.left if args.pol_l is None else args.pol_l,
@@ -230,8 +231,9 @@ def cmd_sweep(args) -> int:
     if given is not None and math.isfinite(given):  # GridSpec takes the default, so its checks come first
         setattr(args, flag[2:], None)
     # a beam pair has read --theta already, so FixedParams takes the default theta beside it
-    fixed = FixedParams(q_l=args.ql, q2=FixedParams.q2 if args.q2 is None else args.q2,
-                        theta=FixedParams.theta if args.theta is None or pol is not None else args.theta, pol=pol)
+    default = FixedParams._field_defaults
+    fixed = FixedParams(q_l=args.ql, q2=default["q2"] if args.q2 is None else args.q2,
+                        theta=default["theta"] if args.theta is None or pol is not None else args.theta, pol=pol)
     spec = GridSpec(x_name, y_name, tuple(args.x_range), tuple(args.y_range), args.nx, args.ny, fixed)
     if given is not None:  # after GridSpec, which reports an unsupported pair or a non-finite value first
         raise ValueError(f"{flag} is not read on a {x_name},{y_name} sweep: its {setter} sets it")
@@ -343,12 +345,10 @@ def cmd_taylor_check(args) -> int:
         return 0
     if args.scale < 0.0:
         raise ValueError("--scale must be nonnegative")
-    if not math.isfinite(args.scale):  # inf or nan, before the domain warning prints
+    if not math.isfinite(args.scale):
         raise ValueError(f"--scale must be finite, got {args.scale!r}")
-    if args.scale > DOMAIN_LIMIT:
-        print(f"warning: scale {args.scale} exceeds the expansion domain ({DOMAIN_LIMIT})")
     scales, errors = [], []
-    for k in range(args.halvings + 1):  # check every rung before printing any
+    for k in range(args.halvings + 1):  # check every rung before printing anything
         h = math.ldexp(args.scale, -k)
         cfg = ScatterConfig(q_l=h, q2=h, q3=h)
         err = taylor_error(cfg, pol)
@@ -361,6 +361,8 @@ def cmd_taylor_check(args) -> int:
                              f"floor 8 eps max|M| = {_format(floor)}, where no convergence order can be read")
         scales.append(h)
         errors.append(err)
+    if args.scale > DOMAIN_LIMIT:
+        print(f"warning: scale {args.scale} exceeds the expansion domain ({DOMAIN_LIMIT})")
     for h, err in zip(scales, errors):
         print(f"scale={_format(h)} error={_format(err)}")
     order = float(np.polyfit(np.log(scales), np.log(errors), 1)[0])

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,7 +32,6 @@ _UNIT_Z = np.array([0.0, 0.0, 1.0], dtype=complex)
 _UNIT_Z_PARTS = _UNIT_Z.view(float).tolist()[2:]
 
 
-@dataclass(frozen=True)
 class PolarizationPair:
     """Complex amplitude vectors of the two counterpropagating beams.
 
@@ -41,27 +39,38 @@ class PolarizationPair:
     emitted photon and enters contractions conjugated); ``right`` the beam
     toward +x (absorbed photon).  Plane-wave transversality forces the
     x-components to vanish exactly.  Each beam may be any array-like 3-vector,
-    a strided or reversed view included; the pair stores a contiguous complex copy.
+    a strided or reversed view included; the pair stores a contiguous complex copy,
+    read-only (an in-place write raises ValueError), beside ``_parts``: the eight (re, im)
+    floats of the y and z amplitudes, left then right, that its checks unpack and ``_kernel`` takes.
+    A pair is immutable and compares by identity.
     """
 
-    left: np.ndarray
-    right: np.ndarray
+    __slots__ = ("_left", "_right", "_parts")
+    left = property(lambda self: self._left)
+    right = property(lambda self: self._right)
 
-    def __post_init__(self) -> None:
-        lit = False
-        for name in ("left", "right"):
-            vec = np.array(getattr(self, name), dtype=complex)
+    def __init__(self, left, right) -> None:
+        lit, beams, parts = False, [], ()
+        for name, beam in (("left", left), ("right", right)):
+            vec = np.array(beam, dtype=complex)
             if vec.shape != (3,):
                 raise ValueError(f"{name} amplitude must be a 3-vector")
             values = vec.tolist()  # checks on Python complexes skip numpy's reductions
             if not all(map(cmath.isfinite, values)):
                 raise ValueError(f"{name} amplitude must be finite")
-            if values[0]:
+            x, y, z = values
+            if x:
                 raise ValueError(f"{name} amplitude must have zero x-component")
             lit = lit or any(values)
-            object.__setattr__(self, name, vec)
+            vec.setflags(write=False)
+            beams.append(vec)
+            parts += (y.real, y.imag, z.real, z.imag)
         if not lit:
             raise ValueError("at least one beam amplitude must be nonzero")
+        self._left, self._right, self._parts = *beams, parts
+
+    def __repr__(self) -> str:
+        return f"PolarizationPair(left={self.left!r}, right={self.right!r})"
 
 
 def elliptic_polarization(theta: float) -> PolarizationPair:
@@ -250,6 +259,5 @@ def _locus_inv_theta(q_l, q2, q3, sqrt):
 def spin_matrix(cfg: ScatterConfig, pol: PolarizationPair) -> np.ndarray:
     """Complex 2x2 spin-propagation matrix for one configuration and beam pair: ``spin_matrix_batch``'s
     arithmetic on Python floats (ints would round otherwise), so bit for bit its row of any batch."""
-    beams = pol.left.view(float).tolist()[2:] + pol.right.view(float).tolist()[2:]
-    parts = _kernel(float(cfg.q_l), float(cfg.q2), float(cfg.q3), *beams, math.sqrt)
+    parts = _kernel(float(cfg.q_l), float(cfg.q2), float(cfg.q3), *pol._parts, math.sqrt)
     return np.array(parts).view(complex).reshape(2, 2)

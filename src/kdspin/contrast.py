@@ -35,8 +35,8 @@ tiles in 50 digits.  A contrast below (6 eps)^2 ~ 1.8e-30 cannot be told from 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,16 +54,14 @@ class NewtonStatus(str, Enum):
     CONVERGED_GRADIENT = "converged_gradient"
 
 
-@dataclass(frozen=True)
-class BlochPair:
+class BlochPair(NamedTuple):
     """Spinor-pair angles: polar angle alpha and azimuth phi, in radians."""
 
     alpha: float
     phi: float
 
 
-@dataclass(frozen=True)
-class ContrastResult:
+class ContrastResult(NamedTuple):
     """Minimized contrast with the optimal angles and iteration diagnostics."""
 
     value: float
@@ -75,8 +73,7 @@ class ContrastResult:
     prob_b: float
 
 
-@dataclass(frozen=True)
-class ContrastBatch:
+class ContrastBatch(NamedTuple):
     """Minimized contrast of N matrices: (N,) arrays, NaN where a matrix has none."""
 
     value: np.ndarray

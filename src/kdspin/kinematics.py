@@ -12,7 +12,8 @@ emitting one into the left-moving beam.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,29 +21,26 @@ import numpy as np
 METRIC_DIAG = np.array([1.0, -1.0, -1.0, -1.0])
 
 
-@dataclass(frozen=True)
-class ScatterConfig:
+class ScatterConfig(namedtuple("ScatterConfig", "q_l q2 q3")):
     """Dimensionless parameters of one Bragg scattering configuration.
 
     q_l is the photon momentum k_L/m of the standing wave, q2 and q3 the
     transverse electron momentum components p_2/m and p_3/m.
     """
 
-    q_l: float
-    q2: float = 0.0
-    q3: float = 0.0
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # so _replace, which calls it, validates too
 
-    def __post_init__(self) -> None:
-        for name in ("q_l", "q2", "q3"):
-            value = getattr(self, name)
+    def __new__(cls, q_l: float, q2: float = 0.0, q3: float = 0.0):
+        for name, value in (("q_l", q_l), ("q2", q2), ("q3", q3)):
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
-        if self.q_l <= 0.0:
-            raise ValueError(f"q_l must be positive, got {self.q_l!r}")
+        if q_l <= 0.0:
+            raise ValueError(f"q_l must be positive, got {q_l!r}")
+        return tuple.__new__(cls, (q_l, q2, q3))
 
 
-@dataclass(frozen=True)
-class KinematicSet:
+class KinematicSet(NamedTuple):
     """On-shell four-momenta of one scattering event (units of m)."""
 
     p_i: np.ndarray

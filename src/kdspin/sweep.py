@@ -21,7 +21,8 @@ linear for fixed c3, so the fit is a one-dimensional problem in c3.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,8 +44,7 @@ _CONVERGED = NewtonStatus.CONVERGED_GRADIENT.value
 _BRANCH_OFFSET = {"left": 0.0, "right": 1.0}
 
 
-@dataclass(frozen=True)
-class FixedParams:
+class FixedParams(NamedTuple):
     """Values held constant over a sweep (q3 is an axis of every supported pair).
     ``theta``, or ``pol`` with theta at its default, sets the beams of a q2,q3 grid only; the
     locus, which is defined on the elliptic beam and sets theta itself, rejects ``pol`` and any
@@ -56,21 +56,17 @@ class FixedParams:
     pol: PolarizationPair | None = None
 
 
-@dataclass(frozen=True)
-class GridSpec:
+class GridSpec(namedtuple("GridSpec", "x_name y_name x_range y_range nx ny fixed")):
     """Regular evaluation grid over one supported axis pair.  Its axes set q2 on a q2,q3 grid and
     theta on the others, and a fixed beam pair sets the left beam, so ``fixed`` must leave each
     value that one of them sets at its default."""
 
-    x_name: str
-    y_name: str
-    x_range: tuple[float, float]
-    y_range: tuple[float, float]
-    nx: int
-    ny: int
-    fixed: FixedParams = field(default_factory=FixedParams)
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # so _replace, which calls it, validates too
 
-    def __post_init__(self) -> None:
+    def __new__(cls, x_name: str, y_name: str, x_range: tuple[float, float], y_range: tuple[float, float],
+                nx: int, ny: int, fixed: FixedParams = FixedParams()):
+        self = tuple.__new__(cls, (x_name, y_name, x_range, y_range, nx, ny, fixed))
         if (self.x_name, self.y_name) not in SUPPORTED_AXES:
             raise ValueError(
                 f"unsupported axis pair {(self.x_name, self.y_name)!r}; "
@@ -87,20 +83,20 @@ class GridSpec:
             if not math.isfinite(value := getattr(self.fixed, name)):
                 raise ValueError(f"{name} must be finite, got {value!r}")
         unread = "q2" if self.y_name == "q3" else "theta"  # the axes set it; the default passes
-        if (value := getattr(self.fixed, unread)) != getattr(FixedParams, unread):
+        if (value := getattr(self.fixed, unread)) != FixedParams._field_defaults[unread]:
             raise ValueError(f"a {self.x_name},{self.y_name} grid sets {unread} itself: a fixed {unread}={value!r} "
                              "would go unread")
         if self.fixed.pol is not None and self.y_name != "q3":
             raise ValueError(f"a fixed beam pair applies only to a q2,q3 grid; on a {self.x_name},{self.y_name} "
                              "grid the y axis sets the left beam")
-        if self.fixed.pol is not None and (value := self.fixed.theta) != FixedParams.theta:
+        if self.fixed.pol is not None and (value := self.fixed.theta) != FixedParams._field_defaults["theta"]:
             raise ValueError(f"a fixed beam pair sets the left beam itself: a fixed theta={value!r} would go unread")
         if not (self.x_range[0] < self.x_range[1] and self.y_range[0] < self.y_range[1]):
             raise ValueError("axis ranges must be nondegenerate increasing intervals")
+        return self
 
 
-@dataclass(frozen=True)
-class SweepTile:
+class SweepTile(NamedTuple):
     """Per-point optimizer output on the grid, arrays shaped (ny, nx)."""
 
     spec: GridSpec
@@ -114,8 +110,7 @@ class SweepTile:
     status: np.ndarray
 
 
-@dataclass(frozen=True)
-class LocusPoint:
+class LocusPoint(NamedTuple):
     """Contrast minimum over the Bloch angles of the elliptic beam at (q3, inv_theta), with
     its optimal angles and probabilities prob_a = |M psi_A|^2, prob_b = |M psi_B|^2.  On the
     minimum locus inv_theta is the minimum over 1/theta; along a fit it is the fit's value.
@@ -133,18 +128,17 @@ class LocusPoint:
     status: str
 
 
-@dataclass(frozen=True)
-class FitModel:
+class FitModel(namedtuple("FitModel", "branch params domain")):
     """One branch of the locus fit 1/theta(q3) = p0 + p1 sqrt((q3 - q0)^2 + p2), with q0 = 0
     on the ``"left"`` branch and 1 on the ``"right"``; any other branch raises ValueError."""
 
-    branch: str
-    params: np.ndarray
-    domain: tuple[float, float]
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # so _replace, which calls it, validates too
 
-    def __post_init__(self) -> None:
-        if self.branch not in _BRANCH_OFFSET:
-            raise ValueError(f"branch must be 'left' or 'right', got {self.branch!r}")
+    def __new__(cls, branch: str, params: np.ndarray, domain: tuple[float, float]):
+        if branch not in _BRANCH_OFFSET:
+            raise ValueError(f"branch must be 'left' or 'right', got {branch!r}")
+        return tuple.__new__(cls, (branch, params, domain))
 
 
 class FitConvergenceError(RuntimeError):
@@ -162,7 +156,7 @@ def _batch_rows(spec: GridSpec, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # 1/theta at 0 gives NaN beams
         if spec.x_name == "q2":
             pol = fixed.pol if fixed.pol is not None else elliptic_polarization(fixed.theta)
-            q2, q3, beams = xs, column, pol.left.view(float).tolist()[2:] + pol.right.view(float).tolist()[2:]
+            q2, q3, beams = xs, column, pol._parts
         else:
             theta = column if spec.y_name == "theta" else 1.0 / column
             q2, q3, beams = np.float64(fixed.q2), xs, [*_elliptic_parts(theta), *_UNIT_Z_PARTS]
@@ -208,7 +202,7 @@ def _locus_entry(fixed: FixedParams | None, q3_values) -> tuple[float, float, np
     fixed = fixed or FixedParams()
     if fixed.pol is not None:
         raise ValueError("the locus is defined on the elliptic beam: a fixed beam pair would go unread")
-    if fixed.theta != FixedParams.theta:
+    if fixed.theta != FixedParams._field_defaults["theta"]:
         raise ValueError(f"the locus sets theta itself: a fixed theta={fixed.theta!r} would go unread")
     ScatterConfig(q_l=fixed.q_l, q2=fixed.q2)  # rejects a non-finite q_l or q2
     q3 = [float(v) for v in q3_values]

@@ -11,7 +11,7 @@ sign and axis conventions of the full calculation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,8 +25,7 @@ _ID2 = np.eye(2, dtype=complex)
 DOMAIN_LIMIT = 0.1
 
 
-@dataclass(frozen=True)
-class TaylorTensor:
+class TaylorTensor(NamedTuple):
     """Second-order spatial blocks of the amplitude tensor.
 
     ``m22`` couples emission axis 2 to absorption axis 2, ``m23`` emission

@@ -860,6 +860,7 @@ def test_taylor_check_nonfinite_spin_matrix_exits_2(scale, capsys):
     assert code == 2
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1
     assert "error=" not in captured.out
+    assert captured.out == ""  # no domain warning before a rung fails
 
 
 def test_sweep_out_of_memory_exits_2(tmp_path, capsys, monkeypatch):

@@ -106,6 +106,35 @@ def test_polarization_accepts_any_array_like_beam():
     assert strided.left[0] == 0
 
 
+def test_polarization_beams_are_read_only_and_keep_their_bits():
+    pol = PolarizationPair(left=CIRCULAR, right=E3)
+    for beam in (pol.left, pol.right, pol.left.view(float), np.asarray(pol.right)[1:]):
+        with pytest.raises(ValueError, match="read-only"):
+            beam[-1] = 0.5
+    cfg = ScatterConfig(q_l=0.02, q2=0.013, q3=0.4)
+    assert spin_matrix(cfg, pol).tobytes() == spin_matrix(cfg, PolarizationPair(CIRCULAR, E3)).tobytes()
+    # the floats the pair keeps are its beams' parts: spin_matrix has the bits of its batch row
+    columns = np.zeros((3, 2), dtype=complex)
+    columns[1:, 1] = [complex(-0.0, 0.3), complex(0.7, -0.0)]
+    pairs = [
+        ([0, 1, 2], [0, 0, 1]),  # ints
+        (columns[:, 1], np.array([1.0, 0.0, 0.0j])[::-1]),  # strided and reversed views
+        ([0, complex(-0.0, -0.0), complex(0.0, -1.0)], [-0.0, complex(-0.0, 1.0), -0.0]),  # signed zeros
+        (CIRCULAR, [0, complex(0.6, -0.8), complex(-0.3, 1e-300)]),  # complex right beams
+        ([0, complex(1e300, -1e-300), 1e-320], [0, complex(-5e-324, 2.0), 1e300]),  # extreme parts
+    ]
+    q2, q3 = np.array([0.0, -0.013, 2.0, 1e160]), np.array([1.0, 0.4, -0.0, 3.0])
+    for left, right in pairs:
+        pol = PolarizationPair(left=left, right=right)
+        assert list(pol._parts) == pol.left.view(float).tolist()[2:] + pol.right.view(float).tolist()[2:]
+        batch = spin_matrix_batch(0.02, q2, q3, pol.left, pol.right)
+        for i in range(len(q2)):
+            point = spin_matrix(ScatterConfig(0.02, q2[i], q3[i]), pol)
+            nan = np.isnan(point.view(float))
+            assert np.array_equal(nan, np.isnan(batch[i].view(float))), (left, right, i)
+            assert point.view(float)[~nan].tobytes() == batch[i].view(float)[~nan].tobytes(), (left, right, i)
+
+
 def test_polarization_validation_matches_reference_order():
     hypothesis = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")

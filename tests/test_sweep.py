@@ -68,7 +68,7 @@ def test_grid_spec_rejects_a_fixed_value_its_axes_set():
         message = f"a {x_name},{y_name} grid sets {name} itself: a fixed {name}={value!r} would go unread"
         with pytest.raises(ValueError, match=message):
             GridSpec(x_name, y_name, (0, 1), (1, 2), 3, 3, fixed=FixedParams(**{name: value}))
-        GridSpec(x_name, y_name, (0, 1), (1, 2), 3, 3, fixed=FixedParams(**{name: getattr(FixedParams, name)}))
+        GridSpec(x_name, y_name, (0, 1), (1, 2), 3, 3, fixed=FixedParams(**{name: FixedParams._field_defaults[name]}))
     # the value each grid does read stays free
     GridSpec("q2", "q3", (0, 1), (1, 2), 3, 3, fixed=FixedParams(theta=0.3))
     GridSpec("q3", "theta", (0, 1), (1, 2), 3, 3, fixed=FixedParams(q2=0.7))
@@ -76,7 +76,7 @@ def test_grid_spec_rejects_a_fixed_value_its_axes_set():
     pair = elliptic_polarization(0.7)
     with pytest.raises(ValueError, match="a fixed beam pair sets the left beam itself: a fixed theta=0.3 would go unread"):
         GridSpec("q2", "q3", (0, 1), (1, 2), 3, 3, fixed=FixedParams(theta=0.3, pol=pair))
-    GridSpec("q2", "q3", (0, 1), (1, 2), 3, 3, fixed=FixedParams(theta=FixedParams.theta, pol=pair))
+    GridSpec("q2", "q3", (0, 1), (1, 2), 3, 3, fixed=FixedParams(theta=FixedParams._field_defaults["theta"], pol=pair))
 
 
 def test_momentum_sweep_around_reference_point():
