@@ -9,9 +9,9 @@ coefficients of the diffracted electron (rows index the final spin).
 ``spin_matrix_batch`` computes that matrix for many configurations without the
 tensor, in a closed form of ten real coefficients and four beam bilinears with no
 cancelling diagrams, in elementwise real arithmetic only, on arrays at every size.
-``spin_matrix`` runs the same arithmetic on one configuration's Python floats,
-bit for bit its row of any batch; sweeps and the locus pass ``_kernel``'s eight real
-parts, the one internal form of a matrix, straight to the minimizer.
+``spin_matrix`` runs the same arithmetic on one configuration's Python floats and the eight beam floats
+a ``PolarizationPair`` stores, bit for bit its row of any batch; sweeps and the locus pass ``_kernel``'s
+eight real parts, the one internal form of a matrix, straight to the minimizer.
 ``_locus_inv_theta`` reads the minimum locus of the elliptic beam off the same coefficients.
 ``compton_tensor`` and ``contract_polarization`` stay as its reference.
 """
@@ -26,48 +26,44 @@ import numpy as np
 from .dirac import GAMMA_MATRICES, IDENTITY_4, bispinor_u, dirac_adjoint, slash
 from .kinematics import ScatterConfig, build_kinematics, minkowski_dot
 
-#: unit amplitude along z: the absorption beam against every elliptic emission beam
-_UNIT_Z = np.array([0.0, 0.0, 1.0], dtype=complex)
-#: (re, im) of its y and z amplitudes, as ``_kernel`` takes them
-_UNIT_Z_PARTS = _UNIT_Z.view(float).tolist()[2:]
+#: (re, im) of the y and z amplitudes of the unit z beam, the absorption beam against every elliptic one
+_UNIT_Z_PARTS = (0.0, 0.0, 1.0, 0.0)
 
 
 class PolarizationPair:
     """Complex amplitude vectors of the two counterpropagating beams.
 
-    ``left`` is the amplitude of the beam running toward -x (it takes the
-    emitted photon and enters contractions conjugated); ``right`` the beam
-    toward +x (absorbed photon).  Plane-wave transversality forces the
-    x-components to vanish exactly.  Each beam may be any array-like 3-vector,
-    a strided or reversed view included; the pair stores a contiguous complex copy,
-    read-only (an in-place write raises ValueError), beside ``_parts``: the eight (re, im)
-    floats of the y and z amplitudes, left then right, that its checks unpack and ``_kernel`` takes.
-    A pair is immutable and compares by identity.
+    ``left`` is the amplitude of the beam running toward -x (it takes the emitted photon and enters
+    contractions conjugated); ``right`` the beam toward +x (absorbed photon).  Plane-wave transversality
+    forces the x-components to vanish exactly.  Each beam may be any array-like 3-vector, a strided or
+    reversed view included.  The pair stores only ``_parts``: the eight (re, im) floats of the y and z
+    amplitudes, left then right, that its checks unpack and ``_kernel`` takes.  Each read of ``left`` or
+    ``right`` builds a fresh read-only (0, y, z) complex array from them, x = +0 (an in-place write
+    raises ValueError).  A pair is immutable and compares by identity.
     """
 
-    __slots__ = ("_left", "_right", "_parts")
-    left = property(lambda self: self._left)
-    right = property(lambda self: self._right)
+    __slots__ = ("_parts",)
+    left = property(lambda self: self._beam(0))
+    right = property(lambda self: self._beam(4))
 
     def __init__(self, left, right) -> None:
-        lit, beams, parts = False, [], ()
+        self._parts = ()
         for name, beam in (("left", left), ("right", right)):
             vec = np.array(beam, dtype=complex)
             if vec.shape != (3,):
                 raise ValueError(f"{name} amplitude must be a 3-vector")
-            values = vec.tolist()  # checks on Python complexes skip numpy's reductions
+            x, y, z = values = vec.tolist()  # checks on Python complexes skip numpy's reductions
             if not all(map(cmath.isfinite, values)):
                 raise ValueError(f"{name} amplitude must be finite")
-            x, y, z = values
             if x:
                 raise ValueError(f"{name} amplitude must have zero x-component")
-            lit = lit or any(values)
-            vec.setflags(write=False)
-            beams.append(vec)
-            parts += (y.real, y.imag, z.real, z.imag)
-        if not lit:
+            self._parts += (y.real, y.imag, z.real, z.imag)
+        if not any(self._parts):
             raise ValueError("at least one beam amplitude must be nonzero")
-        self._left, self._right, self._parts = *beams, parts
+
+    def _beam(self, start: int) -> np.ndarray:
+        (beam := _beams(*self._parts[start:start + 4])).setflags(write=False)
+        return beam
 
     def __repr__(self) -> str:
         return f"PolarizationPair(left={self.left!r}, right={self.right!r})"
@@ -79,7 +75,7 @@ def elliptic_polarization(theta: float) -> PolarizationPair:
     if not math.isfinite(theta):
         raise ValueError(f"theta must be finite, got {theta!r}")
     y, y_i, z, z_i = _elliptic_parts(float(theta))
-    return PolarizationPair(left=[0.0, complex(y, y_i), complex(z, z_i)], right=_UNIT_Z)
+    return PolarizationPair(left=[0.0, complex(y, y_i), complex(z, z_i)], right=(0.0, 0.0, 1.0))
 
 
 def compton_tensor(cfg: ScatterConfig) -> np.ndarray:
@@ -127,16 +123,20 @@ def contract_polarization(tensor: np.ndarray, pol: PolarizationPair) -> np.ndarr
 
 def elliptic_left(theta) -> np.ndarray:
     """Left-beam amplitudes (0, cos theta, i sin theta) for an array of angles, shape ``theta.shape + (3,)``."""
-    theta = np.asarray(theta, dtype=float)
-    left = np.zeros(theta.shape + (6,))  # (re, im) of the x, y and z amplitudes
-    left[..., 2], left[..., 3], left[..., 4], left[..., 5] = _elliptic_parts(theta)
-    return left.view(complex)
+    return _beams(*_elliptic_parts(np.asarray(theta, dtype=float)))
+
+
+def _beams(y, y_i, z, z_i) -> np.ndarray:
+    """(0, y, z) beams from the (re, im) parts of y and z, elementwise, shape ``np.shape(y) + (3,)``; x is +0."""
+    beams = np.zeros(np.shape(y) + (6,))  # (re, im) of the x, y and z amplitudes
+    beams[..., 2], beams[..., 3], beams[..., 4], beams[..., 5] = y, y_i, z, z_i
+    return beams.view(complex)
 
 
 def _elliptic_parts(theta):
     """(re, im) of the y and z amplitudes of the left beam (0, cos theta, i sin theta), elementwise on an array
     or a Python float: numpy's cos and sin, and 1j sin theta as numpy rounds it, (0 sin - 1 * 0, 0 * 0 + 1 sin).
-    The beam's one write-out: ``elliptic_polarization``, ``elliptic_left``, sweeps and the locus read it."""
+    The beam's one write-out: ``elliptic_polarization``'s pair keeps it; ``elliptic_left``, sweeps, the locus read it."""
     cos, sin = np.cos(theta), np.sin(theta)
     if isinstance(theta, float):  # numpy's scalars back to Python floats, whose arithmetic costs less
         cos, sin = float(cos), float(sin)

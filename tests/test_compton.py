@@ -101,7 +101,7 @@ def test_polarization_accepts_any_array_like_beam():
     contiguous = PolarizationPair(left=CIRCULAR, right=E3)
     cfg = ScatterConfig(q_l=0.02, q2=0.013, q3=0.4)
     assert spin_matrix(cfg, strided).tobytes() == spin_matrix(cfg, contiguous).tobytes()
-    # the pair holds its own copy: writing to the caller's array leaves it valid
+    # the pair keeps its beams' floats, not the caller's array: writing to that array leaves it valid
     columns[0, 0] = 1.0
     assert strided.left[0] == 0
 
@@ -113,6 +113,17 @@ def test_polarization_beams_are_read_only_and_keep_their_bits():
             beam[-1] = 0.5
     cfg = ScatterConfig(q_l=0.02, q2=0.013, q3=0.4)
     assert spin_matrix(cfg, pol).tobytes() == spin_matrix(cfg, PolarizationPair(CIRCULAR, E3)).tobytes()
+    # each read is a fresh array: one made writable and written to changes no later read, matrix or batch
+    left, matrix = pol.left.tobytes(), spin_matrix(cfg, pol).tobytes()
+    beam = pol.left
+    beam.flags.writeable = True
+    beam[1] = 5.0
+    assert pol.left.tobytes() == left and spin_matrix(cfg, pol).tobytes() == matrix
+    assert spin_matrix_batch(0.02, 0.013, 0.4, pol.left, pol.right).tobytes() == matrix
+    assert pol.left is not pol.left and not np.shares_memory(pol.left, pol.left)
+    # x is not stored: a -0.0 x component reads back as +0
+    signed = PolarizationPair(left=[complex(-0.0, -0.0), 1.0, 0.0], right=[-0.0, 0.0, 1.0])
+    assert signed.left.view(float)[:2].tobytes() == signed.right.view(float)[:2].tobytes() == bytes(16)
     # the floats the pair keeps are its beams' parts: spin_matrix has the bits of its batch row
     columns = np.zeros((3, 2), dtype=complex)
     columns[1:, 1] = [complex(-0.0, 0.3), complex(0.7, -0.0)]
