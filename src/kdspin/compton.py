@@ -11,7 +11,8 @@ tensor, in a closed form of ten real coefficients and four beam bilinears with n
 cancelling diagrams, in elementwise real arithmetic only, on arrays at every size.
 ``spin_matrix`` runs the same arithmetic on one configuration's Python floats and the eight beam floats
 a ``PolarizationPair`` stores, bit for bit its row of any batch; sweeps and the locus pass ``_kernel``'s
-eight real parts, the one internal form of a matrix, straight to the minimizer.
+eight real parts, the one internal form of a matrix, straight to the minimizer.  The elliptic pair's
+eight beam floats, the one internal form of a beam, are written once, by ``_elliptic_parts``.
 ``_locus_inv_theta`` reads the minimum locus of the elliptic beam off the same coefficients.
 ``compton_tensor`` and ``contract_polarization`` stay as its reference.
 """
@@ -25,10 +26,6 @@ import numpy as np
 
 from .dirac import GAMMA_MATRICES, IDENTITY_4, bispinor_u, dirac_adjoint, slash
 from .kinematics import ScatterConfig, build_kinematics, minkowski_dot
-
-#: (re, im) of the y and z amplitudes of the unit z beam, the absorption beam against every elliptic one
-_UNIT_Z_PARTS = (0.0, 0.0, 1.0, 0.0)
-
 
 class PolarizationPair:
     """Complex amplitude vectors of the two counterpropagating beams.
@@ -74,7 +71,7 @@ def elliptic_polarization(theta: float) -> PolarizationPair:
     a linearly polarized right beam (0, 0, 1).  Raises ValueError for a non-finite theta."""
     if not math.isfinite(theta):
         raise ValueError(f"theta must be finite, got {theta!r}")
-    y, y_i, z, z_i = _elliptic_parts(float(theta))
+    y, y_i, z, z_i = _elliptic_parts(float(theta))[:4]
     return PolarizationPair(left=[0.0, complex(y, y_i), complex(z, z_i)], right=(0.0, 0.0, 1.0))
 
 
@@ -123,7 +120,7 @@ def contract_polarization(tensor: np.ndarray, pol: PolarizationPair) -> np.ndarr
 
 def elliptic_left(theta) -> np.ndarray:
     """Left-beam amplitudes (0, cos theta, i sin theta) for an array of angles, shape ``theta.shape + (3,)``."""
-    return _beams(*_elliptic_parts(np.asarray(theta, dtype=float)))
+    return _beams(*_elliptic_parts(np.asarray(theta, dtype=float))[:4])
 
 
 def _beams(y, y_i, z, z_i) -> np.ndarray:
@@ -134,13 +131,15 @@ def _beams(y, y_i, z, z_i) -> np.ndarray:
 
 
 def _elliptic_parts(theta):
-    """(re, im) of the y and z amplitudes of the left beam (0, cos theta, i sin theta), elementwise on an array
-    or a Python float: numpy's cos and sin, and 1j sin theta as numpy rounds it, (0 sin - 1 * 0, 0 * 0 + 1 sin).
-    The beam's one write-out: ``elliptic_polarization``'s pair keeps it; ``elliptic_left``, sweeps, the locus read it."""
+    """The eight (re, im) floats of the y and z amplitudes of the elliptic pair, left then right, in the order
+    ``_kernel`` takes them: (0, cos theta, i sin theta) against (0, 0, 1), elementwise on an array or a Python
+    float.  The left beam is numpy's cos and sin, and 1j sin theta as numpy rounds it, (0 sin - 1 * 0, 0 * 0 +
+    1 sin).  The pair's one write-out: sweeps and the locus pass all eight to the kernel; ``elliptic_left`` and
+    ``elliptic_polarization`` take the left four (the latter writes its right beam as (0, 0, 1))."""
     cos, sin = np.cos(theta), np.sin(theta)
     if isinstance(theta, float):  # numpy's scalars back to Python floats, whose arithmetic costs less
         cos, sin = float(cos), float(sin)
-    return cos, 0.0, 0.0 * sin - 0.0, 0.0 + sin
+    return cos, 0.0, 0.0 * sin - 0.0, 0.0 + sin, 0.0, 0.0, 1.0, 0.0
 
 
 def spin_matrix_batch(q_l: float, q2, q3, left, right) -> np.ndarray:

@@ -2,9 +2,10 @@
 
 A sweep evaluates the spin matrix and its minimized contrast on a regular
 grid over one of the supported axis pairs, in one process: for chunks of whole
-grid rows the kernel's eight real parts go straight into the minimizer's closed
-form, broadcast over rows and columns, and a point they leave NaN is named
-after the exception the scalar forms raise for it.
+grid rows the beam pair's eight floats (a fixed pair's, or the elliptic pair's
+from ``compton._elliptic_parts``) go into the kernel, and its eight real parts
+straight into the minimizer's closed form, broadcast over rows and columns; a
+point they leave NaN is named after the exception the scalar forms raise for it.
 The minimum locus traces, for each transverse momentum q3, the inverse
 ellipticity 1/theta at which the contrast valley bottoms out: an elementary
 function of (q_l, q2, q3), tan^2(theta) = det M_y / det M_z (see
@@ -26,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .compton import _UNIT_Z_PARTS, PolarizationPair, _elliptic_parts, _kernel, _locus_inv_theta, elliptic_polarization
+from .compton import PolarizationPair, _elliptic_parts, _kernel, _locus_inv_theta
 from .contrast import NewtonStatus, _closed_form
 from .kinematics import ScatterConfig
 
@@ -149,17 +150,17 @@ class FitConvergenceError(RuntimeError):
 def _batch_rows(spec: GridSpec, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """(5, len(ys), len(xs)) contrast, alpha, phi, prob_A, prob_B of whole grid rows at a finite q_l > 0 (as
     ``run_sweep`` and ``GridSpec`` check), from the kernel's parts straight into the closed form, broadcast
-    over (row, column): one beam pair on a q2,q3 grid, as Python floats, else each row's elliptic left beam
-    against (0, 0, 1) at a float64 q2 (an int's arithmetic would round otherwise).  NaN where a beam is not
+    over (row, column): the eight floats of one pair on a q2,q3 grid, a fixed or the elliptic one, else of each
+    row's elliptic pair at a float64 q2 (an int's arithmetic would round otherwise).  NaN where a beam is not
     finite (1/theta at 0 or overflowing) or ``minimize_contrast`` rejects a matrix."""
     fixed, column = spec.fixed, ys[:, None]
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # 1/theta at 0 gives NaN beams
         if spec.x_name == "q2":
-            pol = fixed.pol if fixed.pol is not None else elliptic_polarization(fixed.theta)
-            q2, q3, beams = xs, column, pol._parts
+            q2, q3 = xs, column
+            beams = fixed.pol._parts if fixed.pol is not None else _elliptic_parts(float(fixed.theta))
         else:
             theta = column if spec.y_name == "theta" else 1.0 / column
-            q2, q3, beams = np.float64(fixed.q2), xs, [*_elliptic_parts(theta), *_UNIT_Z_PARTS]
+            q2, q3, beams = np.float64(fixed.q2), xs, _elliptic_parts(theta)
         _, ok, *fields = _closed_form(_kernel(fixed.q_l, q2, q3, *beams, np.sqrt))
     return np.where(ok, fields, math.nan)
 
@@ -245,7 +246,7 @@ def minimum_locus(
 
 def _locus_points(q_l: float, q2: float, q3, inv_theta, bracketed) -> list[LocusPoint]:
     """One ``LocusPoint`` per q3: the contrast minimum over the Bloch angles of the elliptic beam at theta
-    = 1 / inv_theta (the beam's parts, one kernel row, the minimizer's closed form), with NaN results where
+    = 1 / inv_theta (its pair's floats, one kernel row, the minimizer's closed form), with NaN results where
     ``bracketed`` is False.  A float q3, from ``minimum_locus`` with a 1/theta inside its range above 0 or
     NaN, runs on Python floats, an (N,) array as arrays.  Raises ``_no_minimum``'s ValueError at a point
     with no minimum that is bracketed or has a NaN 1/theta."""
@@ -253,14 +254,13 @@ def _locus_points(q_l: float, q2: float, q3, inv_theta, bracketed) -> list[Locus
         inv_theta = float(inv_theta)
         if not (bracketed or math.isnan(inv_theta)):
             return [LocusPoint(q3, *[math.nan] * 5, False, "unbracketed")]
-        beam = _elliptic_parts(1.0 / inv_theta)
-        scale, ok, *fields = _closed_form(_kernel(q_l, q2, q3, *beam, *_UNIT_Z_PARTS, math.sqrt))
+        scale, ok, *fields = _closed_form(_kernel(q_l, q2, q3, *_elliptic_parts(1.0 / inv_theta), math.sqrt))
         if not ok:
             raise _no_minimum(q3, inv_theta, math.isfinite(scale))
         return [LocusPoint(q3, inv_theta, *fields[1:], True, _CONVERGED)]
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # 1/theta = 0: no angle, a NaN beam
         theta = 1.0 / inv_theta
-        scale, ok, *fields = _closed_form(_kernel(q_l, q2, q3, *_elliptic_parts(theta), *_UNIT_Z_PARTS, np.sqrt))
+        scale, ok, *fields = _closed_form(_kernel(q_l, q2, q3, *_elliptic_parts(theta), np.sqrt))
     failed = np.flatnonzero(~ok & (bracketed | np.isnan(inv_theta)))
     if failed.size:
         i = failed[0]

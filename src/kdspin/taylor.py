@@ -64,9 +64,9 @@ def low_momentum_matrix(q_l: float) -> np.ndarray:
 
 
 def _contract_blocks(blocks: TaylorTensor, pol: PolarizationPair) -> np.ndarray:
-    """Polarization contraction over the expanded spatial blocks (axes 2, 3)."""
-    ly, lz = np.conj(pol.left[1:])
-    ry, rz = pol.right[1:]
+    """Polarization contraction over the expanded spatial blocks (axes 2, 3), on the pair's floats."""
+    ly, ly_i, lz, lz_i, ry, ry_i, rz, rz_i = pol._parts
+    ly, lz, ry, rz = complex(ly, -ly_i), complex(lz, -lz_i), complex(ry, ry_i), complex(rz, rz_i)
     return ly * ry * blocks.m22 + ly * rz * blocks.m23 + lz * ry * blocks.m32 + lz * rz * blocks.m33
 
 

@@ -40,6 +40,7 @@ def test_elliptic_polarization_quarter():
 def test_elliptic_polarization_linear():
     pol = elliptic_polarization(0.0)
     assert np.array_equal(pol.left, [0.0, 1.0, 0.0])
+    assert repr(pol) == "PolarizationPair(left=array([0.+0.j, 1.+0.j, 0.+0.j]), right=array([0.+0.j, 0.+0.j, 1.+0.j]))"
 
 
 def test_elliptic_polarization_squeezed():
@@ -59,13 +60,16 @@ def test_elliptic_left_matches_stack_bits():
         left = elliptic_left(theta)
         assert left.shape == stacked.shape and left.dtype == stacked.dtype
         assert left.tobytes() == stacked.tobytes()
-    # one angle's parts on Python floats, as the one-q3 locus takes them, and its beam pair
+    # one angle's eight pair floats on Python floats, as the one-q3 locus takes them, and its beam pair
     for theta in angles.tolist():
         parts = _elliptic_parts(theta)
         assert all(type(part) is float for part in parts)
-        assert np.array(parts).tobytes() == elliptic_left(theta).view(float)[2:].tobytes(), theta
+        assert np.array(parts[:4]).tobytes() == elliptic_left(theta).view(float)[2:].tobytes(), theta
+        assert np.array(parts[4:]).tobytes() == np.array([0.0, 0.0, 1.0, 0.0]).tobytes()
         if math.isfinite(theta):
-            assert elliptic_polarization(theta).left.tobytes() == elliptic_left(theta).tobytes(), theta
+            pol = elliptic_polarization(theta)
+            assert pol.left.tobytes() == elliptic_left(theta).tobytes(), theta
+            assert np.array(pol._parts).tobytes() == np.array(parts).tobytes(), theta
 
 
 def test_polarization_validation():

@@ -216,6 +216,7 @@ def test_sweep_status_names_scalar_exception(spec, statuses):
 
 TILE_CELL_SPECS = [
     GridSpec("q2", "q3", (-0.3, 0.3), (0.0, 1.2), 21, 19),
+    GridSpec("q2", "q3", (-0.3, 0.3), (0.0, 1.2), 21, 19, fixed=FixedParams(theta=-0.3)),  # left z's re is -0.0
     GridSpec("q2", "q3", (-0.3, 0.3), (0.0, 1.2), 21, 19, fixed=FixedParams(q_l=1e-4, pol=PolarizationPair(
         left=np.array([0.0, 0.6 - 0.2j, 1.5j]), right=np.array([0.0, 1.0, 0.5 + 0.5j])))),
     GridSpec("q3", "theta", (0.0, 1.2), (-1.5, 1.5), 21, 19, fixed=FixedParams(q2=0.1)),
@@ -223,7 +224,8 @@ TILE_CELL_SPECS = [
 ]
 
 
-@pytest.mark.parametrize("spec", TILE_CELL_SPECS, ids=["q2q3-elliptic", "q2q3-fixed-pair", "q3-theta", "q3-inv-theta"])
+@pytest.mark.parametrize("spec", TILE_CELL_SPECS, ids=["q2q3-elliptic", "q2q3-elliptic-negative-theta", "q2q3-fixed-pair",
+                                                       "q3-theta", "q3-inv-theta"])
 def test_tile_cell_is_the_point_path_for_any_chunking(spec, monkeypatch):
     # every cell has the bits, NaN positions and status of minimize_contrast(spin_matrix(...)) at its
     # point, and the tile keeps its bytes when each chunk holds one row or three

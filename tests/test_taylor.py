@@ -93,10 +93,13 @@ def decimal_remainder(q, pol):
 def test_error_vanishes_toward_origin():
     # the gap is the expansion's O(q^3) remainder (~sqrt(2) q^3 here), not rounding:
     # it matches the decimal remainder down to q = 1e-5, where it is ~9 eps of max|M|
-    pol = elliptic_polarization(math.pi / 4.0)
-    for q in (1e-3, 1e-4, 1e-5):
-        remainder = float(decimal_remainder(q, pol))
-        assert taylor_error(ScatterConfig(q_l=q, q2=q, q3=q), pol) == pytest.approx(remainder, rel=1e-6)
+    elliptic = elliptic_polarization(math.pi / 4.0)
+    # a general pair, with a complex right beam; at q = 1e-5 its rounding reaches ~1e-6 of the remainder
+    general = PolarizationPair(left=[0.0, 0.6 - 0.2j, 1.5j], right=[0.0, 1.0, 0.5 + 0.5j])
+    for pol, qs in ((elliptic, (1e-3, 1e-4, 1e-5)), (general, (1e-3, 1e-4))):
+        for q in qs:
+            remainder = float(decimal_remainder(q, pol))
+            assert taylor_error(ScatterConfig(q_l=q, q2=q, q3=q), pol) == pytest.approx(remainder, rel=1e-6)
 
 
 @pytest.mark.filterwarnings("error")
