@@ -11,8 +11,9 @@ tensor, in a closed form of ten real coefficients and four beam bilinears with n
 cancelling diagrams, in elementwise real arithmetic only, on arrays at every size.
 ``spin_matrix`` runs the same arithmetic on one configuration's Python floats and the eight beam floats
 a ``PolarizationPair`` stores, bit for bit its row of any batch; sweeps and the locus pass ``_kernel``'s
-eight real parts, the one internal form of a matrix, straight to the minimizer.  The elliptic pair's
-eight beam floats, the one internal form of a beam, are written once, by ``_elliptic_parts``.
+eight real parts, the one internal form of a matrix, straight to the minimizer.  ``_elliptic_parts`` writes the elliptic
+pair's eight beam floats, the one internal form of a beam, once; ``elliptic_polarization`` stores them unchecked, as they
+are finite, transverse and lit by construction: a pair's floats have no writer but it and ``PolarizationPair.__init__``.
 ``_locus_inv_theta`` reads the minimum locus of the elliptic beam off the same coefficients.
 ``compton_tensor`` and ``contract_polarization`` stay as its reference.
 """
@@ -33,10 +34,10 @@ class PolarizationPair:
     ``left`` is the amplitude of the beam running toward -x (it takes the emitted photon and enters
     contractions conjugated); ``right`` the beam toward +x (absorbed photon).  Plane-wave transversality
     forces the x-components to vanish exactly.  Each beam may be any array-like 3-vector, a strided or
-    reversed view included.  The pair stores only ``_parts``: the eight (re, im) floats of the y and z
-    amplitudes, left then right, that its checks unpack and ``_kernel`` takes.  Each read of ``left`` or
-    ``right`` builds a fresh read-only (0, y, z) complex array from them, x = +0 (an in-place write
-    raises ValueError).  A pair is immutable and compares by identity.
+    reversed view included.  The pair stores only ``_parts``, the eight (re, im) floats of the y and z amplitudes,
+    left then right, that ``_kernel`` takes, written by one of two: ``__init__`` after its checks, or
+    ``elliptic_polarization`` unchecked.  Each read of ``left`` or ``right`` builds a fresh read-only (0, y, z)
+    complex array from them, x = +0 (an in-place write raises ValueError).  A pair is immutable and compares by identity.
     """
 
     __slots__ = ("_parts",)
@@ -67,12 +68,13 @@ class PolarizationPair:
 
 
 def elliptic_polarization(theta: float) -> PolarizationPair:
-    """Elliptically polarized left beam (0, cos theta, i sin theta) against
-    a linearly polarized right beam (0, 0, 1).  Raises ValueError for a non-finite theta."""
+    """Elliptically polarized left beam (0, cos theta, i sin theta) against a linearly polarized right beam
+    (0, 0, 1).  Raises ValueError for a non-finite theta.  The pair stores ``_elliptic_parts`` unchecked: at a
+    finite theta they are finite, x is 0 and the right beam is lit, and they are the floats ``__init__`` stores."""
     if not math.isfinite(theta):
         raise ValueError(f"theta must be finite, got {theta!r}")
-    y, y_i, z, z_i = _elliptic_parts(float(theta))[:4]
-    return PolarizationPair(left=[0.0, complex(y, y_i), complex(z, z_i)], right=(0.0, 0.0, 1.0))
+    (pol := object.__new__(PolarizationPair))._parts = _elliptic_parts(float(theta))
+    return pol
 
 
 def compton_tensor(cfg: ScatterConfig) -> np.ndarray:
@@ -134,8 +136,8 @@ def _elliptic_parts(theta):
     """The eight (re, im) floats of the y and z amplitudes of the elliptic pair, left then right, in the order
     ``_kernel`` takes them: (0, cos theta, i sin theta) against (0, 0, 1), elementwise on an array or a Python
     float.  The left beam is numpy's cos and sin, and 1j sin theta as numpy rounds it, (0 sin - 1 * 0, 0 * 0 +
-    1 sin).  The pair's one write-out: sweeps and the locus pass all eight to the kernel; ``elliptic_left`` and
-    ``elliptic_polarization`` take the left four (the latter writes its right beam as (0, 0, 1))."""
+    1 sin).  The pair's one write-out: sweeps and the locus pass all eight to the kernel, ``elliptic_polarization``
+    stores all eight in its pair and ``elliptic_left`` takes the left four."""
     cos, sin = np.cos(theta), np.sin(theta)
     if isinstance(theta, float):  # numpy's scalars back to Python floats, whose arithmetic costs less
         cos, sin = float(cos), float(sin)

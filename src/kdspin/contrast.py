@@ -54,6 +54,9 @@ class NewtonStatus(str, Enum):
     CONVERGED_GRADIENT = "converged_gradient"
 
 
+_CONVERGED = NewtonStatus.CONVERGED_GRADIENT  # a module constant: the class lookup costs ~0.1 us per call
+
+
 class BlochPair(NamedTuple):
     """Spinor-pair angles: polar angle alpha and azimuth phi, in radians."""
 
@@ -273,7 +276,7 @@ def minimize_contrast(m: np.ndarray) -> ContrastResult:
     if not ok:
         raise ValueError("spin-propagation matrix overflows: |M psi_A|^2 + |M psi_B|^2 is not finite")
     value, alpha, phi, prob_a, prob_b = fields
-    return ContrastResult(value, alpha, phi, 0, NewtonStatus.CONVERGED_GRADIENT, prob_a, prob_b)
+    return ContrastResult(value, alpha, phi, 0, _CONVERGED, prob_a, prob_b)
 
 
 def minimize_contrast_batch(m: np.ndarray) -> ContrastBatch:

