@@ -146,18 +146,18 @@ def _same_file(a, a_stat, b, b_stat) -> bool:
 
 
 def _write_csv(stream, header: str, rows) -> None:
-    """Header line, then one comma-joined line per row; ``str`` of a Python float is its repr."""
-    stream.write("".join([header + "\n", *(",".join(map(str, row)) + "\n" for row in rows)]))
+    """Header line, then one comma-joined line per row of Python floats, each as its ``repr`` (``str`` adds a call)."""
+    stream.write("".join([header + "\n", *(",".join(map(repr, row)) + "\n" for row in rows)]))
 
 
 def write_tile_csv(tile: SweepTile, stream) -> None:
     """Row-major (y outer, x inner) tile CSV as ``_write_csv`` writes it, formatting x and y once."""
-    xs = list(map(str, tile.x.tolist()))
+    xs = list(map(repr, tile.x.tolist()))
     columns = (tile.contrast, tile.alpha, tile.phi, tile.prob_a, tile.prob_b)
     stream.write("x,y,contrast,alpha,phi,prob_A,prob_B,status\n")
     for j, y in enumerate(tile.y.tolist()):
-        fields = (map(str, column[j].tolist()) for column in columns)
-        rows = zip(xs, [str(y)] * len(xs), *fields, tile.status[j].tolist())
+        fields = (map(repr, column[j].tolist()) for column in columns)
+        rows = zip(xs, [repr(y)] * len(xs), *fields, tile.status[j].tolist())
         stream.write("\n".join(map(",".join, rows)) + "\n")
 
 
@@ -300,7 +300,14 @@ def cmd_locus_fit(args) -> int:
     good = [(p.q3, p.inv_theta) for p in points if p.bracketed]
     try:
         left, right = fit_locus(good)
-    except ValueError as exc:
+    except (ValueError, FitConvergenceError) as exc:
+        for stale in (f"{prefix}_fit.txt", f"{prefix}_probabilities.csv"):  # a previous run's fit, not this run's
+            try:
+                os.unlink(stale)  # str paths: two Paths would add ~5 us to every one-q3 request
+            except FileNotFoundError:
+                pass
+        if isinstance(exc, FitConvergenceError):
+            raise
         print(f"fit skipped: {exc}")
         return code
 

@@ -261,4 +261,4 @@ def spin_matrix(cfg: ScatterConfig, pol: PolarizationPair) -> np.ndarray:
     """Complex 2x2 spin-propagation matrix for one configuration and beam pair: ``spin_matrix_batch``'s
     arithmetic on Python floats (ints would round otherwise), so bit for bit its row of any batch."""
     parts = _kernel(float(cfg.q_l), float(cfg.q2), float(cfg.q3), *pol._parts, math.sqrt)
-    return np.array(parts).view(complex).reshape(2, 2)
+    return np.ndarray((2, 2), complex, np.array(parts))

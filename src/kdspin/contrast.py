@@ -35,6 +35,7 @@ tiles in 50 digits.  A contrast below (6 eps)^2 ~ 1.8e-30 cannot be told from 0.
 from __future__ import annotations
 
 import math
+import struct
 from enum import Enum
 from typing import NamedTuple
 
@@ -171,22 +172,24 @@ def _closed_form(parts) -> tuple:
     i01, r10, i10, r11, i11), as ``_kernel`` gives them: one matrix's Python floats, or arrays of one shape.
 
     ``scale`` is the largest real or imaginary part; the power of two that brings it into
-    [1/2, 1) scales the matrix exactly, so t >= 1/4 and lambda_max >= 1/8.  The fields mean
-    nothing where ``ok`` is False (scale 0 or not finite, |M|_F^2 overflowing).  One matrix's
-    parts return early where Python would raise and numpy gives inf or NaN: at a non-finite or
-    zero scale, and where 2^1024 overflows."""
+    [1/2, 1) scales the matrix exactly, so t >= 1/4 and lambda_max >= 1/8.  That factor, 2^-exp,
+    is exact wherever ``ok`` can hold (exp in [-996, 1023]), so a product with it rounds once,
+    as ``ldexp`` does.  The fields mean nothing where ``ok`` is False (scale 0 or not finite,
+    |M|_F^2 overflowing).  One matrix's parts return early where Python would raise and numpy
+    gives inf or NaN: at a non-finite or zero scale, and where 2^1024 overflows."""
     if isinstance(parts[0], float):  # one matrix
         scale = max(map(abs, parts)) if all(map(math.isfinite, parts)) else math.nan
         exp = math.frexp(scale)[1]
         if not scale > DEGENERATE_FLOOR or exp == 1024:
             return (scale, False) + (math.nan,) * 5
-        return scale, *_scaled_minimum([math.ldexp(part, -exp) for part in parts], math.ldexp(1.0, exp))
+        factor = math.ldexp(1.0, -exp)
+        return scale, *_scaled_minimum([part * factor for part in parts], math.ldexp(1.0, exp))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # one conversion; order="C" gives a stack's transposed view contiguous rows (short inner axes loop slowly)
         parts = np.asarray(parts)
         scale = np.abs(parts, order="C").max(axis=0)
         exp = np.frexp(scale)[1]
-        ok, *fields = _scaled_minimum(np.ldexp(parts, -exp, order="C"), np.ldexp(1.0, exp))
+        ok, *fields = _scaled_minimum(np.multiply(parts, np.ldexp(1.0, -exp), order="C"), np.ldexp(1.0, exp))
         return scale, ok & (scale > DEGENERATE_FLOOR), *fields
 
 
@@ -268,14 +271,13 @@ def minimize_contrast(m: np.ndarray) -> ContrastResult:
     m = np.asarray(m, dtype=complex)
     if m.shape != (2, 2):
         raise ValueError(f"expected a 2x2 matrix, got shape {m.shape}")
-    scale, ok, *fields = _closed_form(m.ravel().view(float).tolist())
+    scale, ok, value, alpha, phi, prob_a, prob_b = _closed_form(struct.unpack("8d", m.tobytes()))  # C order, native
     if not math.isfinite(scale):  # NaN where an entry is not finite
         raise ValueError("spin-propagation matrix has non-finite entries")
     if not scale > DEGENERATE_FLOOR:
         raise ValueError("spin-propagation matrix is numerically zero")
     if not ok:
         raise ValueError("spin-propagation matrix overflows: |M psi_A|^2 + |M psi_B|^2 is not finite")
-    value, alpha, phi, prob_a, prob_b = fields
     return ContrastResult(value, alpha, phi, 0, _CONVERGED, prob_a, prob_b)
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
+from math import isfinite
 from typing import NamedTuple
 
 import numpy as np
@@ -32,10 +33,10 @@ class ScatterConfig(namedtuple("ScatterConfig", "q_l q2 q3")):
     _make = classmethod(lambda cls, values: cls(*values))  # so _replace, which calls it, validates too
 
     def __new__(cls, q_l: float, q2: float = 0.0, q3: float = 0.0):
-        for name, value in (("q_l", q_l), ("q2", q2), ("q3", q3)):
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
-        if q_l <= 0.0:
+        if not (isfinite(q_l) and isfinite(q2) and isfinite(q3) and q_l > 0.0):  # one test; the loop names the value
+            for name, value in (("q_l", q_l), ("q2", q2), ("q3", q3)):
+                if not isfinite(value):
+                    raise ValueError(f"{name} must be finite, got {value!r}")
             raise ValueError(f"q_l must be positive, got {q_l!r}")
         return tuple.__new__(cls, (q_l, q2, q3))
 

@@ -374,6 +374,56 @@ def test_locus_fit_unconverged_fit_exits_3(tmp_path, capsys):
     assert not (tmp_path / "run_probabilities.csv").exists()
 
 
+@pytest.mark.parametrize("rerun, code", [(["--q3-points", "3"], 0), (["--q2", "0.05"], 3)])
+def test_locus_fit_without_a_fit_removes_the_previous_fit(rerun, code, tmp_path, capsys):
+    # a skipped (exit 0) or failed (exit 3) fit leaves no earlier run's fit report or probabilities
+    prefix = str(tmp_path / "run")
+    assert main(["locus-fit", "--out", prefix]) == 0
+    stale = [tmp_path / "run_fit.txt", tmp_path / "run_probabilities.csv"]
+    assert all(path.is_file() for path in stale)
+    capsys.readouterr()
+    assert main(["locus-fit", "--out", prefix, *rerun]) == code
+    assert not any(path.exists() for path in stale)
+    assert (tmp_path / "run_locus.csv").is_file()
+    assert main(["locus-fit", "--out", prefix, *rerun]) == code  # nothing left to remove
+    err = capsys.readouterr().err
+    assert err.count("error:") == (0 if code == 0 else 2)
+
+
+def test_locus_fit_unremovable_previous_fit_exits_4(tmp_path, capsys):
+    # an OSError other than a missing file, as from unlinking a directory, exits 4 on one last line
+    (tmp_path / "run_fit.txt").mkdir()
+    assert main(["locus-fit", "--q3-points", "3", "--out", str(tmp_path / "run")]) == 4
+    err = capsys.readouterr().err
+    assert err.endswith("\n") and err.splitlines()[-1].startswith("error: [Errno 21] Is a directory")
+    assert err.count("error:") == 1 and (tmp_path / "run_fit.txt").is_dir()
+
+
+def test_csv_writers_take_python_floats(tmp_path, monkeypatch, capsys):
+    # the writers print repr, which for a numpy float names its type ('np.float64(0.5)'): every value they see
+    # is a Python float, on a locus, a fit's probabilities, one q3's float path and a tile
+    seen, write_csv = set(), cli._write_csv
+
+    def recording(stream, header, rows):
+        rows = [tuple(row) for row in rows]
+        seen.update(type(v) for row in rows for v in row)
+        write_csv(stream, header, rows)
+
+    monkeypatch.setattr(cli, "_write_csv", recording)
+    monkeypatch.chdir(tmp_path)
+    for argv in (["locus-fit", "--q3-points", "41", "--out", "many"],
+                 ["locus-fit", "--q3-min", "0.5", "--q3-max", "0.5", "--q3-points", "1", "--out", "one"],
+                 ["locus-fit", "--ql", "1e-3", "--q3-points", "5", "--out", "unbracketed"],
+                 ["sweep", "--axes", "q3,inv_theta", "--x-range", "0,1", "--y-range", "-1,1", "--nx", "3",
+                  "--ny", "3", "--out", "tile.csv"]):
+        assert main(argv) in (0, 3)
+    assert seen == {float}
+    for path in tmp_path.glob("*.csv"):
+        for line in path.read_text().splitlines()[1:]:
+            tokens = line.split(",")[: -1 if path.name == "tile.csv" else None]  # a tile's last column is its status
+            assert [repr(float(token)) for token in tokens] == tokens, path.name
+
+
 @pytest.mark.filterwarnings("error")
 def test_locus_fit_profile_without_a_minimum_exits_3(monkeypatch, tmp_path, capsys):
     # c3 profile slopes of one sign leave no root to refine: the fit is reported, not written

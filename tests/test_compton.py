@@ -331,6 +331,23 @@ def test_one_point_mirror_symmetries_keep_contrast_bits():
     check()
 
 
+def test_batch_mirror_symmetries_keep_contrast_bits():
+    # the same maps through spin_matrix_batch and minimize_contrast_batch, which scale each matrix by
+    # one power of two: every row of seeded batches keeps contrast, prob_A and prob_B bit for bit
+    rng = np.random.default_rng(8)
+    q2, q3, theta = rng.uniform(-1.0, 1.0, 500), rng.uniform(-2.0, 2.0, 500), rng.uniform(-math.pi, math.pi, 500)
+    for q_l in (1e-4, 3e-3, 0.02, 0.1):
+        def fields(s2, s3, s_theta):
+            left = elliptic_left(s_theta * theta)
+            batch = minimize_contrast_batch(spin_matrix_batch(q_l, s2 * q2, s3 * q3, left, E3))
+            return np.array([batch.value, batch.prob_a, batch.prob_b])
+
+        base = fields(1.0, 1.0, 1.0)
+        assert not np.isnan(base).any()
+        for signs in [(s2, s3, s_theta) for s2 in (1.0, -1.0) for s3 in (1.0, -1.0) for s_theta in (1.0, -1.0)][1:]:
+            assert fields(*signs).tobytes() == base.tobytes(), (q_l, signs)
+
+
 def test_low_momentum_closed_form_matrix():
     m = spin_matrix(ScatterConfig(q_l=0.02), elliptic_polarization(math.asin(0.02)))
     target = -0.02j * np.ones((2, 2))

@@ -34,6 +34,42 @@ def test_config_rejects_bad_values():
         ScatterConfig(q_l=0.02, q2=math.inf)
 
 
+@pytest.mark.parametrize("args, message", [
+    # every field is checked for finiteness, in order, before q_l's sign
+    ((math.nan,), "q_l must be finite, got nan"),
+    ((math.inf, math.nan), "q_l must be finite, got inf"),
+    ((0.02, -math.inf), "q2 must be finite, got -inf"),
+    ((-1.0, 0.0, math.inf), "q3 must be finite, got inf"),
+    ((0.0, math.nan, math.nan), "q2 must be finite, got nan"),
+    ((np.float64(math.nan),), "q_l must be finite, got np.float64(nan)"),
+    ((math.nan, "q2"), "q_l must be finite, got nan"),
+    ((0.0,), "q_l must be positive, got 0.0"),
+    ((-0.0,), "q_l must be positive, got -0.0"),
+    ((-0.02, 0.3, -1.0), "q_l must be positive, got -0.02"),
+    ((0,), "q_l must be positive, got 0"),
+    ((-3, 1, 2), "q_l must be positive, got -3"),
+    ((np.float64(-1.0),), "q_l must be positive, got np.float64(-1.0)"),
+    ((False, True), "q_l must be positive, got False"),
+])
+def test_config_messages_name_the_first_bad_value(args, message):
+    with pytest.raises(ValueError) as err:
+        ScatterConfig(*args)
+    assert str(err.value) == message
+
+
+def test_config_keeps_numbers_and_rejects_non_numbers():
+    for args in ((1, 2, 3), (np.float64(0.5), np.float64(-1.0), np.int64(2)), (True, False, True), (5e-324, -1e308)):
+        cfg = ScatterConfig(*args)
+        assert cfg == args + (0.0,) * (3 - len(args))
+        assert [type(v) for v in cfg[:len(args)]] == [type(v) for v in args]
+    # a value isfinite cannot read raises its TypeError, unless an earlier field already failed
+    for args in (("0.02",), (0.02, None), (0.0, "q2"), (0.02, 0.0, 1j), (-1.0, 0.0, [0.0])):
+        with pytest.raises(TypeError):
+            ScatterConfig(*args)
+    with pytest.raises(ValueError, match="^q3 must be finite, got nan$"):
+        ScatterConfig(0.02)._replace(q3=math.nan)
+
+
 def test_build_kinematics_reference_point():
     kin = build_kinematics(ScatterConfig(q_l=0.02, q2=0.0, q3=1.0))
     e = math.sqrt(1.0 + 1.0 + 0.0004)

@@ -100,6 +100,10 @@ MINIMIZER_EDGES = {
     "mixed-tiny": np.array([[1e-295, 1e-320], [3e-320j, -2e-295 + 1e-320j]]),
     # parts that scale to subnormals: 1e-170 / 2^499 is below 2^-1022
     "subnormal-after-ldexp": np.array([[1e150, 1e-170], [3e-172j, complex(2e-171, 1e150)]]),
+    # the ends of the exponents that reach the scaled arithmetic, with parts that scale to subnormals;
+    # at 2^1020 |M|_F^2 overflows
+    "2^-990": 2.0**-990 * np.array([[1.0, 3e-300j], [complex(-2e-305, 0.5), 0.75 - 5e-310j]]),
+    "2^1020": 2.0**1020 * np.array([[complex(0.5, 1e-300), -0.25j], [3e-310, 1.0 - 7e-320j]]),
     "signed-zeros": np.array([[complex(-0.0, 0.0), complex(0.0, -0.0)], [1.0, complex(-0.0, -0.0)]]),
     "zero": np.zeros((2, 2)),
     "identity": np.eye(2),
@@ -136,15 +140,59 @@ def test_minimizer_edges_match_batch_rows():
             result = minimize_contrast(table[i])
             assert_same_bits([getattr(result, f) for f in FIELDS], [getattr(one, f)[0] for f in FIELDS], name)
     value = dict(zip(names, batch.value.tolist()))
-    for name in ("exp-1024", "1.7e308", "diag-2^1023", "at-floor", "zero", "nan", "inf"):
+    for name in ("exp-1024", "1.7e308", "diag-2^1023", "2^1020", "at-floor", "zero", "nan", "inf"):
         assert math.isnan(value[name]), name
-    for name in ("above-floor", "mixed-tiny", "subnormal-after-ldexp", "signed-zeros", "identity", "fold-pi"):
+    for name in ("above-floor", "mixed-tiny", "subnormal-after-ldexp", "2^-990", "signed-zeros", "identity",
+                 "fold-pi"):
         assert not math.isnan(value[name]), name
     # r == 0: every Bloch direction is optimal, and (0, 0) is returned
     for name in ("identity", "i-identity"):
         i = names.index(name)
         assert (batch.value[i], batch.alpha[i], batch.phi[i]) == (1.0, 0.0, 0.0)
     assert batch.phi[names.index("fold-pi")] == 0.0 and batch.phi[names.index("fold-pi-negative-zero")] == 0.0
+
+
+def test_scaled_matrices_match_batch_rows_at_every_exponent():
+    # one matrix per exponent k in [-990, 1020], its parts spread over up to 330 decades below 2^k, so
+    # that many scale to subnormals; the float path scales by one factor 2^-exp as the batch does, and
+    # that product rounds as ldexp does.  Above k ~ 511 |M|_F^2 overflows and both reject the matrix
+    rng = np.random.default_rng(37)
+    k = np.arange(-990, 1021)
+    parts = rng.uniform(0.5, 1.0, (len(k), 8)) * rng.choice([-1.0, 1.0], (len(k), 8))
+    parts = parts * 10.0 ** -rng.integers(0, 331, (len(k), 8)).astype(float) * np.ldexp(1.0, k)[:, None]
+    parts[np.arange(len(k)), rng.integers(0, 8, len(k))] = np.ldexp(0.75, k)  # the scale of each is 0.75 2^k
+    exp = np.frexp(np.abs(parts).max(axis=1))[1][:, None]
+    assert np.array_equal(exp[:, 0], k)
+    assert np.ldexp(parts, -exp).tobytes() == (parts * np.ldexp(1.0, -exp)).tobytes()
+    scaled = np.abs(np.ldexp(parts, -exp))
+    assert np.count_nonzero((scaled > 0.0) & (scaled < 2.0**-1022)) > 300
+    matrices = parts.view(complex).reshape(-1, 2, 2)
+    batch = minimize_contrast_batch(matrices)
+    for i, m in enumerate(matrices):
+        want = [getattr(batch, f)[i] for f in FIELDS]
+        try:
+            result = minimize_contrast(m)
+        except ValueError as exc:
+            assert math.isnan(want[0]) and "overflows" in str(exc), int(k[i])
+            continue
+        assert_same_bits([getattr(result, f) for f in FIELDS], want, int(k[i]))
+    overflow = k[np.isnan(batch.value)]
+    assert overflow.min() > 500 and overflow.tolist() == list(range(overflow.min(), 1021))
+
+
+def test_layouts_of_one_matrix():
+    # spin_matrix returns a fresh C-contiguous, writable complex128 array; minimize_contrast reads any
+    # layout or byte order of a matrix as its values
+    m = spin_matrix(ScatterConfig(0.02, -0.3, 0.8), elliptic_polarization(0.6))
+    assert (m.shape, m.dtype, m.flags.c_contiguous, m.flags.writeable) == ((2, 2), np.complex128, True, True)
+    want = repr(minimize_contrast(m))  # a float's repr round-trips its bits
+    big = np.zeros((4, 6), dtype=complex)
+    big[1::2, ::3] = m
+    for layout in (np.asfortranarray(m), m.T.copy().T, m.astype(">c16"), np.asfortranarray(m.astype(">c16")),
+                   big[1::2, ::3], m.tolist()):
+        assert repr(minimize_contrast(layout)) == want
+    m[0, 1] = 0.0  # writable, and no later call sees the write
+    assert spin_matrix(ScatterConfig(0.02, -0.3, 0.8), elliptic_polarization(0.6))[0, 1] != 0.0
 
 
 def test_one_point_is_its_row_of_a_batch_of_64():

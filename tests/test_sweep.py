@@ -554,6 +554,38 @@ def test_locus_builds_one_matrix_per_q3(monkeypatch):
     assert sum(built) == len(q3)
 
 
+def test_minimum_locus_is_even_in_q2():
+    # q2 enters 1/theta only as q2 q3 and q2 E inside hypot and as q2^2, and the kernel's q2 -> -q2 mirror
+    # keeps each matrix's singular values: at -q2, 1/theta, prob_A and prob_B keep their bits, on the
+    # array path and on one q3's float path
+    q3 = np.random.default_rng(9).uniform(0.0, 2.0, 60)
+    for q_l in (1e-6, 1e-3, 0.02):
+        for q2 in (0.01, 0.3, 1.7):
+            for grid in (q3, q3[:1]):
+                plus, minus = ([tuple(v.hex() for v in (p.inv_theta, p.prob_a, p.prob_b)) + (p.bracketed,)
+                                for p in minimum_locus(grid, inv_theta_range=(1e-3, 1e300), fixed=FixedParams(q_l, s))]
+                               for s in (q2, -q2))
+                assert minus == plus and all(row[-1] for row in plus), (q_l, q2, len(grid))
+
+
+def test_tiles_mirror_on_symmetric_axes():
+    # on these dyadic ranges linspace is exact, so each axis holds -v with every v: contrast, prob_A and
+    # prob_B keep their bits cell for cell under q2 -> -q2 and q3 -> -q3 on a q2,q3 tile and under
+    # theta -> -theta on a q3,theta tile
+    for spec, flips in (
+        (GridSpec("q2", "q3", (-0.0625, 0.0625), (-1.5, 1.5), 33, 25, FixedParams(theta=math.pi / 4.0)), (-1, -2)),
+        (GridSpec("q3", "theta", (0.25, 1.75), (-1.5, 1.5), 13, 25, FixedParams(q2=0.01)), (-2,)),
+    ):
+        tile = run_sweep(spec)
+        cells = np.array([tile.contrast, tile.prob_a, tile.prob_b])  # (3, ny, nx)
+        assert not np.isnan(cells).any()
+        for axis in flips:
+            values = tile.x if axis == -1 else tile.y
+            assert np.array_equal(values, -values[::-1])  # equal bits but at 0, which flips onto itself
+            assert np.flip(cells, axis).tobytes() == cells.tobytes(), (spec.x_name, spec.y_name, axis)
+        assert np.flip(cells, flips).tobytes() == cells.tobytes()
+
+
 def test_minimum_locus_root_at_zero_q3_for_any_q2():
     fixed = FixedParams(q2=0.01)
     (point,) = minimum_locus([0.0], fixed=fixed)
