@@ -85,6 +85,16 @@ def parse_positive_int(text: str) -> int:
     return value
 
 
+def _flag_type(parse):
+    """``parse`` as an argparse ``type``: argparse prints an ArgumentTypeError's message, not a ValueError's."""
+    def convert(text):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return convert
+
+
 def _format(value) -> str:
     return repr(float(value))
 
@@ -384,13 +394,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 @functools.cache
-def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """``build_parser()`` and its command parsers by name, the ``choices`` of its subparsers action."""
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser], dict[str, tuple]]:
+    """``build_parser()``, its command parsers by name, and each one's table for ``_parse_exact``: namespace defaults
+    in argparse's order (actions', then ``set_defaults``), long flags that store a value or True, required dests."""
     parser = argparse.ArgumentParser(
         prog="kdspin",
         description="Spin-dependent two-photon Bragg diffraction: contrast maps and fits.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    positive_int = _flag_type(parse_positive_int)
 
     def add_momenta(p):
         p.add_argument("--ql", type=float, default=0.02, help="photon momentum q_l (default 0.02)")
@@ -399,12 +411,12 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
     def add_beams(p):
         p.add_argument(
             "--theta",
-            type=parse_angle,
+            type=_flag_type(parse_angle),
             help="left-beam ellipticity angle (radians or 'pi/4' style; default pi/4)",
         )
-        p.add_argument("--pol-l", type=parse_polarization, default=None, metavar="RE,IM,...",
+        p.add_argument("--pol-l", type=_flag_type(parse_polarization), default=None, metavar="RE,IM,...",
                        help="left amplitude as re,im pairs (instead of --theta)")
-        p.add_argument("--pol-r", type=parse_polarization, default=None, metavar="RE,IM,...",
+        p.add_argument("--pol-r", type=_flag_type(parse_polarization), default=None, metavar="RE,IM,...",
                        help="right amplitude as re,im pairs (default 0,0,0,0,1,0)")
 
     p_point = sub.add_parser("point", help="single configuration: matrix, contrast, angles")
@@ -419,14 +431,13 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
     p_sweep.set_defaults(q2=None)  # so cmd_sweep can reject --q2 or --theta when the grid's axes set it
     p_sweep.add_argument("--axes", required=True, type=lambda s: tuple(s.split(",")),
                          help="axis pair: q2,q3 or q3,theta or q3,inv_theta")
-    p_sweep.add_argument("--x-range", required=True, type=lambda s: [float(v) for v in s.split(",")],
-                         metavar="LO,HI")
-    p_sweep.add_argument("--y-range", required=True, type=lambda s: [float(v) for v in s.split(",")],
-                         metavar="LO,HI")
+    floats = _flag_type(lambda s: [float(v) for v in s.split(",")])
+    p_sweep.add_argument("--x-range", required=True, type=floats, metavar="LO,HI")
+    p_sweep.add_argument("--y-range", required=True, type=floats, metavar="LO,HI")
     p_sweep.add_argument("--nx", type=int, default=201)
     p_sweep.add_argument("--ny", type=int, default=201)
     p_sweep.add_argument("--out", required=True, help="output CSV path")
-    p_sweep.add_argument("--workers", type=parse_positive_int, default=os.cpu_count() or 1,
+    p_sweep.add_argument("--workers", type=positive_int, default=os.cpu_count() or 1,
                          help="accepted for compatibility; evaluation runs in one process")
     p_sweep.add_argument("--heatmap-column", choices=HEATMAP_COLUMNS, default=None)
     p_sweep.add_argument("--heatmap-out", default=None, help="heatmap path (default: out with .pgm)")
@@ -437,13 +448,13 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
     add_momenta(p_locus)
     p_locus.add_argument("--q3-min", type=float, default=0.0)
     p_locus.add_argument("--q3-max", type=float, default=1.0)
-    p_locus.add_argument("--q3-points", type=parse_positive_int, default=201)
+    p_locus.add_argument("--q3-points", type=positive_int, default=201)
     p_locus.add_argument("--inv-theta-min", type=float, default=1.0)
     p_locus.add_argument("--inv-theta-max", type=float, default=100.0)
     p_locus.add_argument("--inv-theta-points", type=int, default=400,
                          help="accepted for compatibility (at least 3); the locus is a closed form")
     p_locus.add_argument("--out", required=True, help="output path prefix")
-    p_locus.add_argument("--workers", type=parse_positive_int, default=os.cpu_count() or 1,
+    p_locus.add_argument("--workers", type=positive_int, default=os.cpu_count() or 1,
                          help="accepted for compatibility; evaluation runs in one process")
     p_locus.set_defaults(func=cmd_locus_fit)
 
@@ -451,10 +462,19 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
     add_beams(p_taylor)  # the ladder sets q_l = q2 = q3 = scale
     p_taylor.add_argument("--scale", type=float, default=1e-2,
                           help="largest momentum scale of the halving ladder")
-    p_taylor.add_argument("--halvings", type=parse_positive_int, default=4)
+    p_taylor.add_argument("--halvings", type=positive_int, default=4)
     p_taylor.set_defaults(func=cmd_taylor_check)
 
-    return parser, sub.choices
+    exact = {}
+    for name, p in sub.choices.items():
+        defaults = {}
+        for dest, value in [(a.dest, a.default) for a in p._actions] + [*p._defaults.items()]:
+            if dest is not argparse.SUPPRESS and value is not argparse.SUPPRESS:
+                defaults.setdefault(dest, value)
+        flags = {flag: a for flag, a in p._option_string_actions.items() if flag.startswith("--")
+                 and type(a) in (argparse._StoreAction, argparse._StoreTrueAction) and a.nargs in (None, 0)}
+        exact[name] = defaults, flags, [a.dest for a in p._actions if a.required]
+    return parser, sub.choices, exact
 
 
 def _join_dashed_values(argv: list[str]) -> list[str]:
@@ -472,15 +492,42 @@ def _join_dashed_values(argv: list[str]) -> list[str]:
     return joined
 
 
+def _parse_exact(table: tuple, tokens: list[str]) -> argparse.Namespace | None:
+    """The namespace a command's parser returns for ``tokens``, from its ``_parsers`` table, or None for argparse
+    to parse them: a token not exactly a flag (help, ``--``, an abbreviation), a store_true flag given a value, a
+    value missing, ``--``, dash-led in the next token or rejected by its type or choices, a missing required flag."""
+    defaults, flags, required = table
+    given, tokens = {}, iter(tokens)
+    for token in tokens:
+        flag, eq, value = token.partition("=")
+        action = flags.get(flag)
+        if action is None or eq and action.nargs == 0:
+            return None
+        if action.nargs is None:
+            value = value if eq else next(tokens, "-")
+            if value == "--" or value.startswith("-") and not eq:
+                return None
+            try:
+                value = value if action.type is None else action.type(value)
+            except (argparse.ArgumentTypeError, TypeError, ValueError):  # what argparse reports as an error
+                return None
+            if action.choices is not None and value not in action.choices:
+                return None
+        given[action.dest] = action.const if action.nargs == 0 else value
+    return argparse.Namespace(**{**defaults, **given}) if all(dest in given for dest in required) else None
+
+
 def parse_argv(argv) -> argparse.Namespace:
-    """``build_parser().parse_args`` of ``argv``, dashed values joined, in one pass: a first token that
-    names a command goes to that command's parser alone, and the top-level parser does the rest."""
+    """``build_parser().parse_args`` of ``argv``, dashed values joined, in one pass: a first token that names
+    a command goes to ``_parse_exact``, else to that command's parser alone; the top-level parser does the rest."""
     argv = _join_dashed_values(list(argv))
-    parser, commands = _parsers()
+    parser, commands, exact = _parsers()
     if argv and argv[0] in commands:
-        args, extras = commands[argv[0]].parse_known_args(argv[1:])
-        if extras:
-            parser.error(f"unrecognized arguments: {' '.join(extras)}")
+        args = _parse_exact(exact[argv[0]], argv[1:])
+        if args is None:
+            args, extras = commands[argv[0]].parse_known_args(argv[1:])
+            if extras:
+                parser.error(f"unrecognized arguments: {' '.join(extras)}")
         return args
     return parser.parse_args(argv)
 
@@ -488,8 +535,8 @@ def parse_argv(argv) -> argparse.Namespace:
 def main(argv=None) -> int:
     """Run one kdspin command; returns its exit code.
 
-    ``argv`` is parsed once, by its command's parser (``parse_argv``); the
-    top-level parser serves help, unknown commands and leftover tokens.  A
+    ``argv`` is parsed once (``parse_argv``): an argv of exact flags with
+    valid values without argparse, any other by argparse.  A
     flag value that argparse rejects (an unparsable number or angle, a count
     such as ``--workers`` below 1, a missing required flag) raises
     ``SystemExit(2)`` after argparse prints its usage and ``error:`` line.

@@ -218,12 +218,11 @@ def _momentum_terms(q_l, q2, q3, sqrt):
     return e, k, h, ((1.0 - q3) * (1.0 + q3) + q2 * q2) * k + q_l * q_l * h
 
 
-@np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def _locus_inv_theta(q_l, q2, q3, sqrt):
-    """1/theta of the contrast minimum over the elliptic beam (0, cos theta, i sin theta) against
-    (0, 0, 1) at each q3, in elementary functions of (q_l, q2, q3); NaN where a momentum's square
-    overflows, as in the kernel.  Elementwise, as ``_kernel`` is: on an array of q3 with ``np.sqrt``,
-    or on Python floats with ``math.sqrt`` (numpy's hypot and arctan2 on them give a numpy scalar).
+    """1/theta of the contrast minimum over the elliptic beam (0, cos theta, i sin theta) against (0, 0, 1) at each
+    q3, in elementary functions of (q_l, q2, q3); NaN where a momentum's square overflows, as in the kernel.
+    Elementwise, as ``_kernel`` is: on an array of q3 with ``np.sqrt`` under the caller's ``np.errstate``, or on
+    Python floats with ``math.sqrt`` (numpy's hypot and arctan2 results taken as floats; inf where theta = 0).
 
     The kernel is linear in the conjugated emission amplitude, so M(theta) = cos(theta)
     (M_y - i u M_z), u = tan(theta), with M_y, M_z the spin matrices of the unit y and z beams.
@@ -251,10 +250,11 @@ def _locus_inv_theta(q_l, q2, q3, sqrt):
     q_l^2 / ((1 + q2^2) ((1 + q_l^2 h)^2 + (q_l q2 E h)^2)).
     """
     e, k, h, c_zz = _momentum_terms(q_l, q2, q3, sqrt)
-    root_k = sqrt(k)
-    tan_num = root_k * np.hypot(2.0 * q2 * q3 * root_k, q_l)
-    tan_den = np.hypot(c_zz, q_l * h * np.hypot(q2 * e, q3 * (e + 2.0)))
-    return 1.0 / np.arctan2(tan_num, tan_den)
+    root_k, num = sqrt(k), float if isinstance(q3, float) else np.asarray
+    tan_num = root_k * num(np.hypot(2.0 * q2 * q3 * root_k, q_l))
+    tan_den = np.hypot(c_zz, q_l * h * num(np.hypot(q2 * e, q3 * (e + 2.0))))
+    theta = num(np.arctan2(tan_num, tan_den))
+    return math.inf if num is float and theta == 0.0 else 1.0 / theta
 
 
 def spin_matrix(cfg: ScatterConfig, pol: PolarizationPair) -> np.ndarray:

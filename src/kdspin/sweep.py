@@ -239,8 +239,11 @@ def minimum_locus(
     if inv_theta_points < 3:
         raise ValueError(f"inv_theta_points must be at least 3, got {inv_theta_points!r}")
     q_l, q2, q3 = _locus_entry(fixed, q3_values)
-    q3 = q3.item() if len(q3) == 1 else q3  # one q3 runs on Python floats, to the bits of its batch row
-    inv_theta = _locus_inv_theta(q_l, q2, q3, math.sqrt if isinstance(q3, float) else np.sqrt)
+    if len(q3) == 1:  # one q3 runs on Python floats, to the bits of its batch row
+        inv_theta = _locus_inv_theta(q_l, q2, q3 := q3.item(), math.sqrt)
+    else:
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # NaN where a square overflows
+            inv_theta = _locus_inv_theta(q_l, q2, q3, np.sqrt)
     return _locus_points(q_l, q2, q3, inv_theta, (inv_theta > lo) & (inv_theta < hi))
 
 

@@ -8,6 +8,8 @@ import sys
 import threading
 from pathlib import Path
 
+import hypothesis
+import hypothesis.strategies as st
 import numpy as np
 import pytest
 
@@ -208,6 +210,25 @@ def test_sweep_bad_axes(capsys):
     assert code == 2
 
 
+#: argvs whose flag value a type callable rejects, and the last stderr line: its ValueError's message
+FLAG_VALUE_ERRORS = {
+    ("sweep", "--axes", "q2,q3", "--x-range", "0,x", "--y-range", "0,1", "--out", "unused.csv"):
+        "kdspin sweep: error: argument --x-range: could not convert string to float: 'x'",
+    ("sweep", "--axes", "q2,q3", "--x-range", "0,1", "--y-range", "0,1", "--out", "unused.csv", "--workers", "1.5"):
+        "kdspin sweep: error: argument --workers: invalid literal for int() with base 10: '1.5'",
+    ("point", "--theta", "foo"):
+        "kdspin point: error: argument --theta: cannot parse angle 'foo' (use radians or e.g. 'pi/4', '3pi/8')",
+    ("taylor-check", "--theta", "pi/0"):
+        "kdspin taylor-check: error: argument --theta: cannot parse angle 'pi/0': zero denominator",
+    ("point", "--pol-r", "1,2,3"):
+        "kdspin point: error: argument --pol-r: polarization needs 6 numbers (re,im pairs), got 3",
+    ("taylor-check", "--pol-l", "0,0,1,0,x,0"): "kdspin taylor-check: error: argument --pol-l: could not convert "
+                                                "string to float: 'x'",
+    ("locus-fit", "--out", "unused", "--q3-points", "x"):
+        "kdspin locus-fit: error: argument --q3-points: invalid literal for int() with base 10: 'x'",
+}
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -222,13 +243,17 @@ def test_sweep_bad_axes(capsys):
         # flags a command does not read: the taylor ladder sets every momentum, q3 is a sweep axis
         ["taylor-check", "--ql", "7"],
         ["sweep", "--axes", "q2,q3", "--x-range", "0,1", "--y-range", "0,1", "--out", "unused.csv", "--q3", "0.5"],
+        *map(list, FLAG_VALUE_ERRORS),
     ],
 )
 def test_bad_flag_value_exits_2(argv, capsys):
     with pytest.raises(SystemExit) as err:
         main(argv)
     assert err.value.code == 2
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error:" in err
+    if tuple(argv) in FLAG_VALUE_ERRORS:  # the message says what is wrong with the value
+        assert err.splitlines()[-1] == FLAG_VALUE_ERRORS[tuple(argv)]
 
 
 def test_sweep_failed_points_recorded(tmp_path, capsys):
@@ -646,12 +671,65 @@ def _parse_outcome(parse, argv, capsys):
     return outcome, capsys.readouterr()
 
 
+def _two_pass_parse(argv):
+    """The reference ``parse_argv`` must equal: the top-level parser's ``parse_args`` of the joined argv."""
+    return cli.build_parser().parse_args(cli._join_dashed_values(list(argv)))
+
+
 @pytest.mark.parametrize("argv", PARSE_CORPUS, ids=lambda argv: " ".join(argv) or "<none>")
 def test_one_pass_parse_equals_two_pass_parse(argv, capsys):
-    def reference(argv):
-        return cli.build_parser().parse_args(cli._join_dashed_values(list(argv)))
+    assert _parse_outcome(cli.parse_argv, argv, capsys) == _parse_outcome(_two_pass_parse, argv, capsys)
 
-    assert _parse_outcome(cli.parse_argv, argv, capsys) == _parse_outcome(reference, argv, capsys)
+
+def test_fuzz_argvs_parse_as_two_pass_parse(capsys):
+    # the exit-code fuzz's 400 argvs, each parsed only: the exact-flag path takes most of them
+    from test_cli_fuzz import FLAGS, _argvs
+
+    argvs = [argv for command in FLAGS for argv in _argvs(command)]
+    for argv in argvs:
+        assert _parse_outcome(cli.parse_argv, argv, capsys) == _parse_outcome(_two_pass_parse, argv, capsys), argv
+    exact = [argv for argv in argvs if cli._parse_exact(cli._parsers()[2][argv[0]], cli._join_dashed_values(argv)[1:])]
+    assert len(argvs) == 400 and len(exact) > 300, len(exact)
+
+
+#: tokens beside each command's own flags and values: help, ``--``, abbreviations, a store_true flag or a
+#: flag given an '=' value argparse treats apart, positionals, and values with dashes, spaces or none
+ODD_TOKENS = ["--", "-", "", "-h", "--help", "-x", "--bogus", "extra", "point", "--q", "--q3-m", "--heat", "--log",
+              "--out=", "--out=--", "--out=-", "--log-scale=1", "--log-scale=", "--theta=pi/4", "--ql=-1", "--q3=",
+              "--heatmap-column=contrast", "--x-range=-0.05,0.05"]
+ANY_VALUES = ["0.5", "1", "3", "0", "-1", "-0.5", "1e-3", "nan", "-inf", "pi/4", "-pi/2", "3pi/8", "x", "", "a b",
+              " 1", "- 1", "1,2", "0,1", "-0.05,0.05", "0,0,1,0,0,1", "q2,q3", "contrast", "bogus", "-", "--", "-x"]
+#: values every flag's type and choices accept (a count flag's "1" included), by flag
+GOOD_VALUES = {"--heatmap-column": ["contrast", "phi"], "--theta": ["pi/4", "-pi/2", "0.3"],
+               "--pol-l": ["0,0,1,0,0,1", "0,0,0,0,1,0"], "--pol-r": ["0,0,1,0,0,1", "0,0,0,0,1,0"]}
+REQUIRED = {"sweep": ["--axes", "q2,q3", "--x-range", "0,1", "--y-range", "0,1", "--out", "t.csv"],
+            "locus-fit": ["--out", "run"]}
+
+
+@pytest.mark.parametrize("command", ["point", "sweep", "locus-fit", "taylor-check"])
+def test_exact_flag_parse_equals_two_pass_parse(command, capsys):
+    # token sequences over the command's flags with good or any values, in the next token or after '=',
+    # flags alone (repeated ones among them) and ODD_TOKENS, after the required flags or not: the
+    # namespace (key order included), or SystemExit code, stdout and stderr, equal argparse's
+    flags = sorted(flag for flag in cli._parsers()[1][command]._option_string_actions if flag.startswith("--"))
+    flag = st.sampled_from(flags)
+    good = st.sampled_from([(f, value) for f in flags for value in GOOD_VALUES.get(f, ["1", "3", "-2"])])
+    pair = st.tuples(flag, st.sampled_from(ANY_VALUES))
+    odd = st.one_of(pair, pair.map(lambda p: ("=".join(p),)), st.tuples(flag), st.tuples(st.sampled_from(ODD_TOKENS)))
+    exact = []
+
+    @hypothesis.settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(st.integers(0, 3), st.lists(st.one_of(good, good.map(lambda p: ("=".join(p),))), max_size=5),
+                      st.lists(odd, max_size=2), st.integers(0, 5))
+    def check(required, chunks, odd_chunks, at):  # the required flags first, three times in four
+        chunks[at:at] = odd_chunks
+        argv = [command, *(REQUIRED.get(command, []) if required else []), *(t for c in chunks for t in c)]
+        outcome = _parse_outcome(cli.parse_argv, argv, capsys)
+        assert outcome == _parse_outcome(_two_pass_parse, argv, capsys), argv
+        exact.append(cli._parse_exact(cli._parsers()[2][command], cli._join_dashed_values(argv)[1:]) is not None)
+
+    check()
+    assert min(sum(exact), len(exact) - sum(exact)) >= 20, sum(exact)  # both paths, often
 
 
 @pytest.mark.parametrize("argv, joined", [
@@ -676,20 +754,24 @@ def test_join_dashed_values(argv, joined):
     assert cli._join_dashed_values(argv) == joined
 
 
-@pytest.mark.parametrize("argv", [
-    ["point", "--q3", "1"],
-    ["sweep", "--axes", "q2,q3", "--x-range", "0,1", "--y-range", "0,1", "--nx", "2", "--ny", "2", "--out", "t.csv"],
-    ["locus-fit", "--q3-min", "0.5", "--q3-max", "0.5", "--q3-points", "1", "--out", "run"],
-    ["taylor-check", "--halvings", "2"],
-], ids=lambda argv: argv[0])
-def test_one_parse_per_call(argv, tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("argv, parses", [
+    (["point", "--q3", "1"], []),
+    (["sweep", "--axes", "q2,q3", "--x-range", "0,1", "--y-range", "0,1", "--nx", "2", "--ny", "2", "--out", "t.csv"],
+     []),
+    (["locus-fit", "--q3-min", "0.5", "--q3-max", "0.5", "--q3-points", "1", "--out", "run"], []),
+    (["taylor-check", "--halvings", "2"], []),
+    (["locus-fit", "--q3-min", "0.5", "--q3-max", "0.5", "--q3-p", "1", "--out", "run"], ["kdspin locus-fit"]),
+], ids=["point", "sweep", "locus-fit", "taylor-check", "abbreviated"])
+def test_one_parse_per_call(argv, parses, tmp_path, capsys, monkeypatch):
+    # an argv of exact flags skips argparse's parse; any other, here an abbreviation, is parsed once,
+    # by its command's parser alone
     calls = []
     parse_known_args = argparse.ArgumentParser.parse_known_args
     monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args",
                         lambda self, *a, **k: calls.append(self.prog) or parse_known_args(self, *a, **k))
     monkeypatch.chdir(tmp_path)
     assert main(argv) == 0
-    assert calls == [f"kdspin {argv[0]}"]
+    assert calls == parses
 
 
 def test_sweep_to_dev_null():

@@ -348,6 +348,59 @@ def test_batch_mirror_symmetries_keep_contrast_bits():
             assert fields(*signs).tobytes() == base.tobytes(), (q_l, signs)
 
 
+def test_batch_mirror_symmetries_map_the_bloch_vector():
+    # the N = 1 maps of n(alpha, phi) on the batch path: diag(1, -1, 1) under q2 -> -q2, diag(1, 1, -1)
+    # under q3 -> -q3 and -n under theta -> -theta, within 8 eps wherever (1 - c) / (1 + c) > 1e-6
+    rng = np.random.default_rng(9)
+    q2, q3, theta = rng.uniform(-1.0, 1.0, 500), rng.uniform(-2.0, 2.0, 500), rng.uniform(-math.pi, math.pi, 500)
+    mirrors = {(-1.0, 1.0, 1.0): (1.0, -1.0, 1.0), (1.0, -1.0, 1.0): (1.0, 1.0, -1.0), (1.0, 1.0, -1.0): (-1.0,) * 3}
+    for q_l in (1e-4, 3e-3, 0.02, 0.1):
+        def bloch(s2, s3, s_theta):
+            left = elliptic_left(s_theta * theta)
+            batch = minimize_contrast_batch(spin_matrix_batch(q_l, s2 * q2, s3 * q3, left, E3))
+            sin_alpha, phi = np.sin(batch.alpha), batch.phi
+            return batch.value, np.array([sin_alpha * np.cos(phi), sin_alpha * np.sin(phi), np.cos(batch.alpha)])
+
+        contrast, base = bloch(1.0, 1.0, 1.0)
+        defined = (1.0 - contrast) / (1.0 + contrast) > 1e-6  # n is defined where lambda_min < lambda_max
+        assert defined.sum() > 450, q_l
+        for signs, flips in mirrors.items():
+            error = np.abs(bloch(*signs)[1] - np.array(flips)[:, None] * base)[:, defined]
+            assert error.max() <= 8.0 * EPS, (q_l, signs, error.max())
+
+
+def test_general_beam_mirrors_keep_contrast_bits():
+    # q2 -> -q2 or q3 -> -q3 with both beams' z (or y) amplitudes negated, and then both beams conjugated
+    # too, keeps contrast, prob_A and prob_B bit for bit on seeded complex pairs, in a batch and on the
+    # N = 1 path; without the beam flip the contrast changes
+    rng = np.random.default_rng(10)
+    n = 400
+    q2, q3 = rng.uniform(-1.0, 1.0, n), rng.uniform(-2.0, 2.0, n)
+    left, right = (rng.normal(size=(n, 3)) + 1j * rng.normal(size=(n, 3)) for _ in range(2))
+    left[:, 0] = right[:, 0] = 0.0
+
+    def flip(beams, component):
+        beams = beams.copy()
+        beams[:, component] *= -1.0
+        return beams
+
+    def fields(q2, q3, left, right):
+        batch = minimize_contrast_batch(spin_matrix_batch(0.02, q2, q3, left, right))
+        one = [minimize_contrast(spin_matrix(ScatterConfig(0.02, q2[i], q3[i]), PolarizationPair(left[i], right[i])))
+               for i in range(0, n, 40)]
+        one = np.array([(r.value, r.prob_a, r.prob_b) for r in one])
+        return np.array([batch.value, batch.prob_a, batch.prob_b]), one
+
+    base = fields(q2, q3, left, right)
+    assert not np.isnan(base[0]).any()
+    for s2, s3 in ((-1.0, 1.0), (1.0, -1.0)):
+        for component in (1, 2):
+            for conj in (lambda b: b, np.conj):
+                mirrored = fields(s2 * q2, s3 * q3, conj(flip(left, component)), conj(flip(right, component)))
+                assert all(m.tobytes() == b.tobytes() for m, b in zip(mirrored, base)), (s2, s3, component, conj)
+        assert not np.array_equal(fields(s2 * q2, s3 * q3, left, right)[0][0], base[0][0])
+
+
 def test_low_momentum_closed_form_matrix():
     m = spin_matrix(ScatterConfig(q_l=0.02), elliptic_polarization(math.asin(0.02)))
     target = -0.02j * np.ones((2, 2))

@@ -16,7 +16,8 @@ import hypothesis.strategies as st
 import numpy as np
 import pytest
 
-from kdspin.compton import PolarizationPair, elliptic_left, elliptic_polarization, spin_matrix, spin_matrix_batch
+from kdspin.compton import (PolarizationPair, _locus_inv_theta, elliptic_left, elliptic_polarization, spin_matrix,
+                            spin_matrix_batch)
 from kdspin.contrast import DEGENERATE_FLOOR, minimize_contrast, minimize_contrast_batch
 from kdspin.kinematics import ScatterConfig
 from kdspin.sweep import FitModel, FixedParams, locus_probabilities, minimum_locus
@@ -274,6 +275,19 @@ def test_one_q3_locus_edges_match_batch_rows(q_l, q2):
     fixed = FixedParams(q_l=q_l, q2=q2)
     assert_one_q3_is_its_batch_row(lambda q3: minimum_locus(q3, fixed=fixed), LOCUS_EDGE_Q3)
     assert_one_q3_is_its_batch_row(lambda q3: locus_probabilities(*PAPER_FIT, q3, fixed=fixed), LOCUS_EDGE_Q3)
+
+
+def test_locus_inv_theta_on_floats_is_its_array_row():
+    # the float path takes numpy's hypot and arctan2 results as Python floats, without np.errstate: each
+    # value is a float with its array row's bits, no warning is raised (the suite turns them into errors),
+    # and where tan_num underflows to 0 (q_l = 1e-301, q3 = 1e154) it is numpy's 1/0 = inf, not a raise
+    for q_l, q2 in LOCUS_EDGES:
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            row = _locus_inv_theta(q_l, q2, np.array(LOCUS_EDGE_Q3), np.sqrt)
+        one = [_locus_inv_theta(q_l, q2, q3, math.sqrt) for q3 in LOCUS_EDGE_Q3]
+        assert all(type(value) is float for value in one), (q_l, q2)
+        assert_same_bits(np.array(one), row, (q_l, q2))
+    assert _locus_inv_theta(1e-301, 0.0, 1e154, math.sqrt) == math.inf
 
 
 def test_one_q3_locus_is_its_row_among_seeded_neighbours():

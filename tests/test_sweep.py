@@ -535,6 +535,35 @@ def test_minimum_locus_is_four_over_pi_at_unit_q3(q_l):
         assert abs(point.inv_theta - 4.0 / math.pi) <= 1e-15 * 4.0 / math.pi, point
 
 
+def _locus_both_paths(q3, q_l):
+    """``minimum_locus`` at q2 = 0 over a 1/theta range that holds every minimum: the array path on all of
+    ``q3``, then the float path on each q3 alone."""
+    bounds, fixed = (1e-3, 1e300), FixedParams(q_l=q_l)
+    return [*minimum_locus(q3, inv_theta_range=bounds, fixed=fixed),
+            *(minimum_locus([v], inv_theta_range=bounds, fixed=fixed)[0] for v in q3)]
+
+
+@pytest.mark.parametrize("q_l", [1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8])
+def test_minimum_locus_small_q_l_limits(q_l):
+    # at q2 = 0, tan^2(theta*) = q_l^2 (1 + q3^2) / (x^2 + v^2), x = 1 - q3^2 + q_l^2 / (E + 1), v = q_l q3
+    # (E + 2) / (E + 1) (``_locus_inv_theta``), so
+    # - outer, q3 away from 1: q_l / tan(theta*) -> |1 - q3^2| / sqrt(1 + q3^2), relative gap about
+    #   x's shift over 1 - q3^2 plus v^2 / (2 (1 - q3^2)^2): at most 2.5 q_l^2 / (1 - q3^2)^2, measured;
+    # - inner, |q3 - 1| <= 5 q_l: tan(theta*) -> q_l / (sqrt(2) sqrt((q3 - 1)^2 + q_l^2 / 2)), the right
+    #   branch's hyperbola in cot(theta*), relative gap at most 3.2 q_l^2, measured.
+    # Bounds: 4 q_l^2 / (1 - q3^2)^2 and 5 q_l^2, plus rounding (at most 12 eps measured, at q_l = 1e-8)
+    outer = np.concatenate([np.linspace(0.0, 0.9, 10), np.linspace(1.1, 2.0, 10)])
+    for p in _locus_both_paths(outer, q_l):
+        limit = abs(1.0 - p.q3 * p.q3) / math.sqrt(1.0 + p.q3 * p.q3)
+        gap = abs(q_l / math.tan(1.0 / p.inv_theta) / limit - 1.0)
+        assert p.bracketed and gap <= 4.0 * q_l**2 / (1.0 - p.q3 * p.q3) ** 2 + 32.0 * EPS, (p, gap)
+    for p in _locus_both_paths(1.0 + np.linspace(-5.0, 5.0, 11) * q_l, q_l):
+        d = p.q3 - 1.0  # exact: q3 is within a factor 2 of 1
+        limit = q_l / (math.sqrt(2.0) * math.sqrt(d * d + q_l * q_l / 2.0))
+        gap = abs(math.tan(1.0 / p.inv_theta) / limit - 1.0)
+        assert p.bracketed and gap <= 5.0 * q_l**2 + 16.0 * EPS, (p, gap)
+
+
 def test_locus_builds_one_matrix_per_q3(monkeypatch):
     # the locus is a closed form in (q_l, q2, q3), so the kernel runs on exactly
     # one matrix per q3, at its 1/theta, also where the cross term survives
