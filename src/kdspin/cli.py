@@ -99,6 +99,13 @@ def _format(value) -> str:
     return repr(float(value))
 
 
+def _posix_name(name: str) -> str:
+    """``str(pathlib.PurePosixPath(name))`` without the path object: a root of '//' (not '///') or '/' kept,
+    then the parts that are neither empty nor '.'."""
+    root = "//" if name[:2] == "//" and name[2:3] != "/" else "/" if name[:1] == "/" else ""
+    return root + "/".join([part for part in name.split("/") if part and part != "."]) or "."
+
+
 def _polarization_from_args(args) -> PolarizationPair:
     if args.pol_l is not None and args.theta is not None:
         raise ValueError("--theta is not read when --pol-l is given: --pol-l sets the left beam")
@@ -288,7 +295,9 @@ def cmd_locus_fit(args) -> int:
     if not math.isfinite(args.q3_max - args.q3_min):  # an inf or NaN end, or a width linspace would overflow
         raise ValueError("--q3-min and --q3-max must be finite with a finite width, "
                          f"got {args.q3_min!r}, {args.q3_max!r}")
-    q3_values = np.linspace(args.q3_min, args.q3_max, args.q3_points)
+    lo, hi = args.q3_min, args.q3_max
+    # one q3 stays a Python float: linspace's arithmetic for one point, arange(1) * (hi - lo) + lo (-0.0 gives 0.0)
+    q3_values = [0.0 * (hi - lo) + lo] if args.q3_points == 1 else np.linspace(lo, hi, args.q3_points)
     points = minimum_locus(
         q3_values,
         inv_theta_range=(args.inv_theta_min, args.inv_theta_max),
@@ -296,8 +305,9 @@ def cmd_locus_fit(args) -> int:
         fixed=fixed,
     )
 
-    prefix = args.out
-    locus_path = Path(f"{prefix}_locus.csv")
+    # every output's name as str(Path(name)) spells it: the stem's last part ends in '_', so a suffix keeps that
+    stem = _posix_name(f"{args.out}_")
+    locus_path, fit_path, prob_path = stem + "locus.csv", stem + "fit.txt", stem + "probabilities.csv"
     with _overwrite(locus_path) as handle:
         _write_csv(handle, "q3,inv_theta,alpha", ((p.q3, p.inv_theta, p.alpha) for p in points))
     print(f"wrote {locus_path} ({len(points)} points)")
@@ -311,9 +321,9 @@ def cmd_locus_fit(args) -> int:
     try:
         left, right = fit_locus(good)
     except (ValueError, FitConvergenceError) as exc:
-        for stale in (f"{prefix}_fit.txt", f"{prefix}_probabilities.csv"):  # a previous run's fit, not this run's
+        for stale in (fit_path, prob_path):  # a previous run's fit, not this run's
             try:
-                os.unlink(stale)  # str paths: two Paths would add ~5 us to every one-q3 request
+                os.unlink(stale)
             except FileNotFoundError:
                 pass
         if isinstance(exc, FitConvergenceError):
@@ -339,14 +349,12 @@ def cmd_locus_fit(args) -> int:
         f"left.rms={_format(branch_rms(left, good))}",
         f"right.rms={_format(branch_rms(right, good))}",
     ]
-    fit_path = Path(f"{prefix}_fit.txt")
     with _overwrite(fit_path) as handle:
         handle.write("\n".join(report) + "\n")
     for line in report:
         print(line)
 
     trace = locus_probabilities(left, right, [q3 for q3, _ in good], fixed=fixed)
-    prob_path = Path(f"{prefix}_probabilities.csv")
     with _overwrite(prob_path) as handle:
         rows = ((r.q3, r.prob_a, r.prob_b, r.alpha, r.phi) for r in trace)
         _write_csv(handle, "q3,prob_A,prob_B,alpha,phi", rows)
@@ -387,6 +395,16 @@ def cmd_taylor_check(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose flags reject a value of '--' given after '=' (``--out=--``), as they reject
+    ``--out --``: Python 3.11's argparse drops that '--' and stores [] without calling the flag's type."""
+
+    def _get_values(self, action, arg_strings):
+        if arg_strings == ["--"] and action.nargs is None:
+            raise argparse.ArgumentError(action, "expected one argument")
+        return super()._get_values(action, arg_strings)
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The kdspin parser, built once per process and shared by every ``main()``
     call (each ``parse_args`` returns a fresh namespace); callers must not mutate it."""
@@ -397,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser], dict[str, tuple]]:
     """``build_parser()``, its command parsers by name, and each one's table for ``_parse_exact``: namespace defaults
     in argparse's order (actions', then ``set_defaults``), long flags that store a value or True, required dests."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(  # its command parsers are _Parsers too
         prog="kdspin",
         description="Spin-dependent two-photon Bragg diffraction: contrast maps and fits.",
     )
@@ -538,7 +556,8 @@ def main(argv=None) -> int:
     ``argv`` is parsed once (``parse_argv``): an argv of exact flags with
     valid values without argparse, any other by argparse.  A
     flag value that argparse rejects (an unparsable number or angle, a count
-    such as ``--workers`` below 1, a missing required flag) raises
+    such as ``--workers`` below 1, '--' as in ``--out=--``, a missing required
+    flag) raises
     ``SystemExit(2)`` after argparse prints its usage and ``error:`` line.
     Otherwise an exception from the command prints one ``error:`` line on
     stderr and sets the exit code: 2 for a ValueError (a rejected combination

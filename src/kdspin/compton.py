@@ -16,6 +16,26 @@ pair's eight beam floats, the one internal form of a beam, once; ``elliptic_pola
 are finite, transverse and lit by construction: a pair's floats have no writer but it and ``PolarizationPair.__init__``.
 ``_locus_inv_theta`` reads the minimum locus of the elliptic beam off the same coefficients.
 ``compton_tensor`` and ``contract_polarization`` stay as its reference.
+
+Mirror maps.  In ``spin_matrix_batch``'s notation, M = X 1 - iY sigma_z + iU sigma_y + V sigma_x.  The kernel
+takes q2 and q3 through even terms (D, c_yy, c_zz) and through products that change sign exactly: q2 -> -q2
+flips c_s = 2 q2 q3 k, q_l q2 h and q_l q2 k, and q3 -> -q3 flips c_s, q_l q3 k and q_l q3 h.  Negating both
+beams' z (or y) amplitudes flips the bilinears s and w and keeps yy and zz; conjugating both beams conjugates
+all four, and X, Y, U and V are linear in them (V through -i w).  Collecting the signs, with P_z = diag(1, 1, -1)
+and P_y = diag(1, -1, 1) acting on both beams:
+
+    M(-q2; l, r) = sigma_y M(q2; P_z l, P_z r) sigma_y,   M(-q3; l, r) = sigma_z M(q3; P_y l, P_y r) sigma_z,
+    M(l*, r*) = sigma_y M(l, r)* sigma_y,
+
+two unitary relations and one antiunitary.  On the elliptic pair, conjugating both beams is theta -> -theta, and
+P_z or P_y on both beams is theta -> -theta times -1 (P_z negates the right beam (0, 0, 1), P_y the left's y), so
+
+    M(-theta) = sigma_y M(theta)* sigma_y,   M(-q2) = -M(q2)*,   M(-q3) = -sigma_x M(q3)* sigma_x,
+
+each antiunitary.  Every map takes the eight real parts of M to a signed permutation of them, and M^dag M to
+its image under the same map.  So the eigenvalues, hence the contrast and both probabilities, are the same floats
+(numpy's cos is even and its sin odd, bit for bit), and the Bloch vector n goes to -n under theta -> -theta,
+to diag(1, -1, 1) n under q2 -> -q2 and to diag(1, 1, -1) n under q3 -> -q3.  The tests pin each map.
 """
 
 from __future__ import annotations

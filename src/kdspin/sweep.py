@@ -12,8 +12,8 @@ function of (q_l, q2, q3), tan^2(theta) = det M_y / det M_z (see
 ``compton._locus_inv_theta``, beside the kernel whose coefficients it reads).
 Each locus point is then evaluated as the ``point`` command evaluates one, at
 theta = 1/inv_theta: one kernel row per q3 and the minimizer.  A single q3 of
-``minimum_locus`` runs on Python floats from its 1/theta to its ``LocusPoint``,
-with no array built; more q3 run as arrays.  The locus is fitted per branch by
+``minimum_locus`` or ``locus_probabilities`` runs on Python floats from its
+1/theta to its ``LocusPoint``, with no array built; more q3 run as arrays.  The locus is fitted per branch by
 least squares against 1/theta = c1 + c2 sqrt((q3 - q0)^2 + c3), with q0 = 0 on
 the left branch and q0 = 1 on the right, by variable projection: (c1, c2) are
 linear for fixed c3, so the fit is a one-dimensional problem in c3.
@@ -194,9 +194,9 @@ def run_sweep(spec: GridSpec, workers: int = 1) -> SweepTile:
     return SweepTile(spec, xs, ys, *fields, status=status)  # fields: contrast, alpha, phi, prob_a, prob_b
 
 
-def _locus_entry(fixed: FixedParams | None, q3_values) -> tuple[float, float, np.ndarray]:
+def _locus_entry(fixed: FixedParams | None, q3_values) -> tuple[float, float, list[float]]:
     """The checked entry of the locus: q_l and q2 of ``fixed`` (``FixedParams()`` if None) as floats, and
-    ``q3_values`` as an (N,) float array.  Raises ValueError for a fixed beam pair or a theta other than the
+    ``q3_values`` as a list of floats.  Raises ValueError for a fixed beam pair or a theta other than the
     default (the locus is defined on the elliptic beam and sets theta itself, so either would go unread), and
     for a non-finite q_l, q2 or q3.
     """
@@ -209,7 +209,7 @@ def _locus_entry(fixed: FixedParams | None, q3_values) -> tuple[float, float, np
     q3 = [float(v) for v in q3_values]
     if not all(map(math.isfinite, q3)):
         raise ValueError(f"q3 must be finite, got {next(v for v in q3 if not math.isfinite(v))!r}")
-    return float(fixed.q_l), float(fixed.q2), np.array(q3)
+    return float(fixed.q_l), float(fixed.q2), q3
 
 
 def minimum_locus(
@@ -240,24 +240,26 @@ def minimum_locus(
         raise ValueError(f"inv_theta_points must be at least 3, got {inv_theta_points!r}")
     q_l, q2, q3 = _locus_entry(fixed, q3_values)
     if len(q3) == 1:  # one q3 runs on Python floats, to the bits of its batch row
-        inv_theta = _locus_inv_theta(q_l, q2, q3 := q3.item(), math.sqrt)
+        inv_theta = _locus_inv_theta(q_l, q2, q3 := q3[0], math.sqrt)
     else:
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # NaN where a square overflows
-            inv_theta = _locus_inv_theta(q_l, q2, q3, np.sqrt)
+            inv_theta = _locus_inv_theta(q_l, q2, q3 := np.array(q3), np.sqrt)
     return _locus_points(q_l, q2, q3, inv_theta, (inv_theta > lo) & (inv_theta < hi))
 
 
 def _locus_points(q_l: float, q2: float, q3, inv_theta, bracketed) -> list[LocusPoint]:
     """One ``LocusPoint`` per q3: the contrast minimum over the Bloch angles of the elliptic beam at theta
     = 1 / inv_theta (its pair's floats, one kernel row, the minimizer's closed form), with NaN results where
-    ``bracketed`` is False.  A float q3, from ``minimum_locus`` with a 1/theta inside its range above 0 or
-    NaN, runs on Python floats, an (N,) array as arrays.  Raises ``_no_minimum``'s ValueError at a point
-    with no minimum that is bracketed or has a NaN 1/theta."""
+    ``bracketed`` is False.  A float q3 and 1/theta run on Python floats, to the bits of their row in a batch;
+    (N,) arrays run as arrays.  Raises ``_no_minimum``'s ValueError at a point with no minimum that is bracketed
+    or has a NaN 1/theta, as where 1/theta = 0 or its reciprocal overflows, which gives no angle."""
     if isinstance(q3, float):
-        inv_theta = float(inv_theta)
         if not (bracketed or math.isnan(inv_theta)):
             return [LocusPoint(q3, *[math.nan] * 5, False, "unbracketed")]
-        scale, ok, *fields = _closed_form(_kernel(q_l, q2, q3, *_elliptic_parts(1.0 / inv_theta), math.sqrt))
+        theta = 1.0 / inv_theta if inv_theta else math.inf  # Python raises where numpy gives +-inf
+        if math.isinf(theta):  # no angle: the array path's NaN beam
+            raise _no_minimum(q3, inv_theta, True)
+        scale, ok, *fields = _closed_form(_kernel(q_l, q2, q3, *_elliptic_parts(theta), math.sqrt))
         if not ok:
             raise _no_minimum(q3, inv_theta, math.isfinite(scale))
         return [LocusPoint(q3, inv_theta, *fields[1:], True, _CONVERGED)]
@@ -384,10 +386,13 @@ def locus_probabilities(
     (``left`` up to ``BRANCH_SPLIT``), with |M psi_A|^2, |M psi_B|^2 and the optimal
     angles there.  Every point is bracketed.
 
-    All q3 values share one kernel call and one minimizer call, as in ``minimum_locus``.
+    As in ``minimum_locus``, one q3 runs on Python floats, and more share one kernel call and
+    one minimizer call.
     Raises ValueError as ``minimum_locus`` does for ``fixed`` and q3, for a q3 outside its
     branch's domain, and at a point with no minimum, as where the fit gives 1/theta = 0.
     """
     q_l, q2, q3 = _locus_entry(fixed, q3_values)
-    inv_theta = np.array([evaluate_fit(left if v <= BRANCH_SPLIT else right, v) for v in q3.tolist()])
-    return _locus_points(q_l, q2, q3, inv_theta, np.full(len(q3), True))
+    inv_theta = [evaluate_fit(left if v <= BRANCH_SPLIT else right, v) for v in q3]
+    if len(q3) == 1:  # one q3 runs on Python floats, as in ``minimum_locus``
+        return _locus_points(q_l, q2, q3[0], inv_theta[0], True)
+    return _locus_points(q_l, q2, np.array(q3), np.array(inv_theta), np.full(len(q3), True))

@@ -3,10 +3,11 @@ import errno
 import io
 import math
 import os
+import pathlib
 import subprocess
 import sys
 import threading
-from pathlib import Path
+from pathlib import Path, PurePosixPath
 
 import hypothesis
 import hypothesis.strategies as st
@@ -226,6 +227,13 @@ FLAG_VALUE_ERRORS = {
                                                 "string to float: 'x'",
     ("locus-fit", "--out", "unused", "--q3-points", "x"):
         "kdspin locus-fit: error: argument --q3-points: invalid literal for int() with base 10: 'x'",
+    # a value of '--' after '=', which Python 3.11's argparse would drop and store as []
+    ("sweep", "--axes", "q2,q3", "--x-range", "0,1", "--y-range", "0,1", "--out=--"):
+        "kdspin sweep: error: argument --out: expected one argument",
+    ("point", "--ql=--"): "kdspin point: error: argument --ql: expected one argument",
+    ("point", "--theta=--"): "kdspin point: error: argument --theta: expected one argument",
+    ("taylor-check", "--halvings=--"): "kdspin taylor-check: error: argument --halvings: expected one argument",
+    ("locus-fit", "--out=--"): "kdspin locus-fit: error: argument --out: expected one argument",
 }
 
 
@@ -422,6 +430,92 @@ def test_locus_fit_unremovable_previous_fit_exits_4(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.endswith("\n") and err.splitlines()[-1].startswith("error: [Errno 21] Is a directory")
     assert err.count("error:") == 1 and (tmp_path / "run_fit.txt").is_dir()
+
+
+#: q3 at the edges of a one-q3 request (signed zeros, a subnormal-scale value, beyond the fit's [0, 1])
+ONE_Q3_VALUES = ["0", "-0", "0.5", "1", "1e-300", "2", "-1.5"]
+
+
+@pytest.mark.parametrize("flags", [[], ["--q2", "0.3"], ["--ql", "1e-3"], ["--ql", "1e-5"]], ids=" ".join)
+def test_one_q3_request_is_its_batch_row(flags, tmp_path, monkeypatch, capsys):
+    # a one-q3 request runs on Python floats from argv to its row: that row is the default command's at the
+    # same q3 (as the benchmark requests it), and the first row of a five-point command from that q3 (linspace's
+    # first point, 0.0 for -0), bit for bit, with the exit code and stderr of its own bracketing
+    monkeypatch.chdir(tmp_path)
+    main(["locus-fit", *flags, "--out", "default"])
+    default = Path("default_locus.csv").read_text().splitlines()
+    capsys.readouterr()
+    grid, codes = np.linspace(0.0, 1.0, 201).tolist(), set()
+    for q3, expected in [*((repr(grid[i]), default[1 + i]) for i in (0, 7, 100, 179, 180, 181, 200)),
+                         *((q3, None) for q3 in ONE_Q3_VALUES)]:
+        code = main(["locus-fit", *flags, f"--q3-min={q3}", f"--q3-max={q3}", "--q3-points", "1", "--out", "one"])
+        err = capsys.readouterr().err
+        header, row = Path("one_locus.csv").read_text().splitlines()
+        main(["locus-fit", *flags, f"--q3-min={q3}", f"--q3-max={float(q3) + 1.0}", "--q3-points", "5",
+              "--out", "many"])
+        many = Path("many_locus.csv").read_text().splitlines()
+        assert [header, row] == [default[0], expected or row] == many[:2], q3
+        unbracketed = row.endswith(",nan,nan")
+        assert (code, err) == ((3, f"unbracketed: q3={float(q3) or 0.0!r}\n") if unbracketed else (0, "")), q3
+        assert capsys.readouterr().err.startswith(err)  # the five-point command's first q3 is this one
+        codes.add(code)
+    assert codes == ({0, 3} if flags else {0})  # each flag set leaves some minimum outside 1/theta in (1, 100)
+
+
+@hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@hypothesis.given(st.sampled_from(["", "/", "//", "///", "////"]),
+                  st.lists(st.sampled_from(["", ".", "..", "a", ".b", "c.", " ", "_", "d_"]), max_size=6))
+def test_posix_name_is_str_of_path(root, parts):
+    name = root + "/".join(parts)
+    assert cli._posix_name(name) == str(PurePosixPath(name))
+
+
+def test_locus_fit_names_its_outputs_as_path_does(tmp_path, monkeypatch, capsys):
+    # the names a locus-fit prints, and an unwritable one's error line, are str(Path(name)) of each output,
+    # for prefixes spelled with empty and '.' parts, a trailing '/', and a missing directory
+    monkeypatch.chdir(tmp_path)
+    Path("d").mkdir()
+    seen = set()
+
+    @hypothesis.settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(st.sampled_from(["", f"{tmp_path}/", f"{tmp_path}//./"]),
+                      st.lists(st.sampled_from(["d", ".", "", "nodir"]), max_size=4), st.sampled_from(["p", "", "."]),
+                      st.sampled_from(["1", "41"]))
+    def check(base, dirs, last, points):
+        prefix = base + "/".join([*dirs, last])
+        if not prefix:
+            return
+        code = main(["locus-fit", "--q3-points", points, "--out", prefix])
+        out, err = capsys.readouterr()
+        locus, fit, probabilities = (str(Path(prefix + suffix)) for suffix in ("_locus.csv", "_fit.txt",
+                                                                                "_probabilities.csv"))
+        seen.add(code)
+        if code == 4:
+            assert (out, err) == ("", f"error: [Errno 2] No such file or directory: {locus!r}\n")
+        else:
+            assert code == 0 and out.startswith(f"wrote {locus} ({points} points)\n") and Path(locus).is_file()
+            assert out.endswith(f"wrote {fit} and {probabilities}\n" if points == "41" else "left / 0 right\n")
+
+    check()
+    assert seen == {0, 4}
+
+
+def test_one_q3_request_builds_no_path_and_calls_no_linspace(tmp_path, monkeypatch, capsys):
+    # one q3 stays a Python float and the output names str: no np.linspace, no pathlib.Path; the guard sees
+    # both where they run, in a many-q3 locus and in a sweep
+    monkeypatch.chdir(tmp_path)
+    calls, linspace, new = [], np.linspace, pathlib.Path.__new__
+    monkeypatch.setattr(np, "linspace", lambda *args, **kwargs: calls.append("linspace") or linspace(*args, **kwargs))
+    monkeypatch.setattr(pathlib.Path, "__new__", staticmethod(lambda cls, *args: calls.append("Path") or new(cls, *args)))
+    for q3 in ("0.5", "-0", "1e-300"):
+        assert main(["locus-fit", "--q3-min", q3, "--q3-max", q3, "--q3-points", "1", "--out", "one"]) == 0
+    assert main(["locus-fit", "--ql", "1e-3", "--q3-points", "1", "--q3-min", "0.5", "--out", "./one"]) == 3
+    assert calls == []
+    assert main(["locus-fit", "--q3-points", "3", "--out", "many"]) == 0
+    assert calls == ["linspace"]
+    assert main(["sweep", "--axes", "q2,q3", "--x-range", "0,1", "--y-range", "0,1", "--nx", "2", "--ny", "2",
+                 "--out", "tile.csv"]) == 0
+    assert "Path" in calls
 
 
 def test_csv_writers_take_python_floats(tmp_path, monkeypatch, capsys):

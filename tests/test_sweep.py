@@ -564,6 +564,19 @@ def test_minimum_locus_small_q_l_limits(q_l):
         assert p.bracketed and gap <= 5.0 * q_l**2 + 16.0 * EPS, (p, gap)
 
 
+@pytest.mark.parametrize("q_l", [1e-2, 1e-3, 1e-4, 1e-6])
+def test_left_branch_fit_constants_at_small_q_l(q_l):
+    # the left branch of the default 201 q3 scales exactly: fitted to the exact locus (the closed form, which
+    # no 1/theta range cuts), q_l a1 -> 1.940, q_l a2 -> -1.709 and a3 -> 0.3017 as q_l -> 0 (measured at
+    # most 0.35 % off, at q_l = 1e-2)
+    q3 = np.linspace(0.0, 1.0, 201)
+    q3 = q3[q3 <= sweep.BRANCH_SPLIT + 1e-12]  # fit_locus's left branch
+    inv_theta = sweep._locus_inv_theta(q_l, 0.0, q3, np.sqrt)
+    a1, a2, a3 = sweep._fit_branch(q3, inv_theta, "left", (0.0, sweep.BRANCH_SPLIT)).params
+    ratios = (q_l * a1 / 1.940, q_l * a2 / -1.709, a3 / 0.3017)
+    assert max(abs(ratio - 1.0) for ratio in ratios) <= 0.01, ratios
+
+
 def test_locus_builds_one_matrix_per_q3(monkeypatch):
     # the locus is a closed form in (q_l, q2, q3), so the kernel runs on exactly
     # one matrix per q3, at its 1/theta, also where the cross term survives
@@ -732,9 +745,23 @@ def test_locus_rejects_fixed_theta():
 
 
 def test_locus_probabilities_names_point_without_minimum():
-    # the left model (0, 0, 0) gives 1/theta = 0, where no angle theta exists
-    with pytest.raises(ValueError, match=r"no contrast minimum at q3=0\.5, 1/theta=0\.0"):
-        locus_probabilities(left_model([0.0, 0.0, 0.0]), right_model(PAPER_RIGHT), [0.5])
+    # the left models give 1/theta = 0, -0 and 5e-324, where no angle theta exists (the last one's reciprocal
+    # overflows): one q3 on Python floats raises the ValueError of a batch, not a ZeroDivisionError
+    for params, shown in (([0.0, 0.0, 0.0], r"0\.0"), ([-0.0, -0.0, 0.0], r"-0\.0"), ([5e-324, 0.0, 0.0], "5e-324")):
+        for q3 in ([0.5], [0.5, 0.7]):
+            with pytest.raises(ValueError, match=rf"no contrast minimum at q3=0\.5, 1/theta={shown}$"):
+                locus_probabilities(left_model(params), right_model(PAPER_RIGHT), q3)
+
+
+def test_one_q3_locus_probabilities_is_its_batch_row():
+    # one q3 runs on Python floats, to the bits of its row of a batch, on both branches and at their split
+    left, right = left_model(PAPER_LEFT), right_model(PAPER_RIGHT)
+    q3 = [0.0, -0.0, 1e-300, 0.3, 0.9, 0.9 + 1e-13, 0.95, 1.0]
+    for fixed in (None, FixedParams(q_l=1e-3), FixedParams(q2=0.3)):
+        batch = locus_probabilities(left, right, q3, fixed=fixed)
+        for point in batch:
+            (alone,) = locus_probabilities(left, right, [point.q3], fixed=fixed)
+            assert alone == point and repr(alone) == repr(point)
 
 
 def test_fit_rejects_empty_locus_and_unknown_branch():
