@@ -397,7 +397,11 @@ def cmd_taylor_check(args) -> int:
 
 class _Parser(argparse.ArgumentParser):
     """An ArgumentParser whose flags reject a value of '--' given after '=' (``--out=--``), as they reject
-    ``--out --``: Python 3.11's argparse drops that '--' and stores [] without calling the flag's type."""
+    ``--out --``: Python 3.10 and 3.11's argparse drops that '--' and stores [] without calling the flag's type.
+
+    ``_get_values`` is argparse's private hook for a flag's strings; the check runs before argparse's own
+    handling, so it does not rely on that dropping, but it was run on Python 3.11 alone (``requires-python``
+    is >= 3.10).  ``test_bad_flag_value_exits_2``'s ``=--`` cases fail on any version where the hook is gone."""
 
     def _get_values(self, action, arg_strings):
         if arg_strings == ["--"] and action.nargs is None:

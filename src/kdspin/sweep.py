@@ -12,8 +12,8 @@ function of (q_l, q2, q3), tan^2(theta) = det M_y / det M_z (see
 ``compton._locus_inv_theta``, beside the kernel whose coefficients it reads).
 Each locus point is then evaluated as the ``point`` command evaluates one, at
 theta = 1/inv_theta: one kernel row per q3 and the minimizer.  A single q3 of
-``minimum_locus`` or ``locus_probabilities`` runs on Python floats from its
-1/theta to its ``LocusPoint``, with no array built; more q3 run as arrays.  The locus is fitted per branch by
+``minimum_locus`` runs on Python floats from its 1/theta to its ``LocusPoint``,
+with no array built; more q3 run as arrays.  The locus is fitted per branch by
 least squares against 1/theta = c1 + c2 sqrt((q3 - q0)^2 + c3), with q0 = 0 on
 the left branch and q0 = 1 on the right, by variable projection: (c1, c2) are
 linear for fixed c3, so the fit is a one-dimensional problem in c3.
@@ -250,16 +250,14 @@ def minimum_locus(
 def _locus_points(q_l: float, q2: float, q3, inv_theta, bracketed) -> list[LocusPoint]:
     """One ``LocusPoint`` per q3: the contrast minimum over the Bloch angles of the elliptic beam at theta
     = 1 / inv_theta (its pair's floats, one kernel row, the minimizer's closed form), with NaN results where
-    ``bracketed`` is False.  A float q3 and 1/theta run on Python floats, to the bits of their row in a batch;
-    (N,) arrays run as arrays.  Raises ``_no_minimum``'s ValueError at a point with no minimum that is bracketed
-    or has a NaN 1/theta, as where 1/theta = 0 or its reciprocal overflows, which gives no angle."""
+    ``bracketed`` is False.  A float q3, from ``minimum_locus`` with a 1/theta inside its range above 0 or
+    NaN, runs on Python floats, an (N,) array as arrays.  Raises ``_no_minimum``'s ValueError at a point
+    with no minimum that is bracketed or has a NaN 1/theta."""
     if isinstance(q3, float):
+        inv_theta = float(inv_theta)
         if not (bracketed or math.isnan(inv_theta)):
             return [LocusPoint(q3, *[math.nan] * 5, False, "unbracketed")]
-        theta = 1.0 / inv_theta if inv_theta else math.inf  # Python raises where numpy gives +-inf
-        if math.isinf(theta):  # no angle: the array path's NaN beam
-            raise _no_minimum(q3, inv_theta, True)
-        scale, ok, *fields = _closed_form(_kernel(q_l, q2, q3, *_elliptic_parts(theta), math.sqrt))
+        scale, ok, *fields = _closed_form(_kernel(q_l, q2, q3, *_elliptic_parts(1.0 / inv_theta), math.sqrt))
         if not ok:
             raise _no_minimum(q3, inv_theta, math.isfinite(scale))
         return [LocusPoint(q3, inv_theta, *fields[1:], True, _CONVERGED)]
@@ -386,13 +384,10 @@ def locus_probabilities(
     (``left`` up to ``BRANCH_SPLIT``), with |M psi_A|^2, |M psi_B|^2 and the optimal
     angles there.  Every point is bracketed.
 
-    As in ``minimum_locus``, one q3 runs on Python floats, and more share one kernel call and
-    one minimizer call.
+    All q3 values share one kernel call and one minimizer call, as in ``minimum_locus``.
     Raises ValueError as ``minimum_locus`` does for ``fixed`` and q3, for a q3 outside its
     branch's domain, and at a point with no minimum, as where the fit gives 1/theta = 0.
     """
     q_l, q2, q3 = _locus_entry(fixed, q3_values)
-    inv_theta = [evaluate_fit(left if v <= BRANCH_SPLIT else right, v) for v in q3]
-    if len(q3) == 1:  # one q3 runs on Python floats, as in ``minimum_locus``
-        return _locus_points(q_l, q2, q3[0], inv_theta[0], True)
-    return _locus_points(q_l, q2, np.array(q3), np.array(inv_theta), np.full(len(q3), True))
+    inv_theta = np.array([evaluate_fit(left if v <= BRANCH_SPLIT else right, v) for v in q3])
+    return _locus_points(q_l, q2, np.array(q3), inv_theta, np.full(len(q3), True))

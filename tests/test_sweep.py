@@ -746,7 +746,7 @@ def test_locus_rejects_fixed_theta():
 
 def test_locus_probabilities_names_point_without_minimum():
     # the left models give 1/theta = 0, -0 and 5e-324, where no angle theta exists (the last one's reciprocal
-    # overflows): one q3 on Python floats raises the ValueError of a batch, not a ZeroDivisionError
+    # overflows): one q3 raises the ValueError of a batch, not a ZeroDivisionError
     for params, shown in (([0.0, 0.0, 0.0], r"0\.0"), ([-0.0, -0.0, 0.0], r"-0\.0"), ([5e-324, 0.0, 0.0], "5e-324")):
         for q3 in ([0.5], [0.5, 0.7]):
             with pytest.raises(ValueError, match=rf"no contrast minimum at q3=0\.5, 1/theta={shown}$"):
@@ -754,7 +754,7 @@ def test_locus_probabilities_names_point_without_minimum():
 
 
 def test_one_q3_locus_probabilities_is_its_batch_row():
-    # one q3 runs on Python floats, to the bits of its row of a batch, on both branches and at their split
+    # one q3 gives the bits of its row of a batch, on both branches and at their split
     left, right = left_model(PAPER_LEFT), right_model(PAPER_RIGHT)
     q3 = [0.0, -0.0, 1e-300, 0.3, 0.9, 0.9 + 1e-13, 0.95, 1.0]
     for fixed in (None, FixedParams(q_l=1e-3), FixedParams(q2=0.3)):
