@@ -4,9 +4,10 @@ Builds the relativistic spin-propagation matrix of the two-photon exchange,
 quantifies spin-dependent diffraction through a minimized contrast ratio of
 Bloch spinor pairs, and drives parameter-space sweeps, minimum-locus
 extraction and two-branch curve fits over laser ellipticity and transverse
-electron momentum.  The Dirac-algebra tensor and the Newton-era Bloch helpers
-are the tests' reference, reached through their modules (``kdspin.dirac``,
-``kdspin.kinematics``, ``kdspin.compton``, ``kdspin.contrast``).
+electron momentum.  The Dirac-algebra tensor on positive-energy bispinors and
+the Newton-era Bloch helpers are the tests' reference, reached through their
+modules (``kdspin.dirac``, ``kdspin.kinematics``, ``kdspin.compton``,
+``kdspin.contrast``).
 """
 
 from .compton import (

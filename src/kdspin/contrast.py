@@ -110,18 +110,6 @@ def contrast_at(m: np.ndarray, pair: BlochPair) -> float:
     return num / den
 
 
-def canonicalize(pair: BlochPair) -> BlochPair:
-    """Map angles into the fundamental domain alpha in [0, 2pi], phi in [0, pi].
-
-    Uses the 2pi-periodicity of alpha up to an overall sign (irrelevant in
-    the squared norms) and the identification (phi -> phi + pi,
-    alpha -> 2pi - alpha), which reproduces the spinor pair up to a global
-    sign.
-    """
-    alpha, phi = _fold(pair.alpha % TWO_PI, pair.phi % TWO_PI)
-    return BlochPair(alpha=float(alpha), phi=float(phi))
-
-
 def _fold(alpha, phi):
     """(alpha, phi) with each phi in [pi, 2pi) folded into [0, pi) and its alpha taken to
     2pi - alpha (mod 2pi), elementwise; alpha in [0, 2pi] and phi in [0, 2pi) or NaN."""
@@ -169,36 +157,32 @@ def contrast_derivatives(m: np.ndarray, pair: BlochPair) -> tuple[np.ndarray, np
 
 def _closed_form(parts) -> tuple:
     """(scale, ok, value, alpha, phi, prob_a, prob_b) of matrices given as their eight parts (r00, i00, r01,
-    i01, r10, i10, r11, i11), as ``_kernel`` gives them: one matrix's Python floats, or arrays of one shape.
+    i01, r10, i10, r11, i11), as ``_kernel`` gives them: one matrix's Python floats, or arrays of one shape,
+    which run under the caller's ``np.errstate`` (NaN and inf stand where a matrix has no minimum).
 
     ``scale`` is the largest real or imaginary part; the power of two that brings it into
     [1/2, 1) scales the matrix exactly, so t >= 1/4 and lambda_max >= 1/8.  That factor, 2^-exp,
     is exact wherever ``ok`` can hold (exp in [-996, 1023]), so a product with it rounds once,
     as ``ldexp`` does.  The fields mean nothing where ``ok`` is False (scale 0 or not finite,
     |M|_F^2 overflowing).  One matrix's parts return early where Python would raise and numpy
-    gives inf or NaN: at a non-finite or zero scale, and where 2^1024 overflows."""
-    if isinstance(parts[0], float):  # one matrix
+    gives inf or NaN: at a non-finite or zero scale, and where 2^1024 overflows.  Both run the
+    same arithmetic, which rounds alike on floats and arrays, and numpy's arccos and arctan2 (on
+    an AVX-512 host ``math.acos`` differs from numpy's array arccos on 18,938 of 200,000 uniform
+    inputs, and ``math.atan2`` from arctan2 on 15,488)."""
+    one = isinstance(parts[0], float)
+    if one:
         scale = max(map(abs, parts)) if all(map(math.isfinite, parts)) else math.nan
         exp = math.frexp(scale)[1]
         if not scale > DEGENERATE_FLOOR or exp == 1024:
             return (scale, False) + (math.nan,) * 5
         factor = math.ldexp(1.0, -exp)
-        return scale, *_scaled_minimum([part * factor for part in parts], math.ldexp(1.0, exp))
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        parts, size = [part * factor for part in parts], math.ldexp(1.0, exp)
+    else:
         # one conversion; order="C" gives a stack's transposed view contiguous rows (short inner axes loop slowly)
         parts = np.asarray(parts)
         scale = np.abs(parts, order="C").max(axis=0)
         exp = np.frexp(scale)[1]
-        ok, *fields = _scaled_minimum(np.multiply(parts, np.ldexp(1.0, -exp), order="C"), np.ldexp(1.0, exp))
-        return scale, ok & (scale > DEGENERATE_FLOOR), *fields
-
-
-def _scaled_minimum(parts, size):
-    """(ok, value, alpha, phi, prob_a, prob_b) of matrices scaled by 1/size, from one matrix's parts
-    as Python floats or a stack's (8, N) rows: the same arithmetic, which rounds alike on both, and
-    numpy's arccos and arctan2 (on an AVX-512 host ``math.acos`` differs from numpy's array arccos
-    on 18,938 of 200,000 uniform inputs, and ``math.atan2`` from arctan2 on 15,488)."""
-    one = isinstance(parts, list)
+        parts, size = np.multiply(parts, np.ldexp(1.0, -exp), order="C"), np.ldexp(1.0, exp)
     r00, i00, r01, i01, r10, i10, r11, i11 = parts
     t, v, a, b = _bloch_form(r00, i00, r01, i01, r10, i10, r11, i11)
     r = (math.sqrt if one else np.sqrt)(v * v + a * a + b * b)
@@ -230,7 +214,8 @@ def _scaled_minimum(parts, size):
     value = min(ratio_a / ratio_b, 1.0) if one else np.minimum(ratio_a / ratio_b, 1.0)
     # ratios of the scaled matrix cannot underflow; ok (t >= 0 or NaN: finite) and the probabilities,
     # |M psi|^2 again, take one factor of size at a time: size^2 may overflow alone
-    return t * size * size < math.inf, value, alpha, phi, ratio_a * size * size, ratio_b * size * size
+    ok = (t * size * size < math.inf) & (scale > DEGENERATE_FLOOR)
+    return scale, ok, value, alpha, phi, ratio_a * size * size, ratio_b * size * size
 
 
 def _dot2(*parts):
@@ -288,5 +273,6 @@ def minimize_contrast_batch(m: np.ndarray) -> ContrastBatch:
     m = np.asarray(m, dtype=complex)
     if m.ndim != 3 or m.shape[1:] != (2, 2):
         raise ValueError(f"expected a stack of 2x2 matrices, got shape {m.shape}")
-    _, ok, *fields = _closed_form(np.ascontiguousarray(m).view(float).reshape(len(m), 8).T)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        _, ok, *fields = _closed_form(np.ascontiguousarray(m).view(float).reshape(len(m), 8).T)
     return ContrastBatch(*np.where(ok, fields, math.nan))

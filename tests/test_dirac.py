@@ -4,10 +4,9 @@ import pytest
 from kdspin.dirac import (
     GAMMA_MATRICES,
     IDENTITY_4,
+    PAULI_MATRICES,
     bispinor_u,
     dirac_adjoint,
-    gamma,
-    pauli,
     slash,
 )
 from kdspin.kinematics import ScatterConfig, build_kinematics, minkowski_dot
@@ -21,29 +20,17 @@ def random_onshell_momentum(rng, qmax=2.0):
 
 
 def test_pauli_entries():
-    assert np.array_equal(pauli(1), [[0, 1], [1, 0]])
-    assert np.array_equal(pauli(2), [[0, -1j], [1j, 0]])
-    assert np.array_equal(pauli(3), [[1, 0], [0, -1]])
-
-
-def test_pauli_index_rejected():
-    for bad in (0, 4, -1):
-        with pytest.raises(ValueError):
-            pauli(bad)
-
-
-def test_gamma_index_rejected():
-    for bad in (-1, 4):
-        with pytest.raises(ValueError):
-            gamma(bad)
+    assert np.array_equal(PAULI_MATRICES[0], [[0, 1], [1, 0]])
+    assert np.array_equal(PAULI_MATRICES[1], [[0, -1j], [1j, 0]])
+    assert np.array_equal(PAULI_MATRICES[2], [[1, 0], [0, -1]])
 
 
 def test_gamma0_squares_to_identity():
-    assert np.array_equal(gamma(0) @ gamma(0), IDENTITY_4)
+    assert np.array_equal(GAMMA_MATRICES[0] @ GAMMA_MATRICES[0], IDENTITY_4)
 
 
 def test_gamma_12_anticommute():
-    g1, g2 = gamma(1), gamma(2)
+    g1, g2 = GAMMA_MATRICES[1], GAMMA_MATRICES[2]
     assert np.array_equal(g1 @ g2 + g2 @ g1, np.zeros((4, 4)))
 
 
@@ -69,8 +56,6 @@ def test_bispinor_validation():
     rest = np.array([1.0, 0.0, 0.0, 0.0])
     with pytest.raises(ValueError):
         bispinor_u(rest, 3)
-    with pytest.raises(ValueError):
-        bispinor_u(rest, 1, branch=0)
 
 
 def test_normalization_at_reference_momentum():
@@ -87,10 +72,8 @@ def test_orthonormality_random_momenta():
         for s in (1, 2):
             for sp in (1, 2):
                 up = dirac_adjoint(bispinor_u(p, s)) @ bispinor_u(p, sp)
-                dn = dirac_adjoint(bispinor_u(p, s, branch=-1)) @ bispinor_u(p, sp, branch=-1)
                 target = 1.0 if s == sp else 0.0
                 assert abs(up - target) <= 1e-12
-                assert abs(dn + target) <= 1e-12
 
 
 def test_density_normalization_is_energy():
@@ -103,7 +86,7 @@ def test_density_normalization_is_energy():
 
 
 def test_slash_examples():
-    assert np.array_equal(slash(np.array([1.0, 0, 0, 0])), gamma(0))
+    assert np.array_equal(slash(np.array([1.0, 0, 0, 0])), GAMMA_MATRICES[0])
     k = np.array([0.7, 0.7, 0.0, 0.0])
     assert np.max(np.abs(slash(k) @ slash(k))) <= 1e-15
 

@@ -24,10 +24,10 @@ PRODUCT_NAMES = {
 
 # the Dirac-algebra tensor and the Newton-era Bloch helpers: the tests' reference, by module
 REFERENCE_NAMES = {
-    "dirac": ["bispinor_u", "dirac_adjoint", "gamma", "pauli", "slash"],
+    "dirac": ["bispinor_u", "dirac_adjoint", "slash"],
     "compton": ["compton_tensor", "contract_polarization"],
     "kinematics": ["build_kinematics", "KinematicSet", "energy", "minkowski_dot"],
-    "contrast": ["BlochPair", "bloch_spinors", "contrast_at", "canonicalize", "contrast_derivatives",
+    "contrast": ["BlochPair", "bloch_spinors", "contrast_at", "contrast_derivatives",
                  "DegenerateDenominatorError"],
 }
 

@@ -17,7 +17,7 @@ from kdspin.compton import (
     spin_matrix,
     spin_matrix_batch,
 )
-from kdspin.contrast import BlochPair, canonicalize, minimize_contrast, minimize_contrast_batch
+from kdspin.contrast import _fold, minimize_contrast, minimize_contrast_batch
 from kdspin.kinematics import ScatterConfig
 from kdspin.sweep import (
     FitConvergenceError,
@@ -646,13 +646,11 @@ def test_locus_angles_span_kernel_of_spin_matrix():
     for p, mat in zip(points, m):
         row = mat[0] if np.linalg.norm(mat[0]) >= np.linalg.norm(mat[1]) else mat[1]
         kernel = np.array([-row[1], row[0]])
-        pair = canonicalize(
-            BlochPair(
-                alpha=2.0 * math.atan2(abs(kernel[1]), abs(kernel[0])),
-                phi=cmath.phase(kernel[1] * kernel[0].conjugate()),
-            )
+        alpha, phi = _fold(
+            2.0 * math.atan2(abs(kernel[1]), abs(kernel[0])),
+            cmath.phase(kernel[1] * kernel[0].conjugate()) % (2.0 * math.pi),
         )
-        assert abs(pair.alpha - p.alpha) <= 1e-9 and abs(pair.phi - p.phi) <= 1e-9
+        assert abs(alpha - p.alpha) <= 1e-9 and abs(phi - p.phi) <= 1e-9
 
 
 def locus_numbers(p):
