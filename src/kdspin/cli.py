@@ -540,25 +540,19 @@ def _parse_exact(table: tuple, tokens: list[str]) -> argparse.Namespace | None:
 
 
 def parse_argv(argv) -> argparse.Namespace:
-    """``build_parser().parse_args`` of ``argv``, dashed values joined, in one pass: a first token that names
-    a command goes to ``_parse_exact``, else to that command's parser alone; the top-level parser does the rest."""
+    """``build_parser().parse_args`` of ``argv``, dashed values joined: ``_parse_exact`` reads a command followed
+    by exact long flags with valid values, and the top-level parser reads any other argv."""
     argv = _join_dashed_values(list(argv))
-    parser, commands, exact = _parsers()
-    if argv and argv[0] in commands:
-        args = _parse_exact(exact[argv[0]], argv[1:])
-        if args is None:
-            args, extras = commands[argv[0]].parse_known_args(argv[1:])
-            if extras:
-                parser.error(f"unrecognized arguments: {' '.join(extras)}")
-        return args
-    return parser.parse_args(argv)
+    parser, _, exact = _parsers()
+    args = _parse_exact(exact[argv[0]], argv[1:]) if argv and argv[0] in exact else None
+    return parser.parse_args(argv) if args is None else args
 
 
 def main(argv=None) -> int:
     """Run one kdspin command; returns its exit code.
 
     ``argv`` is parsed once (``parse_argv``): an argv of exact flags with
-    valid values without argparse, any other by argparse.  A
+    valid values without argparse, any other by the top-level parser.  A
     flag value that argparse rejects (an unparsable number or angle, a count
     such as ``--workers`` below 1, '--' as in ``--out=--``, a missing required
     flag) raises

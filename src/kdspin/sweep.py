@@ -254,7 +254,6 @@ def _locus_points(q_l: float, q2: float, q3, inv_theta, bracketed) -> list[Locus
     NaN, runs on Python floats, an (N,) array as arrays.  Raises ``_no_minimum``'s ValueError at a point
     with no minimum that is bracketed or has a NaN 1/theta."""
     if isinstance(q3, float):
-        inv_theta = float(inv_theta)
         if not (bracketed or math.isnan(inv_theta)):
             return [LocusPoint(q3, *[math.nan] * 5, False, "unbracketed")]
         scale, ok, *fields = _closed_form(_kernel(q_l, q2, q3, *_elliptic_parts(1.0 / inv_theta), math.sqrt))

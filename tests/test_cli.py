@@ -728,6 +728,12 @@ def test_one_parser_serves_many_calls(tmp_path, capsys, monkeypatch):
 
 _SWEEP = ["sweep", "--axes", "q2,q3", "--x-range", "-0.05,0.05", "--y-range", "0.95,1.05", "--out", "t.csv"]
 _LOCUS = ["locus-fit", "--out", "run"]
+# the benchmark's requests: one two-row tile strip and one locus point
+_STRIP = ["sweep", "--axes", "q2,q3", "--x-range", "-0.05,0.05", "--y-range", "0.9535,0.954", "--theta", "pi/4",
+          "--nx", "41", "--ny", "2", "--heatmap-column", "contrast", "--log-scale", "--workers", "1",
+          "--out", "strip.csv"]
+_LOCUS_POINT = ["locus-fit", "--q3-min", "0.035", "--q3-max", "0.035", "--q3-points", "1", "--workers", "1",
+                "--out", "point"]
 PARSE_CORPUS = [
     [], ["-h"], ["--help"], ["bogus"], ["bogus", "--q3", "1"], ["Point"], ["--", "point"], ["-h", "point"],
     ["--q3", "1", "point"], ["point"], ["point", "-h"], ["point", "--q3", "1", "--theta", "pi/4"], ["point", "--q3=1"],
@@ -743,12 +749,7 @@ PARSE_CORPUS = [
     [*_LOCUS, "--q3-min", "-0.5", "--q3-max", "-0.1"], [*_LOCUS, "--q3-points", "0"], [*_LOCUS, "extra"],
     ["taylor-check"], ["taylor-check", "-h"], ["taylor-check", "--scale", "-1"],
     ["taylor-check", "--halvings", "-2"], ["taylor-check", "--scale=1e-3", "--halvings", "3"],
-    # the benchmark's requests: one two-row tile strip and one locus point
-    ["sweep", "--axes", "q2,q3", "--x-range", "-0.05,0.05", "--y-range", "0.9535,0.954", "--theta", "pi/4",
-     "--nx", "41", "--ny", "2", "--heatmap-column", "contrast", "--log-scale", "--workers", "1",
-     "--out", "strip.csv"],
-    ["locus-fit", "--q3-min", "0.035", "--q3-max", "0.035", "--q3-points", "1", "--workers", "1",
-     "--out", "point"],
+    _STRIP, _LOCUS_POINT,
 ]
 
 
@@ -855,11 +856,14 @@ def test_join_dashed_values(argv, joined):
      []),
     (["locus-fit", "--q3-min", "0.5", "--q3-max", "0.5", "--q3-points", "1", "--out", "run"], []),
     (["taylor-check", "--halvings", "2"], []),
-    (["locus-fit", "--q3-min", "0.5", "--q3-max", "0.5", "--q3-p", "1", "--out", "run"], ["kdspin locus-fit"]),
-], ids=["point", "sweep", "locus-fit", "taylor-check", "abbreviated"])
+    (_STRIP, []),
+    (_LOCUS_POINT, []),
+    (["locus-fit", "--q3-min", "0.5", "--q3-max", "0.5", "--q3-p", "1", "--out", "run"],
+     ["kdspin", "kdspin locus-fit"]),
+], ids=["point", "sweep", "locus-fit", "taylor-check", "tile-strip", "locus-point", "abbreviated"])
 def test_one_parse_per_call(argv, parses, tmp_path, capsys, monkeypatch):
-    # an argv of exact flags skips argparse's parse; any other, here an abbreviation, is parsed once,
-    # by its command's parser alone
+    # an argv of exact flags, the benchmark's two requests among them, skips argparse's parse; any other,
+    # here an abbreviation, is parsed once by the top-level parser, which hands the command's tokens to its parser
     calls = []
     parse_known_args = argparse.ArgumentParser.parse_known_args
     monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args",
