@@ -265,13 +265,16 @@ def cmd_sweep(args) -> int:
     stats = [_stat(path) for path in outputs]
     if any(_same_file(out, stats[0], path, path_stat) for path, path_stat in zip(outputs[1:], stats[1:])):
         raise ValueError(f"the heatmap {pgm} or its sidecar {pgm}.txt would overwrite the CSV {out}")
-    for path, path_stat in zip(outputs, stats):  # the error its write would raise, before the grid rather than after it
+    # each write's error before the grid, not after it: Path drops a name's trailing '/', on which os.open raises EISDIR
+    for path, name, path_stat in zip(outputs, (args.out, args.heatmap_out, None), stats):
+        if name and name.endswith("/") and os.path.isdir(os.path.dirname(name.rstrip("/")) or "."):
+            path_stat, path = errno.EISDIR, name
         if isinstance(path_stat, int):  # OSError picks the errno's subclass, as os.open raises it
             if path_stat != errno.ENOENT or not os.path.isdir(os.path.dirname(path) or "."):
                 raise OSError(path_stat, os.strerror(path_stat), str(path))
         elif stat.S_ISDIR(path_stat.st_mode):
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
-    tile = run_sweep(spec, workers=args.workers)
+    tile = run_sweep(spec)
     with _overwrite(out) as handle:
         write_tile_csv(tile, handle)
     print(f"wrote {out} ({spec.nx * spec.ny} points)")
@@ -459,7 +462,7 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
     p_sweep.add_argument("--nx", type=int, default=201)
     p_sweep.add_argument("--ny", type=int, default=201)
     p_sweep.add_argument("--out", required=True, help="output CSV path")
-    p_sweep.add_argument("--workers", type=positive_int, default=os.cpu_count() or 1,
+    p_sweep.add_argument("--workers", type=positive_int, default=1,
                          help="accepted for compatibility; evaluation runs in one process")
     p_sweep.add_argument("--heatmap-column", choices=HEATMAP_COLUMNS, default=None)
     p_sweep.add_argument("--heatmap-out", default=None, help="heatmap path (default: out with .pgm)")
@@ -476,7 +479,7 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
     p_locus.add_argument("--inv-theta-points", type=int, default=400,
                          help="accepted for compatibility (at least 3); the locus is a closed form")
     p_locus.add_argument("--out", required=True, help="output path prefix")
-    p_locus.add_argument("--workers", type=positive_int, default=os.cpu_count() or 1,
+    p_locus.add_argument("--workers", type=positive_int, default=1,
                          help="accepted for compatibility; evaluation runs in one process")
     p_locus.set_defaults(func=cmd_locus_fit)
 
@@ -500,8 +503,8 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
 
 
 def _join_dashed_values(argv: list[str]) -> list[str]:
-    """Merge '--flag -0.05,0.05' into '--flag=-0.05,0.05' so argparse does not
-    mistake leading-dash values (negative ranges, '-pi/2') for option names."""
+    """Merge '--flag -0.05,0.05' into '--flag=-0.05,0.05' so argparse does not mistake leading-dash values
+    (negative ranges, '-pi/2') for option names: ``parse_argv`` joins only the argvs it hands argparse."""
     joined: list[str] = []
     open_flag = False  # the last kept token is a '--flag' with no '='
     for token in argv:
@@ -515,9 +518,10 @@ def _join_dashed_values(argv: list[str]) -> list[str]:
 
 
 def _parse_exact(table: tuple, tokens: list[str]) -> argparse.Namespace | None:
-    """The namespace a command's parser returns for ``tokens``, from its ``_parsers`` table, or None for argparse
-    to parse them: a token not exactly a flag (help, ``--``, an abbreviation), a store_true flag given a value, a
-    value missing, ``--``, dash-led in the next token or rejected by its type or choices, a missing required flag."""
+    """The namespace a command's parser returns for ``tokens``, as given or joined, from its ``_parsers`` table, or
+    None for argparse to parse them: a token not exactly a flag (help, ``--``, an abbreviation), a store_true flag
+    given a value, a value missing, ``--``, led by '--' in the next token (the join's rule) or rejected by its type
+    or choices, a missing required flag."""
     defaults, flags, required = table
     given, tokens = {}, iter(tokens)
     for token in tokens:
@@ -526,8 +530,8 @@ def _parse_exact(table: tuple, tokens: list[str]) -> argparse.Namespace | None:
         if action is None or eq and action.nargs == 0:
             return None
         if action.nargs is None:
-            value = value if eq else next(tokens, "-")
-            if value == "--" or value.startswith("-") and not eq:
+            value = value if eq else next(tokens, "--")
+            if value == "--" or value.startswith("--") and not eq:
                 return None
             try:
                 value = value if action.type is None else action.type(value)
@@ -541,11 +545,10 @@ def _parse_exact(table: tuple, tokens: list[str]) -> argparse.Namespace | None:
 
 def parse_argv(argv) -> argparse.Namespace:
     """``build_parser().parse_args`` of ``argv``, dashed values joined: ``_parse_exact`` reads a command followed
-    by exact long flags with valid values, and the top-level parser reads any other argv."""
-    argv = _join_dashed_values(list(argv))
+    by exact long flags with valid values as given, and the top-level parser reads any other argv, joined."""
     parser, _, exact = _parsers()
     args = _parse_exact(exact[argv[0]], argv[1:]) if argv and argv[0] in exact else None
-    return parser.parse_args(argv) if args is None else args
+    return parser.parse_args(_join_dashed_values(list(argv))) if args is None else args
 
 
 def main(argv=None) -> int:

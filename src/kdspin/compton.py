@@ -204,21 +204,21 @@ def spin_matrix_batch(q_l: float, q2, q3, left, right) -> np.ndarray:
         # (re, im) of the y and z amplitudes, one row each
         _, _, ly, ly_i, lz, lz_i = left.view(float).T
         _, _, ry, ry_i, rz, rz_i = right.view(float).T
-        parts = np.array(_kernel(q_l, q2, q3, ly, ly_i, lz, lz_i, ry, ry_i, rz, rz_i, np.sqrt))
+        parts = np.array(_kernel(q_l, q2, q3, ly, ly_i, lz, lz_i, ry, ry_i, rz, rz_i))
     if parts.ndim > 2:  # parts.T reverses every axis, so only an (N,) batch reshapes right
         raise ValueError(f"momenta and beams must broadcast to shape (N,), got {parts.shape[1:]}")
     return np.ascontiguousarray(parts.T).view(complex).reshape(parts.shape[1:] + (2, 2))
 
 
-def _kernel(q_l, q2, q3, ly, ly_i, lz, lz_i, ry, ry_i, rz, rz_i, sqrt):
+def _kernel(q_l, q2, q3, ly, ly_i, lz, lz_i, ry, ry_i, rz, rz_i):
     """(re, im) of M00, M01, M10 and M11 from the momenta and the beams' y and z (re, im), elementwise:
-    ``spin_matrix_batch``'s arithmetic, on arrays with ``np.sqrt`` or on floats with ``math.sqrt``."""
+    ``spin_matrix_batch``'s arithmetic, on arrays with ``np.sqrt`` or, where q3 is a Python float, ``math.sqrt``."""
     yy, yy_i = ly * ry + ly_i * ry_i, ly * ry_i - ly_i * ry
     zz, zz_i = lz * rz + lz_i * rz_i, lz * rz_i - lz_i * rz
     yz, yz_i = ly * rz + ly_i * rz_i, ly * rz_i - ly_i * rz
     zy, zy_i = lz * ry + lz_i * ry_i, lz * ry_i - lz_i * ry
     s, s_i, w, w_i = yz + zy, yz_i + zy_i, yz - zy, yz_i - zy_i
-    e, k, h, c_zz = _momentum_terms(q_l, q2, q3, sqrt)
+    e, k, h, c_zz = _momentum_terms(q_l, q2, q3)
     c_yy = ((1.0 - q2) * (1.0 + q2) + q3 * q3) * k + q_l * q_l * h
     c_s, e_2 = 2.0 * q2 * q3 * k, e + 2.0
     y_h, y_k, u_h, u_k, v_k = q_l * q2 * h, q_l * q3 * k, q_l * q3 * h, q_l * q2 * k, q_l * k
@@ -229,20 +229,20 @@ def _kernel(q_l, q2, q3, ly, ly_i, lz, lz_i, ry, ry_i, rz, rz_i, sqrt):
     return x + y_i, x_i - y, u + v, u_i + v_i, v - u, v_i - u_i, x - y_i, x_i + y
 
 
-def _momentum_terms(q_l, q2, q3, sqrt):
+def _momentum_terms(q_l, q2, q3):
     """E = sqrt(D + q_l^2), k = 1/D, h = k/(E + 1) and c_zz = ((1 - q3)(1 + q3) + q2^2) k + q_l^2 h at D =
-    1 + q2^2 + q3^2, elementwise: the terms ``_kernel`` and ``_locus_inv_theta`` share, with either sqrt."""
+    1 + q2^2 + q3^2, elementwise: the terms ``_kernel`` and ``_locus_inv_theta`` share; float q3 takes math.sqrt."""
     d = 1.0 + q2 * q2 + q3 * q3
-    e, k = sqrt(d + q_l * q_l), 1.0 / d
+    e, k = (math.sqrt if isinstance(q3, float) else np.sqrt)(d + q_l * q_l), 1.0 / d
     h = k / (e + 1.0)
     return e, k, h, ((1.0 - q3) * (1.0 + q3) + q2 * q2) * k + q_l * q_l * h
 
 
-def _locus_inv_theta(q_l, q2, q3, sqrt):
+def _locus_inv_theta(q_l, q2, q3):
     """1/theta of the contrast minimum over the elliptic beam (0, cos theta, i sin theta) against (0, 0, 1) at each
     q3, in elementary functions of (q_l, q2, q3); NaN where a momentum's square overflows, as in the kernel.
-    Elementwise, as ``_kernel`` is: on an array of q3 with ``np.sqrt`` under the caller's ``np.errstate``, or on
-    Python floats with ``math.sqrt`` (numpy's hypot and arctan2 results taken as floats; inf where theta = 0).
+    Elementwise, as ``_kernel`` is, by q3's type: on an array of q3 with ``np.sqrt`` under the caller's ``np.errstate``,
+    or on Python floats with ``math.sqrt`` (numpy's hypot and arctan2 results taken as floats; inf where theta = 0).
 
     The kernel is linear in the conjugated emission amplitude, so M(theta) = cos(theta)
     (M_y - i u M_z), u = tan(theta), with M_y, M_z the spin matrices of the unit y and z beams.
@@ -269,8 +269,8 @@ def _locus_inv_theta(q_l, q2, q3, sqrt):
     q_l^2 / (E + 1) and v = q_l q3 (E + 2) / (E + 1); at q3 = 0 one with tan^2(theta) =
     q_l^2 / ((1 + q2^2) ((1 + q_l^2 h)^2 + (q_l q2 E h)^2)).
     """
-    e, k, h, c_zz = _momentum_terms(q_l, q2, q3, sqrt)
-    root_k, num = sqrt(k), float if isinstance(q3, float) else np.asarray
+    e, k, h, c_zz = _momentum_terms(q_l, q2, q3)
+    root_k, num = (math.sqrt(k), float) if isinstance(q3, float) else (np.sqrt(k), np.asarray)
     tan_num = root_k * num(np.hypot(2.0 * q2 * q3 * root_k, q_l))
     tan_den = np.hypot(c_zz, q_l * h * num(np.hypot(q2 * e, q3 * (e + 2.0))))
     theta = num(np.arctan2(tan_num, tan_den))
@@ -280,5 +280,5 @@ def _locus_inv_theta(q_l, q2, q3, sqrt):
 def spin_matrix(cfg: ScatterConfig, pol: PolarizationPair) -> np.ndarray:
     """Complex 2x2 spin-propagation matrix for one configuration and beam pair: ``spin_matrix_batch``'s
     arithmetic on Python floats (ints would round otherwise), so bit for bit its row of any batch."""
-    parts = _kernel(float(cfg.q_l), float(cfg.q2), float(cfg.q3), *pol._parts, math.sqrt)
+    parts = _kernel(float(cfg.q_l), float(cfg.q2), float(cfg.q3), *pol._parts)
     return np.ndarray((2, 2), complex, np.array(parts))

@@ -161,7 +161,7 @@ def _batch_rows(spec: GridSpec, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         else:
             theta = column if spec.y_name == "theta" else 1.0 / column
             q2, q3, beams = np.float64(fixed.q2), xs, _elliptic_parts(theta)
-        _, ok, *fields = _closed_form(_kernel(fixed.q_l, q2, q3, *beams, np.sqrt))
+        _, ok, *fields = _closed_form(_kernel(fixed.q_l, q2, q3, *beams))
     return np.where(ok, fields, math.nan)
 
 
@@ -240,10 +240,10 @@ def minimum_locus(
         raise ValueError(f"inv_theta_points must be at least 3, got {inv_theta_points!r}")
     q_l, q2, q3 = _locus_entry(fixed, q3_values)
     if len(q3) == 1:  # one q3 runs on Python floats, to the bits of its batch row
-        inv_theta = _locus_inv_theta(q_l, q2, q3 := q3[0], math.sqrt)
+        inv_theta = _locus_inv_theta(q_l, q2, q3 := q3[0])
     else:
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # NaN where a square overflows
-            inv_theta = _locus_inv_theta(q_l, q2, q3 := np.array(q3), np.sqrt)
+            inv_theta = _locus_inv_theta(q_l, q2, q3 := np.array(q3))
     return _locus_points(q_l, q2, q3, inv_theta, (inv_theta > lo) & (inv_theta < hi))
 
 
@@ -256,13 +256,13 @@ def _locus_points(q_l: float, q2: float, q3, inv_theta, bracketed) -> list[Locus
     if isinstance(q3, float):
         if not (bracketed or math.isnan(inv_theta)):
             return [LocusPoint(q3, *[math.nan] * 5, False, "unbracketed")]
-        scale, ok, *fields = _closed_form(_kernel(q_l, q2, q3, *_elliptic_parts(1.0 / inv_theta), math.sqrt))
+        scale, ok, *fields = _closed_form(_kernel(q_l, q2, q3, *_elliptic_parts(1.0 / inv_theta)))
         if not ok:
             raise _no_minimum(q3, inv_theta, math.isfinite(scale))
         return [LocusPoint(q3, inv_theta, *fields[1:], True, _CONVERGED)]
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # 1/theta = 0: no angle, a NaN beam
         theta = 1.0 / inv_theta
-        scale, ok, *fields = _closed_form(_kernel(q_l, q2, q3, *_elliptic_parts(theta), np.sqrt))
+        scale, ok, *fields = _closed_form(_kernel(q_l, q2, q3, *_elliptic_parts(theta)))
     failed = np.flatnonzero(~ok & (bracketed | np.isnan(inv_theta)))
     if failed.size:
         i = failed[0]

@@ -775,6 +775,8 @@ def _two_pass_parse(argv):
 @pytest.mark.parametrize("argv", PARSE_CORPUS, ids=lambda argv: " ".join(argv) or "<none>")
 def test_one_pass_parse_equals_two_pass_parse(argv, capsys):
     assert _parse_outcome(cli.parse_argv, argv, capsys) == _parse_outcome(_two_pass_parse, argv, capsys)
+    if argv in (_SWEEP, _LOCUS):  # --workers not given: 1, whatever the host's CPU count
+        assert cli.parse_argv(argv).workers == 1
 
 
 def test_fuzz_argvs_parse_as_two_pass_parse(capsys):
@@ -784,6 +786,9 @@ def test_fuzz_argvs_parse_as_two_pass_parse(capsys):
     argvs = [argv for command in FLAGS for argv in _argvs(command)]
     for argv in argvs:
         assert _parse_outcome(cli.parse_argv, argv, capsys) == _parse_outcome(_two_pass_parse, argv, capsys), argv
+        # the table reads an argv as given as it reads the joined argv that argparse gets
+        table, joined = cli._parsers()[2][argv[0]], cli._join_dashed_values(argv)
+        assert repr(cli._parse_exact(table, argv[1:])) == repr(cli._parse_exact(table, joined[1:])), argv
     exact = [argv for argv in argvs if cli._parse_exact(cli._parsers()[2][argv[0]], cli._join_dashed_values(argv)[1:])]
     assert len(argvs) == 400 and len(exact) > 300, len(exact)
 
@@ -1136,6 +1141,8 @@ def test_sweep_out_of_memory_exits_2(tmp_path, capsys, monkeypatch):
     pytest.param(["--out", "nodir/t.csv"], "nodir/t.csv", errno.ENOENT, id="out-missing-directory"),
     pytest.param(["--out", "t.csv", "--heatmap-out", "nodir/h.pgm"], "nodir/h.pgm", errno.ENOENT,
                  id="heatmap-missing-directory"),
+    pytest.param(["--out", "t.csv/"], "t.csv/", errno.EISDIR, id="out-trailing-slash"),
+    pytest.param(["--out", "t.csv", "--heatmap-out", "h.pgm/"], "h.pgm/", errno.EISDIR, id="heatmap-trailing-slash"),
 ])
 def test_sweep_out_directory_exits_4_before_the_grid(flags, path, code, tmp_path, capsys, monkeypatch):
     # each output's write would fail: that is known before any point is evaluated, and no CSV is written
@@ -1154,6 +1161,17 @@ def test_sweep_out_directory_exits_4_before_the_grid(flags, path, code, tmp_path
     assert captured.err == f"error: [Errno {code}] {os.strerror(code)}: '{path}'\n"
     assert captured.out == "" and sorted(os.listdir(tmp_path)) == ["h.pgm.txt", "tile"]
     assert os.listdir(tmp_path / "tile") == [] and os.listdir(tmp_path / "h.pgm.txt") == []
+
+
+def test_sweep_out_trailing_slash_keeps_existing_file(tmp_path, capsys, monkeypatch):
+    # Path("t.csv/") names t.csv, but os.open("t.csv/") raises EISDIR: the run fails so, and the file keeps its bytes
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "t.csv").write_bytes(b"kept\n")
+    argv = ["sweep", "--axes", "q2,q3", "--x-range", "0,1", "--y-range", "0,1", "--nx", "2", "--ny", "2",
+            "--out", "t.csv/", "--heatmap-column", "contrast"]
+    assert main(argv) == 4
+    assert capsys.readouterr().err == f"error: [Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: 't.csv/'\n"
+    assert os.listdir(tmp_path) == ["t.csv"] and (tmp_path / "t.csv").read_bytes() == b"kept\n"
 
 
 @pytest.mark.filterwarnings("error")

@@ -283,11 +283,11 @@ def test_locus_inv_theta_on_floats_is_its_array_row():
     # and where tan_num underflows to 0 (q_l = 1e-301, q3 = 1e154) it is numpy's 1/0 = inf, not a raise
     for q_l, q2 in LOCUS_EDGES:
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            row = _locus_inv_theta(q_l, q2, np.array(LOCUS_EDGE_Q3), np.sqrt)
-        one = [_locus_inv_theta(q_l, q2, q3, math.sqrt) for q3 in LOCUS_EDGE_Q3]
+            row = _locus_inv_theta(q_l, q2, np.array(LOCUS_EDGE_Q3))
+        one = [_locus_inv_theta(q_l, q2, q3) for q3 in LOCUS_EDGE_Q3]
         assert all(type(value) is float for value in one), (q_l, q2)
         assert_same_bits(np.array(one), row, (q_l, q2))
-    assert _locus_inv_theta(1e-301, 0.0, 1e154, math.sqrt) == math.inf
+    assert _locus_inv_theta(1e-301, 0.0, 1e154) == math.inf
 
 
 def test_one_q3_locus_is_its_row_among_seeded_neighbours():

@@ -571,7 +571,7 @@ def test_left_branch_fit_constants_at_small_q_l(q_l):
     # most 0.35 % off, at q_l = 1e-2)
     q3 = np.linspace(0.0, 1.0, 201)
     q3 = q3[q3 <= sweep.BRANCH_SPLIT + 1e-12]  # fit_locus's left branch
-    inv_theta = sweep._locus_inv_theta(q_l, 0.0, q3, np.sqrt)
+    inv_theta = sweep._locus_inv_theta(q_l, 0.0, q3)
     a1, a2, a3 = sweep._fit_branch(q3, inv_theta, "left", (0.0, sweep.BRANCH_SPLIT)).params
     ratios = (q_l * a1 / 1.940, q_l * a2 / -1.709, a3 / 0.3017)
     assert max(abs(ratio - 1.0) for ratio in ratios) <= 0.01, ratios
